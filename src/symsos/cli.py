@@ -57,11 +57,13 @@ def _config(pf: ProblemFile, args) -> SolverConfig:
         value = getattr(args, attr, None)
         if value is not None:
             opts[key] = value
-    return SolverConfig(tolerance=opts.get("tolerance", 1e-9),
-                        max_iters=opts.get("max-iters", 20000),
-                        denominator_bound=opts.get("denom-bound", 2 ** 32),
-                        seed=opts.get("seed", 0),
-                        restarts=opts.get("restarts", 3))
+    default = SolverConfig()
+    return SolverConfig(tolerance=opts.get("tolerance", default.tolerance),
+                        max_iters=opts.get("max-iters", default.max_iters),
+                        denominator_bound=opts.get("denom-bound",
+                                                   default.denominator_bound),
+                        seed=opts.get("seed", default.seed),
+                        restarts=opts.get("restarts", default.restarts))
 
 
 def _mono_str(n: int, mono) -> str:

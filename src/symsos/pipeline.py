@@ -4,10 +4,11 @@ The flow for both certificate pipelines is the same: reduce modulo the
 coordinate ring, write the unknown invariant objects in the orbit bases
 (pair-orbit indicator matrices for the Gram matrix, orbit-sum polynomials
 or per-orbit scalars for the multipliers), match coefficients into a
-linear system, hand the tiny symmetry-reduced SDP to the numeric solver,
-round back to rationals, reconstruct the Groebner cofactors exactly, and
-verify.  A returned certificate is always exact and has been verified;
-everything numeric is quarantined in the solver.
+linear system with one row per distinct coefficient equation (one per
+monomial orbit for invariant data), hand the tiny symmetry-reduced SDP to
+the numeric solver, round back to rationals, reconstruct the Groebner
+cofactors exactly, and verify.  A returned certificate is always exact and
+has been verified; everything numeric is quarantined in the solver.
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
@@ -134,15 +135,36 @@ def _orbit_sum(group: GroupSpec, rep: Monomial, n: int) -> Polynomial:
     return Polynomial(n, {m: Fraction(1) for m in monomial_orbit_elements(group, rep)})
 
 
+def _distinct_rows(rows: Sequence[list[Fraction]], rhs: Sequence[Fraction]):
+    """The equations rows[t] . y = rhs[t] without repeats and without 0 = 0.
+
+    First occurrences keep their order.  The affine solution set is
+    unchanged.  Equal coefficients with a different right hand side is a
+    contradiction, so both rows stay for the solver to report.
+    """
+    seen = set()
+    out_rows: list[list[Fraction]] = []
+    out_rhs: list[Fraction] = []
+    for row, value in zip(rows, rhs):
+        key = (tuple(row), value)
+        if key in seen or not (value or any(row)):
+            continue
+        seen.add(key)
+        out_rows.append(row)
+        out_rhs.append(value)
+    return out_rows, out_rhs
+
+
 def _match_columns(columns: Sequence[Polynomial], target: Polynomial):
-    """Coefficient-matching rows: one per monomial in any support."""
+    """Coefficient-matching rows, one per distinct equation over the sorted
+    monomials of all supports (one per monomial orbit for invariant data)."""
     monos = set(target.terms)
     for col in columns:
         monos.update(col.terms)
     rows = sorted(monos)
     amat = [[col.coefficient(m) for col in columns] for m in rows]
     rhs = [target.coefficient(m) for m in rows]
-    return amat, rhs
+    return _distinct_rows(amat, rhs)
 
 
 def _invariant_multiplier_columns(group: GroupSpec, constraint: Polynomial,
@@ -428,28 +450,14 @@ def find_pseudoexpectation(inst: ProblemInstance, degree: Optional[int] = None,
             for mono, coeff in reduced_mono(prod).terms.items():
                 e_mats[slot[canonical_monomial(inst.group, mono)]].entries[i][j] += coeff
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     one_row = [Fraction(0)] * len(reps)
     one_row[slot[(0,) * n]] = Fraction(1)
-    rows.append(one_row)
-    rhs.append(Fraction(1))
-    # Dedup on (coefficients, rhs): a repeated row is redundant, but the same
-    # coefficients with a different right hand side is a contradiction and
-    # must stay in the system so the solver reports it as infeasible.
-    seen = {(tuple(one_row), Fraction(1))}
+    rows = [one_row]
     for orbit in orbits:
         p = inst.equalities[orbit[0]]
-        pd = p.degree()
-        for mono in monomials_up_to(n, max(deg - pd, 0)):
-            shifted = _reduced(Polynomial.monomial(n, mono) * p, gb)
-            row = moment_row(shifted)
-            key = (tuple(row), Fraction(0))
-            if key in seen or not any(row):
-                continue
-            seen.add(key)
-            rows.append(row)
-            rhs.append(Fraction(0))
+        for mono in monomials_up_to(n, max(deg - p.degree(), 0)):
+            rows.append(moment_row(_reduced(Polynomial.monomial(n, mono) * p, gb)))
+    rows, rhs = _distinct_rows(rows, [Fraction(1)] + [Fraction(0)] * (len(rows) - 1))
 
     system = FeasibilitySystem(psd_matrices=e_mats, linear_map=rows, rhs=rhs,
                                b_names=[])

@@ -30,7 +30,7 @@ MAX_VARIABLES = 512
 @dataclass
 class SolverConfig:
     tolerance: float = 1e-9
-    max_iters: int = 20000
+    max_iters: int = 1600  # alternation steps, shared by all restarts
     denominator_bound: int = 2 ** 32
     seed: int = 0
     restarts: int = 3
@@ -41,13 +41,14 @@ class FeasibilitySystem:
     """Find (a, b) with sum a_i * psd_matrices[i] PSD and A (a, b) = rhs.
 
     a has one entry per PSD matrix (k2 of them); b holds k3 free scalars.
-    linear_map is a dense rational k1 x (k2 + k3) matrix.
+    linear_map is a dense rational k1 x (k2 + k3) matrix, one row per
+    distinct coefficient equation (one per monomial orbit for invariant
+    data).
     """
 
     psd_matrices: list[GramMatrix]
     linear_map: list[list[Fraction]]
     rhs: list[Fraction]
-    a_names: list[str] = field(default_factory=list)
     b_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -63,8 +64,6 @@ class FeasibilitySystem:
                 raise DimensionMismatch("linear map row width != k2 + k3")
         if len(self.rhs) != self.k1:
             raise DimensionMismatch("rhs length != number of linear rows")
-        if not self.a_names:
-            self.a_names = [f"a{i}" for i in range(self.k2)]
         if not self.b_names:
             self.b_names = [f"b{i}" for i in range(self.k3)]
 
@@ -88,46 +87,6 @@ class FeasibilitySystem:
     @property
     def variables(self) -> int:
         return self.k2 + self.k3
-
-
-@dataclass
-class BlockEncoding:
-    """One-matrix form: F(y) = constant + sum y_i coefficient[i] is PSD iff
-    y solves the system.  Size is gram_dim + 2 * k1; each linear constraint
-    occupies a 2x2 zero-diagonal tail block."""
-
-    size: int
-    constant: list[list[Fraction]]
-    coefficient: list[list[list[Fraction]]]
-
-
-def block_diagonal_encode(system: FeasibilitySystem) -> BlockEncoding:
-    n_top = system.gram_dim
-    size = n_top + 2 * system.k1
-
-    def empty():
-        return [[Fraction(0)] * size for _ in range(size)]
-
-    constant = empty()
-    for t in range(system.k1):
-        base = n_top + 2 * t
-        constant[base][base + 1] = -system.rhs[t]
-        constant[base + 1][base] = -system.rhs[t]
-    coeffs = []
-    for i in range(system.variables):
-        mat = empty()
-        if i < system.k2:
-            q = system.psd_matrices[i]
-            for r in range(n_top):
-                row = q.entries[r]
-                for c in range(n_top):
-                    mat[r][c] = row[c]
-        for t in range(system.k1):
-            base = n_top + 2 * t
-            mat[base][base + 1] = system.linear_map[t][i]
-            mat[base + 1][base] = system.linear_map[t][i]
-        coeffs.append(mat)
-    return BlockEncoding(size=size, constant=constant, coefficient=coeffs)
 
 
 @dataclass
@@ -197,7 +156,7 @@ def solve_feasibility(system: FeasibilitySystem,
     total_iters = 0
     best_lin = math.inf
     best_deficit = math.inf
-    budget = max(cfg.max_iters, 1)
+    per_attempt = max(cfg.max_iters // (cfg.restarts + 1), 1)
 
     for attempt in range(cfg.restarts + 1):
         if attempt == 0:
@@ -207,8 +166,7 @@ def solve_feasibility(system: FeasibilitySystem,
         push = 1e-2
         stall = 0
         prev_err = math.inf
-        per_attempt = min(budget // (cfg.restarts + 1), 400)
-        for _ in range(max(per_attempt, 50)):
+        for _ in range(per_attempt):
             total_iters += 1
             lin, min_eig = residuals(y)
             deficit = max(0.0, -min_eig)
@@ -300,7 +258,12 @@ def _logdet_newton(gmat: np.ndarray, amat: np.ndarray, rhs: np.ndarray,
             if _logdet(s) is None:
                 shift *= 4.0
                 continue
-            sinv = np.linalg.inv(s)
+            try:
+                sinv = np.linalg.inv(s)
+            except np.linalg.LinAlgError:
+                # Cholesky can pass on a huge iterate that LU still finds
+                # singular; the polish cannot go on from there.
+                return best
             grad = np.array([np.trace(sinv @ d) for d in directions])
             grad -= 2.0 * mu * (null.T @ y)
             hess = np.empty((m, m))
@@ -462,26 +425,3 @@ def combination(system: FeasibilitySystem, a_values: Sequence[Fraction]) -> Gram
                 if rowq[c]:
                     rowo[c] += Fraction(coeff) * rowq[c]
     return out
-
-
-def dump_system(system: FeasibilitySystem) -> str:
-    """Sparse text form for cross-checking against other tools."""
-    lines = ["feasibility-system/1",
-             f"k1 {system.k1} k2 {system.k2} k3 {system.k3} N {system.gram_dim}"]
-
-    def frac(x: Fraction) -> str:
-        return f"{x.numerator}/{x.denominator}"
-
-    for i, q in enumerate(system.psd_matrices):
-        for r in range(q.dim):
-            for c in range(r, q.dim):
-                if q.entries[r][c]:
-                    lines.append(f"Q {i} {r} {c} {frac(q.entries[r][c])}")
-    for t, row in enumerate(system.linear_map):
-        for i, x in enumerate(row):
-            if x:
-                lines.append(f"A {t} {i} {frac(x)}")
-    for t, x in enumerate(system.rhs):
-        if x:
-            lines.append(f"c {t} {frac(x)}")
-    return "\n".join(lines) + "\n"

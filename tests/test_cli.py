@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,16 @@ SATISFIABLE = "vars: 2\ngroup: S(2)\ndomain: {0,1}\neq: x1 + x2 - 1\ntarget: ref
 PROVE = "vars: 2\ngroup: S(2)\ndomain: {0,1}\neq: x1 + x2 - 2\ntarget: x1*x2\n"
 KNAPSACK3 = "vars: 3\ngroup: S(3)\ndomain: {0,1}\neq: x1 + x2 + x3 - 3/2\n" \
             "target: refute\n"
+
+
+def tight_e2(n):
+    """e2(x) >= C(n/2, 2) given sum x_i = n/2 over {0,1}^n: holds with
+    equality on every feasible point."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    e2 = " + ".join(f"{a}*{b}" for a, b in itertools.combinations(xs, 2))
+    return (f"vars: {n}\ngroup: S({n})\ndomain: {{0,1}}\n"
+            f"eq: {' + '.join(xs)} - {n // 2}\n"
+            f"target: {e2} - {math.comb(n // 2, 2)}\n")
 
 
 def write(tmp_path, name, text):
@@ -172,3 +184,12 @@ def test_json_search_output(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "certified"
     assert payload["certificate"] == cert_path
+
+
+def test_prove_tight_target_exits_with_documented_code(tmp_path, capsys):
+    # At n=16 the solver's barrier polish can meet a matrix that passes
+    # Cholesky but is singular to LU; that must end the search, not the CLI.
+    problem = write(tmp_path, "tight.sos", tight_e2(16))
+    code = cli.main(["prove", problem, "--json"])
+    assert code in (cli.EXIT_OK, cli.EXIT_NONE)
+    json.loads(capsys.readouterr().out)

@@ -1,17 +1,20 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from symsos import pipeline
 from symsos.certificates import NORMAL_FORM, verify
 from symsos.errors import InvalidInstance, InvalidSystem
-from symsos.pipeline import (ProblemInstance, check_pseudoexpectation,
-                             find_pseudoexpectation, first_certificate,
-                             point_pseudoexpectation, prove_invariant,
-                             pseudoexpectation_value, refute_invariant_system,
-                             variable_count_report)
-from symsos.poly import Polynomial
-from symsos.symmetry import GroupSpec, is_invariant
+from symsos.pipeline import (ProblemInstance, _distinct_rows, _match_columns,
+                             check_pseudoexpectation, find_pseudoexpectation,
+                             first_certificate, point_pseudoexpectation,
+                             prove_invariant, pseudoexpectation_value,
+                             refute_invariant_system, variable_count_report)
+from symsos.poly import MonomialBasis, Polynomial
+from symsos.sdp import FeasibilitySystem, SolveOutcome, solve_feasibility
+from symsos.symmetry import GramMatrix, GroupSpec, is_invariant
 
 BOOL = (Fraction(0), Fraction(1))
 
@@ -59,6 +62,47 @@ def test_refute_half_integral_knapsack():
         scalars = [m for _, m in cert.equality_multipliers]
         assert all(isinstance(m, Fraction) for m in scalars)
         assert is_invariant(GroupSpec.symmetric(n), cert.sigma.to_polynomial())
+
+
+def captured_system(monkeypatch, inst):
+    """The FeasibilitySystem the refutation search hands to the solver."""
+    seen = []
+
+    def capture(system, config):
+        seen.append(system)
+        return SolveOutcome(False, None, 1.0, 1.0, 0)
+
+    monkeypatch.setattr(pipeline, "solve_feasibility", capture)
+    refute_invariant_system(inst)
+    return seen[0]
+
+
+@pytest.mark.parametrize("n,d,rows", [(4, 1, 3), (8, 1, 3), (16, 1, 3),
+                                      (4, 2, 5), (8, 2, 5)])
+def test_one_row_per_distinct_equation(monkeypatch, n, d, rows):
+    inst = replace(half_integral_knapsack(n), degree=d)
+    assert captured_system(monkeypatch, inst).k1 == rows
+
+
+def test_conflicting_rows_survive_matching():
+    assert _distinct_rows([[frac(1)], [frac(1)], [frac(0)], [frac(1)]],
+                          [frac(1), frac(1), frac(0), frac(-1)]) == \
+        ([[frac(1)], [frac(1)]], [frac(1), frac(-1)])
+    # x1 + x2 against x1 - x2: a = 1 and a = -1 must both reach the solver.
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    amat, rhs = _match_columns([x1 + x2], x1 - x2)
+    assert amat == [[frac(1)], [frac(1)]] and sorted(rhs) == [-1, 1]
+    system = FeasibilitySystem(
+        psd_matrices=[GramMatrix(MonomialBasis(2, 0), [[frac(1)]])],
+        linear_map=amat, rhs=rhs)
+    assert not solve_feasibility(system).feasible
+
+
+def test_refute_trivial_group():
+    inst = replace(half_integral_knapsack(3), group=GroupSpec.trivial(3))
+    result = refute_invariant_system(inst)
+    assert result.certified
+    assert verify(result.certificate).accepted
 
 
 def test_refute_satisfiable_returns_none():

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from symsos.errors import DimensionMismatch, ResourceLimit
-from symsos.linalg import psd_certificate
 from symsos.poly import MonomialBasis
 from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, NumericSolution,
-                        SolverConfig, block_diagonal_encode, combination,
-                        dump_system, rationalize, simplest_in_interval,
-                        solve_feasibility)
+                        SolveOutcome, SolverConfig, combination, rationalize,
+                        simplest_in_interval, solve_feasibility)
 from symsos.symmetry import GramMatrix
 
 
@@ -57,24 +55,6 @@ def test_variable_cap():
         solve_feasibility(sys_)
 
 
-def test_block_encoding_shape():
-    sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1), frac(1)]], rhs=[frac(3)],
-                             b_names=["b0"])
-    enc = block_diagonal_encode(sys_)
-    assert enc.size == 1 + 2 * 1
-    assert len(enc.coefficient) == 2
-    # constant tail block carries -c
-    assert enc.constant[1][2] == frac(-3)
-    assert enc.constant[2][1] == frac(-3)
-    # for y with Ay = c and PSD combination, F(y) is PSD
-    y = [frac(2), frac(1)]
-    f = [[enc.constant[i][j] + sum(y[v] * enc.coefficient[v][i][j]
-                                   for v in range(2))
-          for j in range(enc.size)] for i in range(enc.size)]
-    assert psd_certificate(f).is_psd
-
-
 def test_solver_trivial_feasible():
     out = solve_feasibility(small_system())
     assert out.feasible
@@ -98,6 +78,36 @@ def test_solver_reports_psd_conflict():
     out = solve_feasibility(sys_)
     assert not out.feasible
     assert out.best_psd_deficit > 1e-3
+
+
+def psd_conflict_with_free_direction():
+    """a0 * diag(1, 0) + a1 * diag(0, 1) with a1 = -1 forced and a0 free:
+    infeasible, and the free direction sends the solver into its polish."""
+    basis = MonomialBasis(1, 1)
+    qa = GramMatrix(basis, [[frac(1), frac(0)], [frac(0), frac(0)]])
+    qb = GramMatrix(basis, [[frac(0), frac(0)], [frac(0), frac(1)]])
+    return FeasibilitySystem(psd_matrices=[qa, qb],
+                             linear_map=[[frac(0), frac(1)]], rhs=[frac(-1)],
+                             b_names=[])
+
+
+def test_solver_survives_singular_polish_matrix(monkeypatch):
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    out = solve_feasibility(psd_conflict_with_free_direction())
+    assert isinstance(out, SolveOutcome)
+    assert not out.feasible
+
+
+def test_max_iters_is_the_total_budget():
+    out = solve_feasibility(psd_conflict_with_free_direction(),
+                            SolverConfig(max_iters=8))
+    assert not out.feasible
+    assert out.iterations <= 8
+    default = solve_feasibility(psd_conflict_with_free_direction())
+    assert default.iterations > 8
 
 
 def test_solver_deterministic():
@@ -176,16 +186,6 @@ def test_combination_exact():
     assert combo.entries[0][0] == frac(1, 3)
     assert combo.entries[0][1] == frac(2, 5)
     assert combo.entries[1][1] == 0
-
-
-def test_dump_format():
-    text = dump_system(small_system())
-    lines = text.splitlines()
-    assert lines[0] == "feasibility-system/1"
-    assert lines[1] == "k1 1 k2 1 k3 0 N 1"
-    assert "Q 0 0 0 1/1" in lines
-    assert "A 0 0 1/1" in lines
-    assert "c 0 2/1" in lines
 
 
 def test_end_to_end_solve_then_rationalize():
