@@ -1,14 +1,18 @@
 """End-to-end searches: invariant proofs, refutations, pseudoexpectations.
 
-The flow for both certificate pipelines is the same: reduce modulo the
-coordinate ring, write the unknown invariant objects in the orbit bases
-(pair-orbit indicator matrices for the Gram matrix, orbit-sum polynomials
-or per-orbit scalars for the multipliers), match coefficients into a
-linear system with one row per distinct coefficient equation (one per
-monomial orbit for invariant data), hand the tiny symmetry-reduced SDP to
-the numeric solver, round back to rationals, reconstruct the Groebner
-cofactors exactly, and verify.  A returned certificate is always exact and
-has been verified; everything numeric is quarantined in the solver.
+prove_invariant and refute_invariant_system look for the same object,
+goal == sigma + sum(multiplier * constraint) + ideal with sigma and the
+multipliers invariant; they differ in the goal, the free columns and the
+certificate mode.  Each validates its instance, describes its search in a
+_SearchSpec, and hands it to the one search core, _search: enumerate the
+pair orbits and build the indicator matrices once, reduce modulo the
+coordinate ring, match coefficients into a linear system with one row per
+distinct coefficient equation (one per monomial orbit for invariant data),
+hand the tiny symmetry-reduced SDP to the numeric solver, round back to
+rationals, reconstruct the Groebner cofactors exactly, and verify.  The
+variable-count report is read off the same orbit tables.  A returned
+certificate is always exact and has been verified; everything numeric is
+quarantined in the solver.
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
@@ -17,17 +21,17 @@ output is numeric-only evidence (never a theorem) and is flagged as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .certificates import (GENERAL, NORMAL_FORM, BitSizeReport, SosCertificate,
-                           bit_size, verify)
+from .certificates import (GENERAL, NORMAL_FORM, BitSizeReport, MultiplierLike,
+                           SosCertificate, bit_size, verify)
 from .errors import InvalidInstance, InvalidSystem
-from .groebner import (GroebnerBasis, divide, finite_domain_basis,
-                       reconstruct_proof, reduce_polynomial)
+from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
+                       reduce_polynomial)
 from .poly import Monomial, MonomialBasis, Polynomial, monomials_up_to
 from .sdp import (FeasibilitySystem, RationalizeOutcome, SolveOutcome,
                   SolverConfig, combination, rationalize, solve_feasibility)
@@ -131,10 +135,6 @@ def _reduced(p: Polynomial, basis: Optional[GroebnerBasis]) -> Polynomial:
     return p if basis is None else reduce_polynomial(p, basis)
 
 
-def _orbit_sum(group: GroupSpec, rep: Monomial, n: int) -> Polynomial:
-    return Polynomial(n, {m: Fraction(1) for m in monomial_orbit_elements(group, rep)})
-
-
 def _distinct_rows(rows: Sequence[list[Fraction]], rhs: Sequence[Fraction]):
     """The equations rows[t] . y = rhs[t] without repeats and without 0 = 0.
 
@@ -167,24 +167,8 @@ def _match_columns(columns: Sequence[Polynomial], target: Polynomial):
     return _distinct_rows(amat, rhs)
 
 
-def _invariant_multiplier_columns(group: GroupSpec, constraint: Polynomial,
-                                  max_degree: int,
-                                  basis: Optional[GroebnerBasis]):
-    """Reduced (orbit-sum * constraint) polynomials, one per monomial orbit."""
-    table = enumerate_monomial_orbits(group, max_degree)
-    cols = []
-    gens = []
-    for rep in table.representatives:
-        q = _orbit_sum(group, rep, group.n)
-        cols.append(_reduced(q * constraint, basis))
-        gens.append(q)
-    return cols, gens
-
-
 def _rationalize_ladder(outcome: SolveOutcome, system: FeasibilitySystem,
-                        cfg: SolverConfig) -> Optional[RationalizeOutcome]:
-    if not outcome.feasible:
-        return None
+                        cfg: SolverConfig) -> RationalizeOutcome:
     for window in RATIONALIZE_WINDOWS:
         rat = rationalize(outcome.solution, system,
                           denominator_bound=cfg.denominator_bound, window=window)
@@ -193,47 +177,135 @@ def _rationalize_ladder(outcome: SolveOutcome, system: FeasibilitySystem,
     return rat
 
 
-def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
-    n = inst.n
+def _gram_degree(inst: ProblemInstance) -> int:
+    """inst.degree for proofs; inst.degree + k - 1 for refutations over a
+    2k-point domain."""
     if inst.target is None:
-        k = inst.domain_half_degree
-        gram_degree = inst.degree + k - 1
-    else:
-        gram_degree = inst.degree
+        return inst.degree + inst.domain_half_degree - 1
+    return inst.degree
+
+
+def _multiplier_degree(constraint: Polynomial, gram_degree: int) -> int:
+    return max(2 * gram_degree - constraint.degree(), 0)
+
+
+def _constraint_orbits(inst: ProblemInstance) -> list[list[int]]:
+    """The orbits of the equality constraints under the group; raises
+    InvalidSystem when the constraint list is not closed under it."""
+    if not inst.equalities:
+        return []
+    closed, orbits = is_invariant_system(inst.group, inst.equalities)
+    if not closed:
+        raise InvalidSystem("equality constraints are not closed under the group")
+    return orbits
+
+
+def _accounting(inst: ProblemInstance, table: OrbitTable,
+                indicators: Sequence[GramMatrix],
+                orbits: Optional[list[list[int]]],
+                free: int) -> VariableCountReport:
+    """Unknown counts of a search over these pair orbits and indicators
+    with `free` free scalars.  orbits partitions the equality constraints,
+    or is None when they are not closed under the group."""
+    n, gram_degree = inst.n, table.degree
     w = math.comb(n + gram_degree, gram_degree)
-    table = enumerate_pair_orbits(inst.group, gram_degree)
-    basis = MonomialBasis(n, gram_degree)
-    indicators = orbit_indicator_matrices(table, basis)
-    closed, orbits = is_invariant_system(inst.group, inst.equalities) \
-        if inst.equalities else (True, [])
-    z = len(orbits) if closed and orbits is not None else len(inst.equalities)
-    bound = 2 * gram_degree
-    mult_dims = [math.comb(n + max(bound - p.degree(), 0), max(bound - p.degree(), 0))
-                 for p in inst.equalities]
-    # Free scalars in the reduced SDP: one per merged (transpose-closed)
-    # indicator, plus one per constraint orbit (refute) or one per monomial
-    # orbit of each multiplier (prove).
-    if inst.target is None:
-        after = len(indicators) + z
-    else:
-        after = len(indicators)
-        for p in inst.equalities:
-            mono_table = enumerate_monomial_orbits(inst.group,
-                                                   max(bound - p.degree(), 0))
-            after += len(mono_table)
+    mult_dims = [math.comb(n + e, e) for e in
+                 (_multiplier_degree(p, gram_degree) for p in inst.equalities)]
     return VariableCountReport(
         n=n, gram_degree=gram_degree, w_size=w, y_size=w * w,
         pair_orbit_count=len(table), indicator_count=len(indicators),
-        constraint_orbit_count=z, multiplier_dims=mult_dims,
+        constraint_orbit_count=len(inst.equalities) if orbits is None
+        else len(orbits),
+        multiplier_dims=mult_dims,
         before_variables=w * (w + 1) // 2 + sum(mult_dims),
-        after_variables=after)
+        after_variables=len(indicators) + free)
+
+
+def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
+    """Unknown counts before and after symmetry reduction, as the search for
+    inst sets them up; prove and refute attach the same report."""
+    gram_degree = _gram_degree(inst)
+    table = enumerate_pair_orbits(inst.group, gram_degree)
+    indicators = orbit_indicator_matrices(table, MonomialBasis(inst.n, gram_degree))
+    try:
+        orbits = _constraint_orbits(inst)
+    except InvalidSystem:
+        orbits = None
+    if inst.target is None:  # one scalar per constraint orbit
+        free = len(inst.equalities) if orbits is None else len(orbits)
+    else:  # one scalar per monomial orbit of each multiplier
+        free = sum(len(enumerate_monomial_orbits(
+            inst.group, _multiplier_degree(p, gram_degree))) for p in inst.equalities)
+    return _accounting(inst, table, indicators, orbits, free)
+
+
+@dataclass
+class _SearchSpec:
+    """One certificate search: goal == sigma + sum of equality terms + ideal.
+
+    sigma combines the pair-orbit indicator matrices of the Gram basis of
+    degree gram_degree.  free_columns holds the reduced equality term of
+    each free scalar, and multipliers turns the scalars' exact values into
+    the certificate's (constraint, multiplier) pairs.
+    """
+
+    goal: Polynomial
+    gram_degree: int
+    free_columns: list[Polynomial]
+    multipliers: Callable[[Sequence[Fraction]], list[tuple[Polynomial, MultiplierLike]]]
+    constraint_orbits: list[list[int]]
+    degree_bound: int
+    mode: str
+    epsilon: Optional[Fraction] = None
+
+
+def _search(inst: ProblemInstance, spec: _SearchSpec,
+            config: Optional[SolverConfig]) -> PipelineResult:
+    cfg = config or SolverConfig()
+    gb = inst.groebner
+    table = enumerate_pair_orbits(inst.group, spec.gram_degree)
+    indicators = orbit_indicator_matrices(table, MonomialBasis(inst.n, spec.gram_degree))
+    accounting = _accounting(inst, table, indicators, spec.constraint_orbits,
+                             len(spec.free_columns))
+
+    def no_certificate(reason: str, outcome: SolveOutcome) -> PipelineResult:
+        return PipelineResult("no-certificate-at-degree", reason=reason,
+                              accounting=accounting, solver=outcome,
+                              epsilon=spec.epsilon)
+
+    a_cols = [_reduced(q.to_polynomial(), gb) for q in indicators]
+    amat, rhs = _match_columns(a_cols + spec.free_columns, _reduced(spec.goal, gb))
+    system = FeasibilitySystem(psd_matrices=indicators, linear_map=amat, rhs=rhs)
+    outcome = solve_feasibility(system, cfg)
+    if not outcome.feasible:
+        return no_certificate("solver-infeasible", outcome)
+    rat = _rationalize_ladder(outcome, system, cfg)
+    if not rat.ok:
+        return no_certificate("rationalization-failed", outcome)
+    k2 = len(indicators)
+    sigma = combination(system, rat.values[:k2])
+    eq_pairs = spec.multipliers(rat.values[k2:])
+    gb_pairs = []
+    if gb is not None:
+        # In normal form a scalar c stands for the term (c p) * p.
+        products = [(p * m if spec.mode == NORMAL_FORM else m, p) for p, m in eq_pairs]
+        cofactors = reconstruct_proof(spec.goal, sigma.to_polynomial(), products, gb)
+        gb_pairs = [(g, c) for g, c in zip(gb.generators, cofactors) if not c.is_zero()]
+    cert = SosCertificate(target=spec.goal, sigma=sigma,
+                          equality_multipliers=eq_pairs,
+                          groebner_multipliers=gb_pairs,
+                          degree_bound=spec.degree_bound, mode=spec.mode)
+    check = verify(cert)
+    if not check.accepted:
+        return no_certificate(f"internal verification failed: {check.failure}", outcome)
+    return PipelineResult("certificate", certificate=cert, bit_report=bit_size(cert),
+                          accounting=accounting, solver=outcome, epsilon=spec.epsilon)
 
 
 def prove_invariant(inst: ProblemInstance,
                     config: Optional[SolverConfig] = None) -> PipelineResult:
     """Search for target + epsilon == sigma + sum lambda_j p_j (mod the ring),
     with sigma and every lambda_j invariant, at Gram degree inst.degree."""
-    cfg = config or SolverConfig()
     if inst.target is None:
         raise InvalidInstance("prove mode needs a polynomial target")
     if not is_invariant(inst.group, inst.target):
@@ -242,139 +314,56 @@ def prove_invariant(inst: ProblemInstance,
         if not is_invariant(inst.group, p):
             raise InvalidInstance(
                 "prove mode requires each equality constraint to be invariant")
-    accounting = variable_count_report(inst)
     n, d = inst.n, inst.degree
-    gb = inst.groebner
-    goal = inst.target + Polynomial.constant(n, inst.epsilon)
-    goal_red = _reduced(goal, gb)
-
-    basis = MonomialBasis(n, d)
-    pair_table = enumerate_pair_orbits(inst.group, d)
-    indicators = orbit_indicator_matrices(pair_table, basis)
-    a_cols = [_reduced(q.to_polynomial(), gb) for q in indicators]
-
-    b_cols: list[Polynomial] = []
-    mult_gens: list[tuple[int, Polynomial]] = []  # (constraint index, orbit-sum poly)
+    free_columns: list[Polynomial] = []
+    owners: list[tuple[int, Polynomial]] = []  # (constraint index, orbit-sum poly)
     for j, p in enumerate(inst.equalities):
-        cols, gens = _invariant_multiplier_columns(
-            inst.group, p, max(2 * d - p.degree(), 0), gb)
-        b_cols.extend(cols)
-        mult_gens.extend((j, g) for g in gens)
+        table = enumerate_monomial_orbits(inst.group, _multiplier_degree(p, d))
+        for rep in table.representatives:
+            gen = Polynomial(n, {m: Fraction(1)
+                                 for m in monomial_orbit_elements(inst.group, rep)})
+            free_columns.append(_reduced(gen * p, inst.groebner))
+            owners.append((j, gen))
 
-    amat, rhs = _match_columns(a_cols + b_cols, goal_red)
-    system = FeasibilitySystem(psd_matrices=indicators, linear_map=amat, rhs=rhs,
-                               b_names=[f"b{i}" for i in range(len(b_cols))])
-    outcome = solve_feasibility(system, cfg)
-    if not outcome.feasible:
-        return PipelineResult("no-certificate-at-degree", reason="solver-infeasible",
-                              accounting=accounting, solver=outcome,
-                              epsilon=inst.epsilon)
-    rat = _rationalize_ladder(outcome, system, cfg)
-    if rat is None or not rat.ok:
-        return PipelineResult("no-certificate-at-degree",
-                              reason="rationalization-failed",
-                              accounting=accounting, solver=outcome,
-                              epsilon=inst.epsilon)
-    k2 = len(indicators)
-    sigma = combination(system, rat.values[:k2])
-    lambdas = [Polynomial.zero(n) for _ in inst.equalities]
-    for (j, gen), value in zip(mult_gens, rat.values[k2:]):
-        if value:
-            lambdas[j] = lambdas[j] + gen * value
-    eq_pairs = list(zip(inst.equalities, lambdas))
-    sigma_poly = sigma.to_polynomial()
-    if gb is not None:
-        cofactors = reconstruct_proof(goal, sigma_poly,
-                                      [(lam, p) for p, lam in eq_pairs], gb)
-        gb_pairs = [(g, c) for g, c in zip(gb.generators, cofactors)
-                    if not c.is_zero()]
-    else:
-        gb_pairs = []
-    cert = SosCertificate(target=goal, sigma=sigma,
-                          equality_multipliers=eq_pairs,
-                          groebner_multipliers=gb_pairs,
-                          degree_bound=2 * d, mode=GENERAL)
-    check = verify(cert)
-    if not check.accepted:
-        return PipelineResult("no-certificate-at-degree",
-                              reason=f"internal verification failed: {check.failure}",
-                              accounting=accounting, solver=outcome,
-                              epsilon=inst.epsilon)
-    return PipelineResult("certificate", certificate=cert, bit_report=bit_size(cert),
-                          accounting=accounting, solver=outcome, epsilon=inst.epsilon)
+    def multipliers(values: Sequence[Fraction]):
+        lambdas = [Polynomial.zero(n) for _ in inst.equalities]
+        for (j, gen), value in zip(owners, values):
+            if value:
+                lambdas[j] = lambdas[j] + gen * value
+        return list(zip(inst.equalities, lambdas))
+
+    return _search(inst, _SearchSpec(
+        goal=inst.target + Polynomial.constant(n, inst.epsilon), gram_degree=d,
+        free_columns=free_columns, multipliers=multipliers,
+        constraint_orbits=_constraint_orbits(inst), degree_bound=2 * d,
+        mode=GENERAL, epsilon=inst.epsilon), config)
 
 
 def refute_invariant_system(inst: ProblemInstance,
                             config: Optional[SolverConfig] = None) -> PipelineResult:
     """Search for -1 == sigma + sum_i c_i (sum of squared constraints in
     orbit i) + ideal, the normal form over a finite product domain."""
-    cfg = config or SolverConfig()
     if inst.target is not None:
         raise InvalidInstance("refute mode takes no polynomial target")
     if inst.domain_roots is None:
         raise InvalidInstance("refutation needs a finite product domain")
     if not inst.equalities:
         raise InvalidInstance("nothing to refute: no equality constraints")
-    closed, orbits = is_invariant_system(inst.group, inst.equalities)
-    if not closed:
-        raise InvalidSystem("equality constraints are not closed under the group")
-    accounting = variable_count_report(inst)
-    n = inst.n
-    k = inst.domain_half_degree
-    d = inst.degree
-    gram_degree = d + k - 1
-    gb = inst.groebner
-    target = Polynomial.constant(n, -1)
+    orbits = _constraint_orbits(inst)
+    n, eqs = inst.n, inst.equalities
+    gram_degree = _gram_degree(inst)
+    free_columns = [_reduced(sum((eqs[i] * eqs[i] for i in orbit), Polynomial.zero(n)),
+                             inst.groebner) for orbit in orbits]
 
-    basis = MonomialBasis(n, gram_degree)
-    pair_table = enumerate_pair_orbits(inst.group, gram_degree)
-    indicators = orbit_indicator_matrices(pair_table, basis)
-    a_cols = [_reduced(q.to_polynomial(), gb) for q in indicators]
-    b_cols = []
-    for orbit in orbits:
-        square_sum = Polynomial.zero(n)
-        for idx in orbit:
-            p = inst.equalities[idx]
-            square_sum = square_sum + p * p
-        b_cols.append(_reduced(square_sum, gb))
+    def multipliers(values: Sequence[Fraction]):
+        return [(eqs[i], c) for orbit, c in zip(orbits, values) for i in orbit]
 
-    amat, rhs = _match_columns(a_cols + b_cols, target)
-    system = FeasibilitySystem(psd_matrices=indicators, linear_map=amat, rhs=rhs,
-                               b_names=[f"c{i}" for i in range(len(b_cols))])
-    outcome = solve_feasibility(system, cfg)
-    if not outcome.feasible:
-        return PipelineResult("no-certificate-at-degree", reason="solver-infeasible",
-                              accounting=accounting, solver=outcome)
-    rat = _rationalize_ladder(outcome, system, cfg)
-    if rat is None or not rat.ok:
-        return PipelineResult("no-certificate-at-degree",
-                              reason="rationalization-failed",
-                              accounting=accounting, solver=outcome)
-    k2 = len(indicators)
-    sigma = combination(system, rat.values[:k2])
-    scalars = rat.values[k2:]
-    eq_pairs: list[tuple[Polynomial, Fraction]] = []
-    recon_products: list[tuple[Polynomial, Polynomial]] = []
-    for orbit, c in zip(orbits, scalars):
-        for idx in orbit:
-            p = inst.equalities[idx]
-            eq_pairs.append((p, c))
-            recon_products.append((p * c, p))
-    cofactors = reconstruct_proof(target, sigma.to_polynomial(), recon_products, gb)
-    gb_pairs = [(g, cf) for g, cf in zip(gb.generators, cofactors) if not cf.is_zero()]
-    bound = max(2 * (d + k - 1), max((2 * p.degree() for p in inst.equalities),
-                                     default=0))
-    cert = SosCertificate(target=target, sigma=sigma,
-                          equality_multipliers=eq_pairs,
-                          groebner_multipliers=gb_pairs,
-                          degree_bound=bound, mode=NORMAL_FORM)
-    check = verify(cert)
-    if not check.accepted:
-        return PipelineResult("no-certificate-at-degree",
-                              reason=f"internal verification failed: {check.failure}",
-                              accounting=accounting, solver=outcome)
-    return PipelineResult("certificate", certificate=cert, bit_report=bit_size(cert),
-                          accounting=accounting, solver=outcome)
+    return _search(inst, _SearchSpec(
+        goal=Polynomial.constant(n, -1), gram_degree=gram_degree,
+        free_columns=free_columns, multipliers=multipliers,
+        constraint_orbits=orbits,
+        degree_bound=max(2 * gram_degree, max(2 * p.degree() for p in eqs)),
+        mode=NORMAL_FORM), config)
 
 
 def first_certificate(inst: ProblemInstance, max_degree: int,
@@ -387,11 +376,8 @@ def first_certificate(inst: ProblemInstance, max_degree: int,
     trail: list[tuple[int, str]] = []
     result: Optional[PipelineResult] = None
     for d in range(1, max_degree + 1):
-        trial = replace(inst, degree=d)
-        if inst.target is None:
-            result = refute_invariant_system(trial, config)
-        else:
-            result = prove_invariant(trial, config)
+        search = refute_invariant_system if inst.target is None else prove_invariant
+        result = search(replace(inst, degree=d), config)
         trail.append((d, result.status))
         if result.certified:
             break
@@ -419,10 +405,7 @@ def find_pseudoexpectation(inst: ProblemInstance, degree: Optional[int] = None,
     deg = 2 * inst.degree if degree is None else degree
     if deg < 2 or deg % 2 != 0:
         raise InvalidInstance("pseudoexpectation degree must be even and >= 2")
-    closed, orbits = is_invariant_system(inst.group, inst.equalities) \
-        if inst.equalities else (True, [])
-    if not closed:
-        raise InvalidSystem("equality constraints are not closed under the group")
+    orbits = _constraint_orbits(inst)
     n = inst.n
     gb = inst.groebner
     mono_table = enumerate_monomial_orbits(inst.group, deg)
@@ -459,8 +442,7 @@ def find_pseudoexpectation(inst: ProblemInstance, degree: Optional[int] = None,
             rows.append(moment_row(_reduced(Polynomial.monomial(n, mono) * p, gb)))
     rows, rhs = _distinct_rows(rows, [Fraction(1)] + [Fraction(0)] * (len(rows) - 1))
 
-    system = FeasibilitySystem(psd_matrices=e_mats, linear_map=rows, rhs=rhs,
-                               b_names=[])
+    system = FeasibilitySystem(psd_matrices=e_mats, linear_map=rows, rhs=rhs)
     outcome = solve_feasibility(system, cfg)
     if not outcome.feasible:
         return None

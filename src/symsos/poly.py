@@ -17,14 +17,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DimensionMismatch, ResourceLimit
+from .errors import DimensionMismatch
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
-
-# Hard cap on exact grid evaluations in grid_sup_lower_bound.
-GRID_EVAL_CAP = 10**6
-
 
 def mono_degree(m: Monomial) -> int:
     return sum(m)
@@ -356,35 +352,3 @@ def coefficient_norm(p: Polynomial) -> Fraction:
         if cand > best:
             best = cand
     return best
-
-
-def grid_sup_lower_bound(p: Polynomial, points_per_axis: int = 9) -> Fraction:
-    """max |p| over a uniform rational grid on [-1, 1]^n.
-
-    A certified lower bound on the sup norm over the cube (never an upper
-    bound).  Refuses to evaluate more than GRID_EVAL_CAP points.
-    """
-    if points_per_axis < 2:
-        raise ValueError("need at least two points per axis")
-    if points_per_axis ** max(p.n, 1) > GRID_EVAL_CAP:
-        raise ResourceLimit(
-            f"{points_per_axis}^{p.n} grid evaluations exceed cap {GRID_EVAL_CAP}")
-    coords = [Fraction(2 * i, points_per_axis - 1) - 1 for i in range(points_per_axis)]
-    if p.n == 0:
-        return abs(p.constant_term())
-    best = Fraction(0)
-    point = [coords[0]] * p.n
-    idx = [0] * p.n
-    while True:
-        val = abs(p.evaluate(point))
-        if val > best:
-            best = val
-        pos = p.n - 1
-        while pos >= 0 and idx[pos] == points_per_axis - 1:
-            idx[pos] = 0
-            point[pos] = coords[0]
-            pos -= 1
-        if pos < 0:
-            return best
-        idx[pos] += 1
-        point[pos] = coords[idx[pos]]

@@ -391,19 +391,7 @@ def rationalize(solution: NumericSolution | Sequence[float],
         if check != list(system.rhs):
             return RationalizeOutcome(ok=False, failure="exact linear re-check failed")
 
-    dim = system.gram_dim
-    combined = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(k2):
-        coeff = y[i]
-        if coeff == 0:
-            continue
-        q = system.psd_matrices[i]
-        for r in range(dim):
-            row = q.entries[r]
-            for c in range(dim):
-                if row[c]:
-                    combined[r][c] += coeff * row[c]
-    psd = linalg.psd_certificate(combined)
+    psd = linalg.psd_certificate(combination(system, y[:k2]).entries)
     if not psd.is_psd:
         return RationalizeOutcome(ok=False, failure="rounded combination is not PSD",
                                   psd_witness=psd.witness)
@@ -417,11 +405,12 @@ def combination(system: FeasibilitySystem, a_values: Sequence[Fraction]) -> Gram
     for i, coeff in enumerate(a_values):
         if coeff == 0:
             continue
+        coeff = Fraction(coeff)
         q = system.psd_matrices[i]
         for r in range(out.dim):
             rowq = q.entries[r]
             rowo = out.entries[r]
             for c in range(out.dim):
                 if rowq[c]:
-                    rowo[c] += Fraction(coeff) * rowq[c]
+                    rowo[c] += coeff * rowq[c]
     return out

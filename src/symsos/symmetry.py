@@ -114,10 +114,6 @@ class Permutation:
             raise DimensionMismatch("permutations of different sizes")
         return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
 
-    def respects(self, group: GroupSpec) -> bool:
-        return self.n == group.n and all(
-            all(self.images[i] in blk for i in blk) for blk in group.blocks())
-
 
 def act_on_monomial(g: Permutation, mono: Monomial) -> Monomial:
     """The exponent at position g(i) of the image equals the exponent at i."""
@@ -345,9 +341,6 @@ class GramMatrix:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def clone(self) -> "GramMatrix":
-        return GramMatrix(self.basis, [row[:] for row in self.entries])
 
     def __eq__(self, other):
         return (isinstance(other, GramMatrix)

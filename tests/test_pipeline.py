@@ -64,8 +64,9 @@ def test_refute_half_integral_knapsack():
         assert is_invariant(GroupSpec.symmetric(n), cert.sigma.to_polynomial())
 
 
-def captured_system(monkeypatch, inst):
-    """The FeasibilitySystem the refutation search hands to the solver."""
+def captured_system(monkeypatch, inst, search=refute_invariant_system):
+    """The search's result and the FeasibilitySystem it hands to the solver
+    (which is stubbed to give up at once)."""
     seen = []
 
     def capture(system, config):
@@ -73,15 +74,80 @@ def captured_system(monkeypatch, inst):
         return SolveOutcome(False, None, 1.0, 1.0, 0)
 
     monkeypatch.setattr(pipeline, "solve_feasibility", capture)
-    refute_invariant_system(inst)
-    return seen[0]
+    result = search(inst)
+    return result, seen[0]
 
 
 @pytest.mark.parametrize("n,d,rows", [(4, 1, 3), (8, 1, 3), (16, 1, 3),
                                       (4, 2, 5), (8, 2, 5)])
 def test_one_row_per_distinct_equation(monkeypatch, n, d, rows):
     inst = replace(half_integral_knapsack(n), degree=d)
-    assert captured_system(monkeypatch, inst).k1 == rows
+    assert captured_system(monkeypatch, inst)[1].k1 == rows
+
+
+def pinned_proof():
+    # on {0,1}^2 with x1 + x2 = 2 the only point is (1,1), so x1 x2 >= 0
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return ProblemInstance(group=GroupSpec.symmetric(2),
+                           equalities=[x1 + x2 - Polynomial.constant(2, 2)],
+                           domain_roots=BOOL, target=x1 * x2, degree=1)
+
+
+@pytest.mark.parametrize("search,inst", [
+    (refute_invariant_system, half_integral_knapsack(2)),
+    (prove_invariant, pinned_proof()),
+], ids=["refute", "prove"])
+def test_search_enumerates_orbits_once(monkeypatch, search, inst):
+    calls = {}
+    for name in ("enumerate_pair_orbits", "orbit_indicator_matrices"):
+        def counted(*args, _name=name, _original=getattr(pipeline, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    assert search(inst).certified
+    assert calls == {"enumerate_pair_orbits": 1, "orbit_indicator_matrices": 1}
+
+
+def block_sums(blocks, values):
+    """One constraint sum x_i = value per block of variables."""
+    n = sum(blocks)
+    out, start = [], 0
+    for size, value in zip(blocks, values):
+        s = Polynomial.zero(n)
+        for i in range(start, start + size):
+            s = s + Polynomial.variable(n, i)
+        out.append(s - Polynomial.constant(n, value))
+        start += size
+    return out
+
+
+REPORT_CASES = {
+    "refute-S3": (refute_invariant_system, ProblemInstance(
+        group=GroupSpec.symmetric(3),
+        equalities=[Polynomial.variable(3, i) - Polynomial.constant(3, frac(1, 2))
+                    for i in range(3)], domain_roots=BOOL, degree=1)),
+    "refute-S2xS2": (refute_invariant_system, ProblemInstance(
+        group=GroupSpec((2, 2)), equalities=block_sums((2, 2), (frac(5, 2), 1)),
+        domain_roots=BOOL, degree=1)),
+    "refute-trivial": (refute_invariant_system,
+                       replace(half_integral_knapsack(3), group=GroupSpec.trivial(3))),
+    "prove-S4": (prove_invariant, ProblemInstance(
+        group=GroupSpec.symmetric(4), equalities=block_sums((4,), (2,)),
+        domain_roots=BOOL, target=Polynomial.constant(4, 1), degree=2)),
+    "prove-S2xS2": (prove_invariant, ProblemInstance(
+        group=GroupSpec((2, 2)), equalities=block_sums((4,), (2,)),
+        domain_roots=BOOL, target=Polynomial.constant(4, 1), degree=1)),
+    "prove-trivial": (prove_invariant, replace(pinned_proof(),
+                                               group=GroupSpec.trivial(2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_accounting_matches_the_solved_system(monkeypatch, case):
+    search, inst = REPORT_CASES[case]
+    result, system = captured_system(monkeypatch, inst, search)
+    assert result.accounting == variable_count_report(inst)
+    assert result.accounting.after_variables == system.variables
 
 
 def test_conflicting_rows_survive_matching():
@@ -132,17 +198,12 @@ def test_refute_rejects_prove_style_instance():
 
 
 def test_prove_pinned_example():
-    # on {0,1}^2 with x1 + x2 = 2 the only point is (1,1), so x1 x2 >= 0
-    n = 2
-    x1, x2 = Polynomial.variable(n, 0), Polynomial.variable(n, 1)
-    inst = ProblemInstance(group=GroupSpec.symmetric(2),
-                           equalities=[x1 + x2 - Polynomial.constant(n, 2)],
-                           domain_roots=BOOL, target=x1 * x2, degree=1)
+    inst = pinned_proof()
     result = prove_invariant(inst)
     assert result.certified
     cert = result.certificate
     assert verify(cert).accepted
-    assert cert.target == x1 * x2 + Polynomial.constant(n, inst.epsilon)
+    assert cert.target == inst.target + Polynomial.constant(2, inst.epsilon)
     assert is_invariant(inst.group, cert.sigma.to_polynomial())
     for _, mult in cert.equality_multipliers:
         assert is_invariant(inst.group, mult)

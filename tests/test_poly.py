@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from symsos.errors import DimensionMismatch, ResourceLimit
-from symsos.poly import (GRID_EVAL_CAP, Monomial, MonomialBasis, Polynomial,
-                         coefficient_norm, grid_sup_lower_bound, grlex_compare,
-                         grlex_key, mono_divides, mono_mul, mono_quotient,
-                         monomials_up_to, multinomial)
+from symsos.errors import DimensionMismatch
+from symsos.poly import (Monomial, MonomialBasis, Polynomial, coefficient_norm,
+                         grlex_compare, grlex_key, mono_divides, mono_mul,
+                         mono_quotient, monomials_up_to, multinomial)
 
 
 def random_poly(rng, n, max_degree, terms=5):
@@ -138,24 +137,6 @@ def test_coefficient_norm():
     q = Polynomial.monomial(n, (1, 1)) * 6       # 6 / 2 -> 3
     assert coefficient_norm(q) == 3
     assert coefficient_norm(Polynomial.zero(2)) == 0
-
-
-def test_grid_sup_lower_bound():
-    x = Polynomial.variable(1, 0)
-    one = Polynomial.constant(1, 1)
-    # sup over [-1,1] of 1 - x^2 is 1, attained at a grid point
-    assert grid_sup_lower_bound(one - x * x) == 1
-    # lower bound never exceeds an easy upper bound on the poly
-    assert grid_sup_lower_bound(x * x) <= 1
-    assert grid_sup_lower_bound(x * x) == 1  # endpoints on the grid
-
-
-def test_grid_cap():
-    n = 8
-    p = Polynomial.constant(n, 1)
-    assert 9 ** n > GRID_EVAL_CAP
-    with pytest.raises(ResourceLimit):
-        grid_sup_lower_bound(p)
 
 
 def test_hash_and_equality():
