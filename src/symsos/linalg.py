@@ -3,10 +3,18 @@
 Two jobs: certify positive semidefiniteness of symmetric rational matrices
 (with an exact counterexample vector on rejection), and solve rational
 linear systems for the rounding stage of the numeric solver.
+
+The PSD check and the LDL^T share one fraction-free (Bareiss) symmetric
+elimination of the integer matrix den * A, den the lcm of A's denominators.
+After k steps a trailing entry is the rational Schur complement entry times
+den * p_{k-1} > 0, the last pivot, so signs, pivot order and zero tests are
+the rational elimination's, updates are exact integer divisions with no gcd,
+and the outputs are the rational pivoted LDL^T's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,12 +50,18 @@ class PsdOutcome:
     witness_value: Optional[Fraction] = None
 
 
-def psd_certificate(matrix: Sequence[Sequence]) -> PsdOutcome:
-    """Decide A >= 0 exactly via LDL^T with symmetric diagonal pivoting.
+def _eliminate(matrix: Sequence[Sequence]) -> tuple[
+        Matrix, list[list[int]], list[int], Vector, Optional[Vector]]:
+    """Fraction-free LDL^T with symmetric diagonal pivoting: the largest
+    trailing diagonal entry (the first on ties) is the pivot while positive.
 
-    Accepts iff every pivot is nonnegative and every zero-pivot row of the
-    running Schur complement is identically zero.  Rejection returns a
-    vector v with v^T A v < 0, exactly.
+    Returns (a, b, perm, pivots, tail).  ``a`` is A as Fractions; position i
+    of the elimination is row perm[i] of A.  ``pivots`` are D's positive
+    entries; for k < len(pivots), L[i][k] = b[i][k] / b[k][k] with ``b``
+    stored lower triangular.  ``tail`` is None when A is PSD, else a
+    negative direction of the trailing Schur complement, on positions
+    len(pivots)..n-1.  Raises ValueError when A is not square or not
+    symmetric.
     """
     a = _as_fraction_matrix(matrix)
     n = len(a)
@@ -58,104 +72,89 @@ def psd_certificate(matrix: Sequence[Sequence]) -> PsdOutcome:
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-
-    # Multipliers of the elimination; L[i][k] only for eliminated columns k.
-    low = [[Fraction(0)] * n for _ in range(n)]
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row[:i + 1]]
+         for i, row in enumerate(a)]
     perm = list(range(n))
     pivots: Vector = []
-
-    def lift(k: int, tail: Vector) -> PsdOutcome:
-        # Extend a witness for the trailing Schur complement (positions k..n-1)
-        # to the full matrix: solve the unit upper-triangular system
-        # u_i + sum_{j>i} L[j][i] u_j = 0 for i < k.
-        u = [Fraction(0)] * n
-        u[k:] = tail
-        for i in range(k - 1, -1, -1):
-            u[i] = -sum((low[j][i] * u[j] for j in range(i + 1, n)), Fraction(0))
-        v = [Fraction(0)] * n
-        for pos, orig in enumerate(perm):
-            v[orig] = u[pos]
-        value = quadratic_form(_as_fraction_matrix(matrix), v)
-        return PsdOutcome(is_psd=False, witness=v, witness_value=value)
-
+    prev = 1
     for k in range(n):
-        piv = max(range(k, n), key=lambda j: a[j][j])
-        if a[piv][piv] > 0:
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                for row in a:
-                    row[k], row[piv] = row[piv], row[k]
-                low[k], low[piv] = low[piv], low[k]
-                perm[k], perm[piv] = perm[piv], perm[k]
-            d = a[k][k]
-            pivots.append(d)
-            for i in range(k + 1, n):
-                if a[i][k] == 0:
-                    continue
-                m = a[i][k] / d
-                low[i][k] = m
-                for j in range(k, n):
-                    a[i][j] -= m * a[k][j]
-            for j in range(k + 1, n):
-                a[k][j] = Fraction(0)
-            continue
-        # No positive pivot remains in the trailing block.
-        for j in range(k, n):
-            if a[j][j] < 0:
-                tail = [Fraction(0)] * (n - k)
-                tail[j - k] = Fraction(1)
-                return lift(k, tail)
-        # All trailing diagonal entries are zero; PSD forces the block to vanish.
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                if a[i][j] != 0:
-                    tail = [Fraction(0)] * (n - k)
-                    tail[i - k] = Fraction(1)
-                    tail[j - k] = Fraction(-1) if a[i][j] > 0 else Fraction(1)
-                    return lift(k, tail)
-        pivots.extend([Fraction(0)] * (n - k))
-        break
-    return PsdOutcome(is_psd=True, pivots=pivots)
+        q = max(range(k, n), key=lambda j: b[j][j])
+        if b[q][q] <= 0:
+            # No positive pivot remains in the trailing block.
+            tail = [Fraction(0)] * (n - k)
+            for j in range(k, n):
+                if b[j][j] < 0:
+                    tail[j - k] = Fraction(1)
+                    return a, b, perm, pivots, tail
+            # All trailing diagonal entries are zero; PSD forces the block
+            # to vanish.
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if b[j][i] != 0:
+                        tail[i - k] = Fraction(1)
+                        tail[j - k] = Fraction(-1 if b[j][i] > 0 else 1)
+                        return a, b, perm, pivots, tail
+            break
+        if q != k:
+            # Swap positions k < q of the symmetric matrix in lower storage.
+            rk, rq = b[k], b[q]
+            rk[:k], rq[:k] = rq[:k], rk[:k]
+            rk[k], rq[q] = rq[q], rk[k]
+            for j in range(k + 1, q):
+                b[j][k], rq[j] = rq[j], b[j][k]
+            for row in b[q + 1:]:
+                row[k], row[q] = row[q], row[k]
+            perm[k], perm[q] = perm[q], perm[k]
+        p = b[k][k]
+        pivots.append(Fraction(p, prev * den))
+        col = [b[i][k] for i in range(k + 1, n)]
+        # Bareiss step: b_ij <- (p b_ij - b_ik b_jk) / prev divides exactly.
+        for i in range(k + 1, n):
+            row = b[i]
+            c = row[k]
+            row[k + 1:] = [(p * x - c * y) // prev
+                           for x, y in zip(row[k + 1:], col)]
+        prev = p
+    return a, b, perm, pivots, None
+
+
+def psd_certificate(matrix: Sequence[Sequence]) -> PsdOutcome:
+    """Decide A >= 0 exactly via LDL^T with symmetric diagonal pivoting.
+
+    Accepts iff every pivot is nonnegative and every zero-pivot row of the
+    running Schur complement is identically zero.  Rejection returns a
+    vector v with v^T A v < 0, exactly.
+    """
+    a, b, perm, pivots, tail = _eliminate(matrix)
+    n, k = len(a), len(pivots)
+    if tail is None:
+        return PsdOutcome(is_psd=True, pivots=pivots + [Fraction(0)] * (n - k))
+    # Extend the trailing witness to the full matrix: solve the unit
+    # upper-triangular system u_i + sum_{j>i} L[j][i] u_j = 0 for i < k.
+    u = [Fraction(0)] * k + tail
+    for i in range(k - 1, -1, -1):
+        u[i] = -sum((b[j][i] * u[j] for j in range(i + 1, n)), Fraction(0)) / b[i][i]
+    v = [Fraction(0)] * n
+    for pos, orig in enumerate(perm):
+        v[orig] = u[pos]
+    return PsdOutcome(is_psd=False, witness=v, witness_value=quadratic_form(a, v))
 
 
 def ldl_decomposition(matrix: Sequence[Sequence]):
     """Pivoted LDL^T of a PSD matrix: returns (perm, L, D) with
     A[perm[i]][perm[j]] == sum_k L[i][k] * D[k] * L[j][k].
 
-    Raises ValueError when the matrix is not PSD.
+    Raises ValueError when the matrix is not square, not symmetric or not
+    PSD.
     """
-    a = _as_fraction_matrix(matrix)
-    n = len(a)
-    # Multipliers only; the unit diagonal is added at the end.
-    low = [[Fraction(0)] * n for _ in range(n)]
-    perm = list(range(n))
-    diag = [Fraction(0)] * n
-    for k in range(n):
-        piv = max(range(k, n), key=lambda j: a[j][j])
-        if a[piv][piv] < 0:
-            raise ValueError("matrix is not positive semidefinite")
-        if a[piv][piv] == 0:
-            for i in range(k, n):
-                for j in range(k, n):
-                    if a[i][j] != 0:
-                        raise ValueError("matrix is not positive semidefinite")
-            break
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-            low[k], low[piv] = low[piv], low[k]
-            perm[k], perm[piv] = perm[piv], perm[k]
-        d = a[k][k]
-        diag[k] = d
-        for i in range(k + 1, n):
-            m = a[i][k] / d
-            low[i][k] = m
-            for j in range(k, n):
-                a[i][j] -= m * a[k][j]
-    for i in range(n):
-        low[i][i] = Fraction(1)
-    return perm, low, diag
+    a, b, perm, pivots, tail = _eliminate(matrix)
+    if tail is not None:
+        raise ValueError("matrix is not positive semidefinite")
+    n, rank = len(a), len(pivots)
+    low = [[Fraction(b[i][k], b[k][k]) if k < min(i, rank) else Fraction(int(k == i))
+            for k in range(n)] for i in range(n)]
+    return perm, low, pivots + [Fraction(0)] * (n - rank)
 
 
 def rref_solve(a: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:

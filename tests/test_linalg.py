@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symsos.linalg import (ldl_decomposition, min_norm_correction,
+from symsos.linalg import (PsdOutcome, ldl_decomposition, min_norm_correction,
                            psd_certificate, quadratic_form, rref_solve)
 
 
@@ -40,11 +42,11 @@ def test_rejects_zero_diagonal_with_offdiagonal():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        psd_certificate([[Fraction(1), Fraction(2)]])
-    with pytest.raises(ValueError):
-        psd_certificate([[Fraction(1), Fraction(2)],
-                         [Fraction(3), Fraction(1)]])
+    bad = [[[1, 2]], [[1, 2], [0, 1]], [[1, 2], [3, 1]], [[1, 0], [0]]]
+    for check in (psd_certificate, ldl_decomposition):
+        for matrix in bad:
+            with pytest.raises(ValueError, match="not (square|symmetric)"):
+                check([[Fraction(x) for x in row] for row in matrix])
 
 
 def test_random_psd_accepted():
@@ -131,3 +133,155 @@ def test_min_norm_correction():
 def test_min_norm_correction_inconsistent():
     a = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
     assert min_norm_correction(a, [Fraction(1), Fraction(2)]) is None
+
+
+def reference_elimination(matrix):
+    """The rational pivoted LDL^T that the fraction-free elimination must
+    reproduce exactly: Fraction arithmetic, largest-diagonal pivoting (first
+    on ties), the same rejection witnesses.  Returns (outcome, perm, L with
+    a zero diagonal)."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    low = [[Fraction(0)] * n for _ in range(n)]
+    perm = list(range(n))
+    pivots = []
+
+    def lift(k, tail):
+        u = [Fraction(0)] * n
+        u[k:] = tail
+        for i in range(k - 1, -1, -1):
+            u[i] = -sum((low[j][i] * u[j] for j in range(i + 1, n)), Fraction(0))
+        v = [Fraction(0)] * n
+        for pos, orig in enumerate(perm):
+            v[orig] = u[pos]
+        value = quadratic_form([[Fraction(x) for x in row] for row in matrix], v)
+        return PsdOutcome(is_psd=False, witness=v, witness_value=value), perm, low
+
+    for k in range(n):
+        piv = max(range(k, n), key=lambda j: a[j][j])
+        if a[piv][piv] > 0:
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                for row in a:
+                    row[k], row[piv] = row[piv], row[k]
+                low[k], low[piv] = low[piv], low[k]
+                perm[k], perm[piv] = perm[piv], perm[k]
+            d = a[k][k]
+            pivots.append(d)
+            for i in range(k + 1, n):
+                if a[i][k] == 0:
+                    continue
+                m = a[i][k] / d
+                low[i][k] = m
+                for j in range(k, n):
+                    a[i][j] -= m * a[k][j]
+            for j in range(k + 1, n):
+                a[k][j] = Fraction(0)
+            continue
+        for j in range(k, n):
+            if a[j][j] < 0:
+                tail = [Fraction(0)] * (n - k)
+                tail[j - k] = Fraction(1)
+                return lift(k, tail)
+        for i in range(k, n):
+            for j in range(i + 1, n):
+                if a[i][j] != 0:
+                    tail = [Fraction(0)] * (n - k)
+                    tail[i - k] = Fraction(1)
+                    tail[j - k] = Fraction(-1) if a[i][j] > 0 else Fraction(1)
+                    return lift(k, tail)
+        pivots.extend([Fraction(0)] * (n - k))
+        break
+    return PsdOutcome(is_psd=True, pivots=pivots), perm, low
+
+
+SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+TINY = st.builds(Fraction, st.integers(-1, 1), st.integers(2, 4))
+# The 36 largest primes below 2^32 (SolverConfig.denominator_bound), one
+# denominator per upper-triangular entry of an 8 x 8 matrix: the lcm that
+# scales the matrix to integers then reaches about 2^1150.
+PRIMES = tuple(2**32 - k for k in (
+    5, 17, 65, 99, 107, 135, 153, 185, 209, 267, 299, 315, 353, 369, 387, 419,
+    467, 483, 527, 629, 635, 639, 645, 657, 677, 705, 713, 743, 819, 849, 855,
+    869, 923, 929, 959, 999))
+
+
+def gram(b, n):
+    """B^T B for the rows of b, each of length n."""
+    return [[sum((row[i] * row[j] for row in b), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def draw_rows(draw, rows, cols):
+    return [[draw(SMALL) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(
+        ["full-rank", "rank-deficient", "indefinite", "zero-diagonal", "coprime"]))
+    if kind == "full-rank":
+        return gram(draw_rows(draw, n, n), n)
+    if kind == "rank-deficient":
+        return gram(draw_rows(draw, draw(st.integers(0, max(n - 1, 0))), n), n)
+    if kind == "indefinite":
+        plus = gram(draw_rows(draw, n, n), n)
+        minus = gram(draw_rows(draw, draw(st.integers(1, 2)), n), n)
+        return [[x - y for x, y in zip(r, s)] for r, s in zip(plus, minus)]
+    if kind == "zero-diagonal":
+        # T^T diag(P, Z) T with T = [[I, X], [0, I]]: once P is eliminated
+        # the trailing Schur complement is Z, whose diagonal is zero.  A
+        # small X keeps P's rows first in the pivot order.
+        k = draw(st.integers(0, n))
+        p = gram(draw_rows(draw, k, k), k)
+        x = [[draw(TINY) for _ in range(n - k)] for _ in range(k)]
+        px = [[sum((p[i][t] * x[t][j] for t in range(k)), Fraction(0))
+               for j in range(n - k)] for i in range(k)]
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(k):
+            for j in range(k):
+                a[i][j] = p[i][j]
+            for j in range(n - k):
+                a[i][k + j] = a[k + j][i] = px[i][j]
+        for i in range(n - k):
+            for j in range(i, n - k):
+                xpx = sum((x[t][i] * px[t][j] for t in range(k)), Fraction(0))
+                a[k + i][k + j] = a[k + j][k + i] = xpx + (draw(SMALL) if i != j else 0)
+        order = draw(st.permutations(range(n)))
+        return [[a[i][j] for j in order] for i in order]
+    # Pairwise coprime denominators up to 2^32.  A dominant diagonal makes
+    # the matrix PSD, so the whole elimination runs on the scaled integers.
+    dominant = draw(st.booleans())
+    big = st.integers(-2**32, 2**32)
+    primes = iter(PRIMES)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = Fraction(draw(big), next(primes))
+    for i in range(n):
+        offset = Fraction(draw(big), next(primes))
+        a[i][i] = (sum(abs(x) for x in a[i]) + abs(offset)) if dominant else offset
+    return a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices())
+def test_fraction_free_elimination_matches_rational(a):
+    expected, expected_perm, expected_low = reference_elimination(a)
+    assert psd_certificate(a) == expected
+    if not expected.is_psd:
+        assert expected.witness_value < 0
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            ldl_decomposition(a)
+        return
+    perm, low, diag = ldl_decomposition(a)
+    assert diag == expected.pivots and perm == expected_perm
+    n = len(a)
+    for i in range(n):
+        expected_low[i][i] = Fraction(1)
+    assert low == expected_low
+    for i in range(n):
+        for j in range(n):
+            got = sum((low[i][k] * diag[k] * low[j][k] for k in range(n)), Fraction(0))
+            assert got == a[perm[i]][perm[j]]
