@@ -9,9 +9,12 @@ constraint (general mode) or a * p^2 with a scalar a (normal-form mode),
 and the f_i are Groebner generators of the coordinate ring.  A refutation
 is the special case target = -1.
 
-verify() re-expands the identity and certifies sigma >= 0 by exact LDL^T;
-acceptance is a theorem about the inputs, and every rejection carries an
-exact witness (a residual polynomial or a vector v with v^T sigma v < 0).
+verify() forms each term of the identity once, checks that the terms sum
+to the target and that each respects the degree bound, and certifies
+sigma >= 0 by exact LDL^T.  It is the one exact acceptance check of a
+search: acceptance is a theorem about the inputs, and every rejection
+carries an exact witness (a residual polynomial or a vector v with
+v^T sigma v < 0).
 """
 
 from __future__ import annotations
@@ -84,16 +87,21 @@ def _equality_term(constraint: Polynomial, mult: MultiplierLike, mode: str) -> P
     return constraint * Fraction(mult)
 
 
+def _terms(cert: SosCertificate) -> list[Polynomial]:
+    """The summands of the claimed identity: sigma's polynomial, then one
+    term per equality multiplier, then one per Groebner multiplier."""
+    sigma = cert.sigma.to_polynomial()
+    if sigma.n != cert.target.n:
+        raise DimensionMismatch("sigma basis arity differs from target")
+    return ([sigma]
+            + [_equality_term(c, m, cert.mode) for c, m in cert.equality_multipliers]
+            + [mult * generator for generator, mult in cert.groebner_multipliers])
+
+
 def expand(cert: SosCertificate) -> Polynomial:
     """The polynomial the certificate claims to equal its target."""
-    total = cert.sigma.to_polynomial()
-    if total.n != cert.target.n:
-        raise DimensionMismatch("sigma basis arity differs from target")
-    for constraint, mult in cert.equality_multipliers:
-        total = total + _equality_term(constraint, mult, cert.mode)
-    for generator, mult in cert.groebner_multipliers:
-        total = total + mult * generator
-    return total
+    terms = _terms(cert)
+    return sum(terms[1:], terms[0])
 
 
 def verify(cert: SosCertificate) -> VerificationOutcome:
@@ -107,22 +115,18 @@ def verify(cert: SosCertificate) -> VerificationOutcome:
                     False, failure="normal-form certificates need scalar "
                                    "multipliers on equality constraints")
     try:
-        claimed = expand(cert)
+        terms = _terms(cert)
+        residual = cert.target - sum(terms[1:], terms[0])
     except DimensionMismatch as exc:
         return VerificationOutcome(False, failure=str(exc))
-    residual = cert.target - claimed
     if not residual.is_zero():
         return VerificationOutcome(False, failure="identity", residual=residual)
 
-    bound = cert.degree_bound
-    if cert.sigma.to_polynomial().degree() > bound:
-        return VerificationOutcome(False, failure="degree: sigma exceeds bound")
-    for constraint, mult in cert.equality_multipliers:
-        if _equality_term(constraint, mult, cert.mode).degree() > bound:
-            return VerificationOutcome(False, failure="degree: equality term exceeds bound")
-    for generator, mult in cert.groebner_multipliers:
-        if (mult * generator).degree() > bound:
-            return VerificationOutcome(False, failure="degree: basis term exceeds bound")
+    kinds = (["sigma"] + ["equality term"] * len(cert.equality_multipliers)
+             + ["basis term"] * len(cert.groebner_multipliers))
+    for kind, term in zip(kinds, terms):
+        if term.degree() > cert.degree_bound:
+            return VerificationOutcome(False, failure=f"degree: {kind} exceeds bound")
 
     psd = linalg.psd_certificate(cert.sigma.entries)
     if not psd.is_psd:

@@ -15,7 +15,7 @@ monomial order, so the caller assertion is discharged for these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,15 +25,9 @@ from .poly import Polynomial, grlex_key, mono_divides, mono_quotient
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A caller-asserted Groebner basis; generators nonzero, same arity.
-
-    assumed_groebner records the caller's assertion that remainders are
-    unique; division works either way, uniqueness is simply not promised
-    when the flag is false.
-    """
+    """A caller-asserted Groebner basis; generators nonzero, same arity."""
 
     generators: tuple[Polynomial, ...]
-    assumed_groebner: bool = True
 
     def __post_init__(self):
         if not self.generators:

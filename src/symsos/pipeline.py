@@ -8,11 +8,12 @@ _SearchSpec, and hands it to the one search core, _search: enumerate the
 pair orbits and build the indicator matrices once, reduce modulo the
 coordinate ring, match coefficients into a linear system with one row per
 distinct coefficient equation (one per monomial orbit for invariant data),
-hand the tiny symmetry-reduced SDP to the numeric solver, round back to
-rationals, reconstruct the Groebner cofactors exactly, and verify.  The
-variable-count report is read off the same orbit tables.  A returned
-certificate is always exact and has been verified; everything numeric is
-quarantined in the solver.
+hand the tiny symmetry-reduced SDP to the numeric solver, then per rounding
+window round back to rationals, reconstruct the Groebner cofactors exactly,
+and verify, the one exact check (a sigma that is not PSD moves on to the
+next, finer window).  The variable-count report is read off the same orbit
+tables.  A returned certificate is always exact and has been verified;
+everything numeric is quarantined in the solver.
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
@@ -33,8 +34,8 @@ from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
 from .poly import Monomial, MonomialBasis, Polynomial, monomials_up_to
-from .sdp import (FeasibilitySystem, RationalizeOutcome, SolveOutcome,
-                  SolverConfig, combination, rationalize, solve_feasibility)
+from .sdp import (FeasibilitySystem, SolveOutcome, SolverConfig, combination,
+                  rationalize, solve_feasibility)
 from .symmetry import (GramMatrix, GroupSpec, OrbitTable, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system,
@@ -167,16 +168,6 @@ def _match_columns(columns: Sequence[Polynomial], target: Polynomial):
     return _distinct_rows(amat, rhs)
 
 
-def _rationalize_ladder(outcome: SolveOutcome, system: FeasibilitySystem,
-                        cfg: SolverConfig) -> RationalizeOutcome:
-    for window in RATIONALIZE_WINDOWS:
-        rat = rationalize(outcome.solution, system,
-                          denominator_bound=cfg.denominator_bound, window=window)
-        if rat.ok:
-            return rat
-    return rat
-
-
 def _gram_degree(inst: ProblemInstance) -> int:
     """inst.degree for proofs; inst.degree + k - 1 for refutations over a
     2k-point domain."""
@@ -279,27 +270,36 @@ def _search(inst: ProblemInstance, spec: _SearchSpec,
     outcome = solve_feasibility(system, cfg)
     if not outcome.feasible:
         return no_certificate("solver-infeasible", outcome)
-    rat = _rationalize_ladder(outcome, system, cfg)
-    if not rat.ok:
-        return no_certificate("rationalization-failed", outcome)
     k2 = len(indicators)
-    sigma = combination(system, rat.values[:k2])
-    eq_pairs = spec.multipliers(rat.values[k2:])
-    gb_pairs = []
-    if gb is not None:
-        # In normal form a scalar c stands for the term (c p) * p.
-        products = [(p * m if spec.mode == NORMAL_FORM else m, p) for p, m in eq_pairs]
-        cofactors = reconstruct_proof(spec.goal, sigma.to_polynomial(), products, gb)
-        gb_pairs = [(g, c) for g, c in zip(gb.generators, cofactors) if not c.is_zero()]
-    cert = SosCertificate(target=spec.goal, sigma=sigma,
-                          equality_multipliers=eq_pairs,
-                          groebner_multipliers=gb_pairs,
-                          degree_bound=spec.degree_bound, mode=spec.mode)
-    check = verify(cert)
-    if not check.accepted:
-        return no_certificate(f"internal verification failed: {check.failure}", outcome)
-    return PipelineResult("certificate", certificate=cert, bit_report=bit_size(cert),
-                          accounting=accounting, solver=outcome, epsilon=spec.epsilon)
+    # verify is the one exact check; a sigma that is not PSD tries a finer window.
+    for window in RATIONALIZE_WINDOWS:
+        rat = rationalize(outcome.solution, system,
+                          denominator_bound=cfg.denominator_bound, window=window)
+        if not rat.ok:
+            continue
+        sigma = combination(system, rat.values[:k2])
+        eq_pairs = spec.multipliers(rat.values[k2:])
+        gb_pairs = []
+        if gb is not None:
+            # In normal form a scalar c stands for the term (c p) * p.
+            products = [(p * m if spec.mode == NORMAL_FORM else m, p)
+                        for p, m in eq_pairs]
+            cofactors = reconstruct_proof(spec.goal, sigma.to_polynomial(), products, gb)
+            gb_pairs = [(g, c) for g, c in zip(gb.generators, cofactors)
+                        if not c.is_zero()]
+        cert = SosCertificate(target=spec.goal, sigma=sigma,
+                              equality_multipliers=eq_pairs,
+                              groebner_multipliers=gb_pairs,
+                              degree_bound=spec.degree_bound, mode=spec.mode)
+        check = verify(cert)
+        if check.accepted:
+            return PipelineResult("certificate", certificate=cert,
+                                  bit_report=bit_size(cert), accounting=accounting,
+                                  solver=outcome, epsilon=spec.epsilon)
+        if check.psd_witness is None:
+            return no_certificate(f"internal verification failed: {check.failure}",
+                                  outcome)
+    return no_certificate("rationalization-failed", outcome)
 
 
 def prove_invariant(inst: ProblemInstance,

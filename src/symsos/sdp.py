@@ -7,20 +7,21 @@ clipping of the PSD combination pulled back to coefficient space by least
 squares), with a log-det barrier damped Newton polish when the alternation
 stalls, and seeded jittered restarts.  Floats live only in this file;
 rationalize() rounds a numeric solution back to exact rationals and
-re-certifies everything exactly.
+re-closes the linear system exactly; the one exact PSD check of the result
+is certificates.verify, run by the caller on the finished certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, ResourceLimit
+from .errors import DimensionMismatch, InvalidInstance, ResourceLimit
 from .poly import MonomialBasis
 from .symmetry import GramMatrix
 
@@ -35,21 +36,32 @@ class SolverConfig:
     seed: int = 0
     restarts: int = 3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise InvalidInstance("tolerance must be a finite number above 0")
+        if self.max_iters < 1:
+            raise InvalidInstance("max-iters must be at least 1")
+        if self.denominator_bound < 1:
+            raise InvalidInstance("denom-bound must be at least 1")
+        if self.seed < 0:
+            raise InvalidInstance("seed must be nonnegative")
+        if self.restarts < 0:
+            raise InvalidInstance("restarts must be nonnegative")
+
 
 @dataclass
 class FeasibilitySystem:
     """Find (a, b) with sum a_i * psd_matrices[i] PSD and A (a, b) = rhs.
 
-    a has one entry per PSD matrix (k2 of them); b holds k3 free scalars.
-    linear_map is a dense rational k1 x (k2 + k3) matrix, one row per
-    distinct coefficient equation (one per monomial orbit for invariant
-    data).
+    a has one entry per PSD matrix (k2 of them); b holds the k3 free
+    scalars, the columns of linear_map past the first k2.  linear_map is a
+    dense rational k1 x (k2 + k3) matrix, one row per distinct coefficient
+    equation (one per monomial orbit for invariant data).
     """
 
     psd_matrices: list[GramMatrix]
     linear_map: list[list[Fraction]]
     rhs: list[Fraction]
-    b_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.psd_matrices:
@@ -64,8 +76,6 @@ class FeasibilitySystem:
                 raise DimensionMismatch("linear map row width != k2 + k3")
         if len(self.rhs) != self.k1:
             raise DimensionMismatch("rhs length != number of linear rows")
-        if not self.b_names:
-            self.b_names = [f"b{i}" for i in range(self.k3)]
 
     @property
     def k1(self) -> int:
@@ -77,8 +87,7 @@ class FeasibilitySystem:
 
     @property
     def k3(self) -> int:
-        return len(self.b_names) if self.b_names else (
-            len(self.linear_map[0]) - self.k2 if self.linear_map else 0)
+        return len(self.linear_map[0]) - self.k2 if self.linear_map else 0
 
     @property
     def gram_dim(self) -> int:
@@ -142,21 +151,30 @@ def solve_feasibility(system: FeasibilitySystem,
         s = (gmat @ y[:k2]).reshape(dim, dim)
         return (s + s.T) / 2.0
 
-    def residuals(y: np.ndarray) -> tuple[float, float]:
-        lin = float(np.max(np.abs(amat @ y - rhs))) if k1 else 0.0
-        eigs = np.linalg.eigvalsh(matrix_of(y))
-        return lin, float(eigs[0])
-
-    def within(y: np.ndarray, lin: float, min_eig: float) -> bool:
-        # Scale-relative: float projection error grows with the iterate.
-        scale = max(1.0, float(np.max(np.abs(y))))
-        return lin <= cfg.tolerance * scale and min_eig >= -cfg.tolerance * scale
-
     rng = np.random.default_rng(cfg.seed)
     total_iters = 0
     best_lin = math.inf
     best_deficit = math.inf
     per_attempt = max(cfg.max_iters // (cfg.restarts + 1), 1)
+
+    def measure(y: np.ndarray) -> tuple[float, Optional[SolveOutcome]]:
+        """Linear residual plus PSD deficit of y (each folded into the best
+        seen), and the feasible outcome at y when both are within
+        tolerance."""
+        nonlocal best_lin, best_deficit
+        lin = float(np.max(np.abs(amat @ y - rhs))) if k1 else 0.0
+        min_eig = float(np.linalg.eigvalsh(matrix_of(y))[0])
+        deficit = max(0.0, -min_eig)
+        best_lin = min(best_lin, lin)
+        best_deficit = min(best_deficit, deficit)
+        # Scale-relative: float projection error grows with the iterate.
+        scale = max(1.0, float(np.max(np.abs(y))))
+        if not (lin <= cfg.tolerance * scale and min_eig >= -cfg.tolerance * scale):
+            return lin + deficit, None
+        sol = NumericSolution(values=[float(v) for v in y],
+                              psd_min_eigenvalue_estimate=min_eig,
+                              linear_residual_norm=lin, iterations=total_iters)
+        return lin + deficit, SolveOutcome(True, sol, lin, deficit, total_iters)
 
     for attempt in range(cfg.restarts + 1):
         if attempt == 0:
@@ -168,18 +186,9 @@ def solve_feasibility(system: FeasibilitySystem,
         prev_err = math.inf
         for _ in range(per_attempt):
             total_iters += 1
-            lin, min_eig = residuals(y)
-            deficit = max(0.0, -min_eig)
-            best_lin = min(best_lin, lin)
-            best_deficit = min(best_deficit, deficit)
-            if within(y, lin, min_eig):
-                sol = NumericSolution(
-                    values=[float(v) for v in y],
-                    psd_min_eigenvalue_estimate=min_eig,
-                    linear_residual_norm=lin,
-                    iterations=total_iters)
-                return SolveOutcome(True, sol, lin, deficit, total_iters)
-            err = lin + deficit
+            err, found = measure(y)
+            if found:
+                return found
             if err >= prev_err - 1e-15:
                 stall += 1
             else:
@@ -202,17 +211,9 @@ def solve_feasibility(system: FeasibilitySystem,
         # affine-feasible point of this attempt.
         y = _logdet_newton(gmat, amat, rhs, y, k2, cfg)
         y = project_affine(y)
-        lin, min_eig = residuals(y)
-        deficit = max(0.0, -min_eig)
-        best_lin = min(best_lin, lin)
-        best_deficit = min(best_deficit, deficit)
-        if within(y, lin, min_eig):
-            sol = NumericSolution(
-                values=[float(v) for v in y],
-                psd_min_eigenvalue_estimate=min_eig,
-                linear_residual_norm=lin,
-                iterations=total_iters)
-            return SolveOutcome(True, sol, lin, deficit, total_iters)
+        found = measure(y)[1]
+        if found:
+            return found
     return SolveOutcome(False, None, best_lin, best_deficit, total_iters)
 
 
@@ -335,20 +336,21 @@ class RationalizeOutcome:
     ok: bool
     values: Optional[list[Fraction]] = None
     failure: Optional[str] = None
-    psd_witness: Optional[list[Fraction]] = None
 
 
 def rationalize(solution: NumericSolution | Sequence[float],
                 system: FeasibilitySystem,
                 denominator_bound: int = 2 ** 32,
                 window: Fraction = Fraction(1, 10 ** 6)) -> RationalizeOutcome:
-    """Round a numeric solution to exact rationals and re-certify.
+    """Round a numeric solution to exact rationals that solve the linear
+    system exactly.
 
     Each entry is replaced by the simplest rational within +-window (capped
     at the denominator bound); the linear system is then re-closed exactly,
     correcting the b-variables first and falling back to a minimum-norm
-    correction over all variables; finally the PSD combination is checked
-    by exact LDL^T.  Failures report which check broke.
+    correction over all variables, and re-checked.  Failures report which
+    step broke.  The PSD check of the combination is left to the caller's
+    exact check of the finished certificate (certificates.verify).
     """
     values = solution.values if isinstance(solution, NumericSolution) else list(solution)
     if len(values) != system.variables:
@@ -390,11 +392,6 @@ def rationalize(solution: NumericSolution | Sequence[float],
                  for t in range(k1)]
         if check != list(system.rhs):
             return RationalizeOutcome(ok=False, failure="exact linear re-check failed")
-
-    psd = linalg.psd_certificate(combination(system, y[:k2]).entries)
-    if not psd.is_psd:
-        return RationalizeOutcome(ok=False, failure="rounded combination is not PSD",
-                                  psd_witness=psd.witness)
     return RationalizeOutcome(ok=True, values=y)
 
 

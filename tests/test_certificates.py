@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,25 @@ def test_degree_bound_enforced():
     out = verify(cert)
     assert not out.accepted
     assert "degree" in out.failure
+
+
+def test_identity_failure_is_reported_before_degree():
+    cert = quadratic_refutation()
+    assert verify(replace(cert, degree_bound=0)).failure == \
+        "degree: equality term exceeds bound"
+    bad = replace(cert, target=Polynomial.constant(1, -2), degree_bound=0)
+    assert verify(bad).failure == "identity"
+
+
+def test_degree_failure_is_reported_before_psd():
+    # -x1^2 == <[[0, 0], [0, -1]], (1, x1)(1, x1)^T>: sigma is not PSD.
+    x = Polynomial.variable(1, 0)
+    gram = GramMatrix(MonomialBasis(1, 1), [[frac(0), frac(0)], [frac(0), frac(-1)]])
+    cert = SosCertificate(target=-(x * x), sigma=gram, equality_multipliers=[],
+                          groebner_multipliers=[], degree_bound=2, mode=GENERAL)
+    assert verify(cert).failure == "sigma not positive semidefinite"
+    assert verify(replace(cert, degree_bound=1)).failure == \
+        "degree: sigma exceeds bound"
 
 
 def test_sos_decomposition_rebuilds_sigma():

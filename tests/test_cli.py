@@ -193,3 +193,16 @@ def test_prove_tight_target_exits_with_documented_code(tmp_path, capsys):
     code = cli.main(["prove", problem, "--json"])
     assert code in (cli.EXIT_OK, cli.EXIT_NONE)
     json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("flags,option", [
+    (["--seed", "-1"], ""),
+    (["--denom-bound", "0"], ""),
+    ([], "restarts: -1\n"),
+    (["--max-iters", "-5"], ""),
+    (["--tolerance", "nan"], ""),
+], ids=["seed", "denom-bound", "restarts", "max-iters", "tolerance"])
+def test_bad_solver_settings_exit_2(tmp_path, capsys, flags, option):
+    problem = write(tmp_path, "k2.sos", KNAPSACK2 + option)
+    assert cli.main(["refute", problem] + flags) == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err

@@ -17,7 +17,6 @@ def test_boolean_basis():
     x1 = Polynomial.variable(2, 0)
     x2 = Polynomial.variable(2, 1)
     assert list(gb) == [x1 * x1 - x1, x2 * x2 - x2]
-    assert gb.assumed_groebner
 
 
 def test_finite_domain_basis_roots():

@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from symsos import pipeline
+from symsos import linalg, pipeline
 from symsos.certificates import NORMAL_FORM, verify
 from symsos.errors import InvalidInstance, InvalidSystem
-from symsos.pipeline import (ProblemInstance, _distinct_rows, _match_columns,
+from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
+                             _distinct_rows, _match_columns,
                              check_pseudoexpectation, find_pseudoexpectation,
                              first_certificate, point_pseudoexpectation,
                              prove_invariant, pseudoexpectation_value,
                              refute_invariant_system, variable_count_report)
 from symsos.poly import MonomialBasis, Polynomial
-from symsos.sdp import FeasibilitySystem, SolveOutcome, solve_feasibility
+from symsos.sdp import (FeasibilitySystem, NumericSolution, SolveOutcome,
+                        solve_feasibility)
 from symsos.symmetry import GramMatrix, GroupSpec, is_invariant
 
 BOOL = (Fraction(0), Fraction(1))
@@ -106,6 +108,84 @@ def test_search_enumerates_orbits_once(monkeypatch, search, inst):
         monkeypatch.setattr(pipeline, name, counted)
     assert search(inst).certified
     assert calls == {"enumerate_pair_orbits": 1, "orbit_indicator_matrices": 1}
+
+
+def counted_psd_calls(monkeypatch):
+    """Every matrix handed to linalg.psd_certificate from now on."""
+    calls = []
+    original = linalg.psd_certificate
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "psd_certificate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("search,inst", [
+    (refute_invariant_system, half_integral_knapsack(2)),
+    (prove_invariant, pinned_proof()),
+], ids=["refute", "prove"])
+def test_certified_search_checks_psd_once(monkeypatch, search, inst):
+    calls = counted_psd_calls(monkeypatch)
+    result = search(inst)
+    assert result.certified
+    assert calls == [result.certificate.sigma.entries]
+
+
+def ladder_instance():
+    """1 == sigma + lambda * x given x = 0, sigma over the basis (1, x).
+
+    Matching forces sigma's constant entry to 1 and the free multiplier
+    lambda absorbs the rest, so rounding keeps sigma = [[1, a1], [a1, a2]]
+    as rounded, and sigma is PSD iff a2 >= a1^2.
+    """
+    x = Polynomial.variable(1, 0)
+    return ProblemInstance(group=GroupSpec.trivial(1), equalities=[x],
+                           target=Polynomial.constant(1, 1), degree=1,
+                           epsilon=frac(0))
+
+
+def planted_solution(monkeypatch, a1, a2):
+    """Make the solver answer sigma = [[1, a1], [a1, a2]] for
+    ladder_instance(); returns the windows rationalize is then called with."""
+    def planted(system, config):
+        values = [1.0 if q.entries[0][0] else a1 if q.entries[0][1] else a2
+                  for q in system.psd_matrices] + [0.0] * system.k3
+        return SolveOutcome(True, NumericSolution(values, 0.0, 0.0, 1), 0.0, 0.0, 1)
+
+    windows = []
+    original = pipeline.rationalize
+
+    def recorded(*args, **kwargs):
+        windows.append(kwargs["window"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_feasibility", planted)
+    monkeypatch.setattr(pipeline, "rationalize", recorded)
+    return windows
+
+
+def test_ladder_moves_past_a_window_whose_sigma_is_not_psd(monkeypatch):
+    # 1.0665 - 1.0325^2 > 4e-4, but within 1e-3 the simplest rationals are
+    # a1 = 31/30 and a2 = 16/15, and 16/15 - (31/30)^2 = -1/900.
+    windows = planted_solution(monkeypatch, 1.0325, 1.0665)
+    calls = counted_psd_calls(monkeypatch)
+    result = prove_invariant(ladder_instance())
+    assert result.certified
+    assert windows == list(RATIONALIZE_WINDOWS[:2])
+    assert len(calls) == 2
+    a1 = result.certificate.sigma.entries[0][1]
+    assert abs(a1 - frac(10325, 10000)) <= RATIONALIZE_WINDOWS[1]
+
+
+def test_ladder_gives_up_when_no_window_is_psd(monkeypatch):
+    windows = planted_solution(monkeypatch, 1.0325, 1.06)  # 1.06 < 1.0325^2
+    result = prove_invariant(ladder_instance())
+    assert not result.certified
+    assert result.reason == "rationalization-failed"
+    assert windows == list(RATIONALIZE_WINDOWS)
 
 
 def block_sums(blocks, values):

@@ -28,29 +28,25 @@ def gram(value):
 def small_system():
     """One 1x1 block Q = [[1]], one unknown a with a = 2."""
     return FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1)]], rhs=[frac(2)],
-                             b_names=[])
+                             linear_map=[[frac(1)]], rhs=[frac(2)])
 
 
 def test_system_validation():
     with pytest.raises(ValueError):
-        FeasibilitySystem(psd_matrices=[], linear_map=[], rhs=[], b_names=[])
+        FeasibilitySystem(psd_matrices=[], linear_map=[], rhs=[])
     with pytest.raises(DimensionMismatch):
         FeasibilitySystem(psd_matrices=[gram(1)],
-                          linear_map=[[frac(1), frac(2)]], rhs=[frac(0), frac(1)],
-                          b_names=[])
+                          linear_map=[[frac(1), frac(2)]], rhs=[frac(0), frac(1)])
     sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1), frac(1)]], rhs=[frac(1)],
-                             b_names=["b0"])
+                             linear_map=[[frac(1), frac(1)]], rhs=[frac(1)])
     assert sys_.k2 == 1 and sys_.k3 == 1 and sys_.k1 == 1
 
 
 def test_variable_cap():
-    names = [f"b{i}" for i in range(MAX_VARIABLES + 1)]
     sys_ = FeasibilitySystem(
         psd_matrices=[gram(1)],
-        linear_map=[[frac(1)] * (1 + len(names))], rhs=[frac(0)],
-        b_names=names)
+        linear_map=[[frac(1)] * (MAX_VARIABLES + 1)], rhs=[frac(0)])
+    assert sys_.k3 == MAX_VARIABLES and sys_.variables == MAX_VARIABLES + 1
     with pytest.raises(ResourceLimit):
         solve_feasibility(sys_)
 
@@ -64,7 +60,7 @@ def test_solver_trivial_feasible():
 def test_solver_reports_infeasible_linear():
     sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
                              linear_map=[[frac(1)], [frac(1)]],
-                             rhs=[frac(0), frac(1)], b_names=[])
+                             rhs=[frac(0), frac(1)])
     out = solve_feasibility(sys_)
     assert not out.feasible
     assert out.best_linear_residual > 1e-3
@@ -73,8 +69,7 @@ def test_solver_reports_infeasible_linear():
 def test_solver_reports_psd_conflict():
     # a = -1 forced, but block demands a >= 0
     sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1)]], rhs=[frac(-1)],
-                             b_names=[])
+                             linear_map=[[frac(1)]], rhs=[frac(-1)])
     out = solve_feasibility(sys_)
     assert not out.feasible
     assert out.best_psd_deficit > 1e-3
@@ -87,8 +82,7 @@ def psd_conflict_with_free_direction():
     qa = GramMatrix(basis, [[frac(1), frac(0)], [frac(0), frac(0)]])
     qb = GramMatrix(basis, [[frac(0), frac(0)], [frac(0), frac(1)]])
     return FeasibilitySystem(psd_matrices=[qa, qb],
-                             linear_map=[[frac(0), frac(1)]], rhs=[frac(-1)],
-                             b_names=[])
+                             linear_map=[[frac(0), frac(1)]], rhs=[frac(-1)])
 
 
 def test_solver_survives_singular_polish_matrix(monkeypatch):
@@ -152,8 +146,7 @@ def test_rationalize_recovers_planted_solution():
                 [frac(1), frac(2), frac(-1)]]
         rhs = [planted[0],
                planted[0] + 2 * planted[1] - planted[2]]
-        sys_ = FeasibilitySystem(psd_matrices=[q], linear_map=rows, rhs=rhs,
-                                 b_names=["b0", "b1"])
+        sys_ = FeasibilitySystem(psd_matrices=[q], linear_map=rows, rhs=rhs)
         noisy = [float(v) + rng.uniform(-1e-9, 1e-9) for v in planted]
         sol = NumericSolution(values=noisy, psd_min_eigenvalue_estimate=0.0,
                               linear_residual_norm=0.0, iterations=1)
@@ -164,24 +157,12 @@ def test_rationalize_recovers_planted_solution():
         assert out.values[0] >= 0
 
 
-def test_rationalize_rejects_negative_block():
-    q = GramMatrix(basis1(), [[frac(1)]])
-    sys_ = FeasibilitySystem(psd_matrices=[q], linear_map=[[frac(1)]],
-                             rhs=[frac(-1)], b_names=[])
-    sol = NumericSolution(values=[-1.0], psd_min_eigenvalue_estimate=-1.0,
-                          linear_residual_norm=0.0, iterations=1)
-    out = rationalize(sol, sys_)
-    assert not out.ok
-    assert out.psd_witness is not None
-
-
 def test_combination_exact():
     basis = MonomialBasis(1, 1)
     qa = GramMatrix(basis, [[frac(1), frac(0)], [frac(0), frac(0)]])
     qb = GramMatrix(basis, [[frac(0), frac(1)], [frac(1), frac(0)]])
     sys_ = FeasibilitySystem(psd_matrices=[qa, qb],
-                             linear_map=[[frac(1), frac(1)]], rhs=[frac(1)],
-                             b_names=[])
+                             linear_map=[[frac(1), frac(1)]], rhs=[frac(1)])
     combo = combination(sys_, [frac(1, 3), frac(2, 5)])
     assert combo.entries[0][0] == frac(1, 3)
     assert combo.entries[0][1] == frac(2, 5)
@@ -191,8 +172,7 @@ def test_combination_exact():
 def test_end_to_end_solve_then_rationalize():
     # strictly feasible: a = 1 + b, b free; PSD needs a >= 0
     sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1), frac(-1)]], rhs=[frac(1)],
-                             b_names=["b0"])
+                             linear_map=[[frac(1), frac(-1)]], rhs=[frac(1)])
     out = solve_feasibility(sys_)
     assert out.feasible
     rat = rationalize(out.solution, sys_)
