@@ -2,15 +2,14 @@
 
 from .certificates import (BitSizeReport, SosCertificate, VerificationOutcome,
                            bit_size, order_unit_certificate, parse_certificate,
-                           serialize_certificate, sos_decomposition, symmetrize,
-                           verify)
+                           serialize_certificate, verify)
 from .errors import (DimensionMismatch, InvalidDomain, InvalidInstance,
                      InvalidSystem, InvalidWitness, ParseError,
                      ReconstructionError, ResourceLimit, SymsosError)
 from .groebner import (DivisionResult, GroebnerBasis, boolean_basis, divide,
                        finite_domain_basis, reconstruct_proof, reduce_identity,
                        reduce_polynomial)
-from .linalg import PsdOutcome, ldl_decomposition, psd_certificate
+from .linalg import PsdOutcome, psd_certificate
 from .pipeline import (PipelineResult, ProblemInstance, Pseudoexpectation,
                        VariableCountReport, check_pseudoexpectation,
                        find_pseudoexpectation, point_pseudoexpectation,
@@ -22,10 +21,10 @@ from .sdp import (FeasibilitySystem, RationalizeOutcome, SolveOutcome,
                   SolverConfig, combination, rationalize, simplest_in_interval,
                   solve_feasibility)
 from .symmetry import (GramMatrix, GroupSpec, OrbitTable, Permutation,
-                       bipartition_count, canonical_monomial, canonical_pair,
+                       canonical_monomial, canonical_pair,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system, monomial_orbit_size,
-                       orbit_indicator_matrices, pair_orbit_size,
-                       reynolds_gram, reynolds_polynomial)
+                       orbit_indicator_matrices, reynolds_gram,
+                       reynolds_polynomial)
 
 __version__ = "0.1.0"

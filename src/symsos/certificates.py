@@ -20,27 +20,20 @@ v^T sigma v < 0).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import linalg
-from .errors import (DimensionMismatch, InvalidSystem, InvalidWitness,
-                     ParseError, ResourceLimit)
+from .errors import DimensionMismatch, InvalidWitness, ParseError
 from .poly import (Monomial, MonomialBasis, Polynomial, coefficient_norm,
                    mono_mul)
-from .symmetry import (GramMatrix, GroupSpec, act_on_polynomial,
-                       is_invariant, is_invariant_system,
-                       reynolds_gram, reynolds_polynomial)
+from .symmetry import GramMatrix
 
 MultiplierLike = Union[Polynomial, Fraction]
 
 GENERAL = "general"
 NORMAL_FORM = "normal-form"
-
-# Cap on explicit group enumeration in symmetrize (only hit when a
-# non-invariant constraint carries a polynomial multiplier).
-GROUP_ENUMERATION_CAP = 10_000
 
 
 @dataclass
@@ -134,22 +127,6 @@ def verify(cert: SosCertificate) -> VerificationOutcome:
             False, failure="sigma not positive semidefinite",
             psd_witness=psd.witness, psd_witness_value=psd.witness_value)
     return VerificationOutcome(True)
-
-
-def sos_decomposition(gram: GramMatrix) -> list[tuple[Fraction, Polynomial]]:
-    """Explicit weighted squares summing to <gram, x x^T> (gram must be PSD)."""
-    perm, low, diag = linalg.ldl_decomposition(gram.entries)
-    out = []
-    n = gram.basis.n
-    for k, d in enumerate(diag):
-        if d == 0:
-            continue
-        terms = {}
-        for i in range(k, gram.dim):
-            if low[i][k]:
-                terms[gram.basis[perm[i]]] = low[i][k]
-        out.append((d, Polynomial(n, terms)))
-    return out
 
 
 def bit_size(cert: SosCertificate) -> BitSizeReport:
@@ -426,87 +403,6 @@ def order_unit_certificate(witness: SosCertificate, mono: Monomial,
     target = Polynomial.constant(n, 2 * big + Fraction(3, 2)) \
         + Polynomial.monomial(n, mono, sign)
     return parts.to_certificate(target, bound)
-
-
-# -- symmetrization ---------------------------------------------------------
-
-
-def _redistribute(group: GroupSpec,
-                  entries: list[tuple[Polynomial, Polynomial]]) -> list[tuple[Polynomial, Polynomial]]:
-    """Average multipliers across a constraint orbit by explicit group sum:
-    each constraint receives (1/|G|) sum over (j, g) with g . r_j = r_k of g . q_j."""
-    order = group.order()
-    if order > GROUP_ENUMERATION_CAP:
-        raise ResourceLimit(
-            f"group order {order} exceeds enumeration cap "
-            f"{GROUP_ENUMERATION_CAP} for non-invariant multiplier averaging")
-    n = entries[0][0].n
-    index = {c.key(): i for i, (c, _) in enumerate(entries)}
-    acc = [Polynomial.zero(n) for _ in entries]
-    for g in group.elements():
-        for constraint, mult in entries:
-            image = act_on_polynomial(g, constraint)
-            k = index.get(image.key())
-            if k is None:
-                raise InvalidSystem("constraint orbit is not closed in the certificate")
-            acc[k] = acc[k] + act_on_polynomial(g, mult)
-    inv = Fraction(1, order)
-    return [(entries[i][0], acc[i] * inv) for i in range(len(entries))]
-
-
-def symmetrize(cert: SosCertificate, group: GroupSpec) -> SosCertificate:
-    """Average a certificate over the group.
-
-    The target must be invariant and each constraint orbit must be closed
-    inside the certificate's constraint lists.  sigma is replaced by its
-    orbit average (still PSD), invariant constraints get averaged
-    multipliers, and constraints in a nontrivial orbit share redistributed
-    multipliers.  The output verifies whenever the input does.
-    """
-    if group.n != cert.n:
-        raise DimensionMismatch("group and certificate arity differ")
-    if not is_invariant(group, cert.target):
-        raise InvalidSystem("target polynomial is not invariant under the group")
-
-    new_sigma = reynolds_gram(group, cert.sigma)
-
-    def transform(pairs, scalars_allowed: bool):
-        if not pairs:
-            return []
-        polys = [c for c, _ in pairs]
-        closed, orbits = is_invariant_system(group, polys)
-        if not closed:
-            raise InvalidSystem("constraint list is not closed under the group")
-        out: list = [None] * len(pairs)
-        for orbit in orbits:
-            members = [pairs[i] for i in orbit]
-            all_scalar = all(not isinstance(m, Polynomial) for _, m in members)
-            if all_scalar and scalars_allowed:
-                mean = sum((Fraction(m) for _, m in members), Fraction(0)) / len(members)
-                for i in orbit:
-                    out[i] = (pairs[i][0], mean)
-                continue
-            if len(orbit) == 1 and is_invariant(group, pairs[orbit[0]][0]):
-                constraint, mult = pairs[orbit[0]]
-                if isinstance(mult, Polynomial):
-                    mult = reynolds_polynomial(group, mult)
-                out[orbit[0]] = (constraint, mult)
-                continue
-            entries = [(c, m if isinstance(m, Polynomial)
-                        else Polynomial.constant(cert.n, m)) for c, m in members]
-            redistributed = _redistribute(group, entries)
-            for slot, i in enumerate(orbit):
-                out[i] = redistributed[slot]
-        return out
-
-    return SosCertificate(
-        target=cert.target,
-        sigma=new_sigma,
-        equality_multipliers=transform(cert.equality_multipliers,
-                                       scalars_allowed=cert.mode == NORMAL_FORM),
-        groebner_multipliers=transform(cert.groebner_multipliers, scalars_allowed=False),
-        degree_bound=cert.degree_bound,
-        mode=cert.mode)
 
 
 # -- serialization ----------------------------------------------------------

@@ -22,6 +22,7 @@ from . import __version__
 from .certificates import (bit_size, parse_certificate, serialize_certificate,
                            verify)
 from .errors import ParseError, ResourceLimit, SymsosError
+from .groebner import reduce_polynomial
 from .pipeline import (ProblemInstance, check_pseudoexpectation,
                        find_pseudoexpectation, prove_invariant,
                        refute_invariant_system, variable_count_report)
@@ -103,7 +104,6 @@ def _cmd_reduce(args) -> int:
         print("error: nothing to reduce by (no domain or groebner lines)",
               file=sys.stderr)
         return EXIT_USAGE
-    from .groebner import reduce_polynomial
     pairs = [("eq", p) for p in inst.equalities]
     if inst.target is not None:
         pairs.append(("target", inst.target))

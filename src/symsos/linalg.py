@@ -4,12 +4,12 @@ Two jobs: certify positive semidefiniteness of symmetric rational matrices
 (with an exact counterexample vector on rejection), and solve rational
 linear systems for the rounding stage of the numeric solver.
 
-The PSD check and the LDL^T share one fraction-free (Bareiss) symmetric
-elimination of the integer matrix den * A, den the lcm of A's denominators.
-After k steps a trailing entry is the rational Schur complement entry times
-den * p_{k-1} > 0, the last pivot, so signs, pivot order and zero tests are
-the rational elimination's, updates are exact integer divisions with no gcd,
-and the outputs are the rational pivoted LDL^T's.
+The PSD check is one fraction-free (Bareiss) symmetric elimination of the
+integer matrix den * A, den the lcm of A's denominators.  After k steps a
+trailing entry is the rational Schur complement entry times den * p_{k-1}
+> 0, the last pivot, so signs, pivot order and zero tests are the rational
+elimination's, updates are exact integer divisions with no gcd, and the
+pivots and witnesses are the rational pivoted LDL^T's.
 """
 
 from __future__ import annotations
@@ -139,22 +139,6 @@ def psd_certificate(matrix: Sequence[Sequence]) -> PsdOutcome:
     for pos, orig in enumerate(perm):
         v[orig] = u[pos]
     return PsdOutcome(is_psd=False, witness=v, witness_value=quadratic_form(a, v))
-
-
-def ldl_decomposition(matrix: Sequence[Sequence]):
-    """Pivoted LDL^T of a PSD matrix: returns (perm, L, D) with
-    A[perm[i]][perm[j]] == sum_k L[i][k] * D[k] * L[j][k].
-
-    Raises ValueError when the matrix is not square, not symmetric or not
-    PSD.
-    """
-    a, b, perm, pivots, tail = _eliminate(matrix)
-    if tail is not None:
-        raise ValueError("matrix is not positive semidefinite")
-    n, rank = len(a), len(pivots)
-    low = [[Fraction(b[i][k], b[k][k]) if k < min(i, rank) else Fraction(int(k == i))
-            for k in range(n)] for i in range(n)]
-    return perm, low, pivots + [Fraction(0)] * (n - rank)
 
 
 def rref_solve(a: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:

@@ -22,7 +22,7 @@ output is numeric-only evidence (never a theorem) and is flagged as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -33,7 +33,7 @@ from .certificates import (GENERAL, NORMAL_FORM, BitSizeReport, MultiplierLike,
 from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
-from .poly import Monomial, MonomialBasis, Polynomial, monomials_up_to
+from .poly import Monomial, MonomialBasis, Polynomial, mono_divides, monomials_up_to
 from .sdp import (FeasibilitySystem, SolveOutcome, SolverConfig, combination,
                   rationalize, solve_feasibility)
 from .symmetry import (GramMatrix, GroupSpec, OrbitTable, canonical_monomial,
@@ -127,9 +127,6 @@ class Pseudoexpectation:
     degree: int
     moments: dict
     numeric: bool
-
-    def value(self, mono: Monomial):
-        return self.moments[canonical_monomial(self.group, mono)]
 
 
 def _reduced(p: Polynomial, basis: Optional[GroebnerBasis]) -> Polynomial:
@@ -366,32 +363,22 @@ def refute_invariant_system(inst: ProblemInstance,
         mode=NORMAL_FORM), config)
 
 
-def first_certificate(inst: ProblemInstance, max_degree: int,
-                      config: Optional[SolverConfig] = None):
-    """Try degrees 1..max_degree, stopping at the first certificate.
-
-    Returns (result, trail) where trail lists (degree, status) for every
-    degree attempted.
-    """
-    trail: list[tuple[int, str]] = []
-    result: Optional[PipelineResult] = None
-    for d in range(1, max_degree + 1):
-        search = refute_invariant_system if inst.target is None else prove_invariant
-        result = search(replace(inst, degree=d), config)
-        trail.append((d, result.status))
-        if result.certified:
-            break
-    return result, trail
-
-
 # -- pseudoexpectations ------------------------------------------------------
 
 
 def _irreducible(mono: Monomial, gb: Optional[GroebnerBasis]) -> bool:
     if gb is None:
         return True
-    from .poly import mono_divides
     return not any(mono_divides(g.leading_monomial(), mono) for g in gb.generators)
+
+
+def _pseudoexpectation_degree(inst: ProblemInstance, degree: Optional[int]) -> int:
+    """The functional's degree: 2 * inst.degree by default, else degree,
+    which must be even and >= 2."""
+    deg = 2 * inst.degree if degree is None else degree
+    if deg < 2 or deg % 2 != 0:
+        raise InvalidInstance("pseudoexpectation degree must be even and >= 2")
+    return deg
 
 
 def find_pseudoexpectation(inst: ProblemInstance, degree: Optional[int] = None,
@@ -402,9 +389,7 @@ def find_pseudoexpectation(inst: ProblemInstance, degree: Optional[int] = None,
     when the solver cannot reach feasibility within tolerance.
     """
     cfg = config or SolverConfig()
-    deg = 2 * inst.degree if degree is None else degree
-    if deg < 2 or deg % 2 != 0:
-        raise InvalidInstance("pseudoexpectation degree must be even and >= 2")
+    deg = _pseudoexpectation_degree(inst, degree)
     orbits = _constraint_orbits(inst)
     n = inst.n
     gb = inst.groebner
@@ -459,7 +444,7 @@ def point_pseudoexpectation(inst: ProblemInstance, points: Sequence[Sequence],
     Every point must satisfy the constraints and the domain equations; the
     result is symmetric by construction.
     """
-    deg = 2 * inst.degree if degree is None else degree
+    deg = _pseudoexpectation_degree(inst, degree)
     n = inst.n
     pts = [[Fraction(x) for x in pt] for pt in points]
     if not pts:

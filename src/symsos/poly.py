@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -47,14 +44,6 @@ def mono_quotient(b: Monomial, a: Monomial) -> Monomial:
 def grlex_key(m: Monomial):
     """Sort key realizing graded lexicographic order."""
     return (sum(m), m)
-
-
-def grlex_compare(a: Monomial, b: Monomial) -> int:
-    """-1, 0 or +1 as a is below, equal to, or above b in grlex order."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"monomials over {len(a)} and {len(b)} variables")
-    ka, kb = grlex_key(a), grlex_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def multinomial(m: Monomial) -> int:

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidInstance, ResourceLimit
-from .poly import MonomialBasis
 from .symmetry import GramMatrix
 
 MAX_VARIABLES = 512
@@ -70,6 +69,8 @@ class FeasibilitySystem:
         for q in self.psd_matrices:
             if q.basis != basis:
                 raise DimensionMismatch("PSD coefficient matrices over different bases")
+        if self.k3 < 0:
+            raise DimensionMismatch("linear map has fewer columns than PSD matrices")
         width = self.k2 + self.k3
         for row in self.linear_map:
             if len(row) != width:

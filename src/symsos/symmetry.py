@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DimensionMismatch, InvalidSystem
+from .errors import DimensionMismatch
 from .poly import Monomial, MonomialBasis, Polynomial, grlex_key
 
 
@@ -52,15 +52,6 @@ class GroupSpec:
             start += b
         return out
 
-    def order(self) -> int:
-        out = 1
-        for b in self.block_sizes:
-            out *= math.factorial(b)
-        return out
-
-    def identity(self) -> "Permutation":
-        return Permutation(tuple(range(self.n)))
-
     def generators(self) -> list["Permutation"]:
         """Adjacent transpositions within each block."""
         gens = []
@@ -72,7 +63,7 @@ class GroupSpec:
         return gens
 
     def elements(self) -> Iterator["Permutation"]:
-        """Every group element; cost is order() and is on the caller."""
+        """Every group element; the cost, the group order, is on the caller."""
         per_block = [list(itertools.permutations(blk)) for blk in self.blocks()]
         for combo in itertools.product(*per_block):
             images = [0] * self.n
@@ -101,18 +92,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) == self(other(i))."""
-        if self.n != other.n:
-            raise DimensionMismatch("permutations of different sizes")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
 
 
 def act_on_monomial(g: Permutation, mono: Monomial) -> Monomial:
@@ -159,29 +138,18 @@ def canonical_pair(group: GroupSpec, pair: tuple[Monomial, Monomial]) -> tuple[M
     return tuple(out_a), tuple(out_b)
 
 
-def _multiset_orbit_size(values: Iterable) -> tuple[int, Counter]:
+def _multiset_orbit_size(values: Iterable) -> int:
     counts = Counter(values)
-    total = sum(counts.values())
-    size = math.factorial(total)
+    size = math.factorial(sum(counts.values()))
     for c in counts.values():
         size //= math.factorial(c)
-    return size, counts
+    return size
 
 
 def monomial_orbit_size(group: GroupSpec, mono: Monomial) -> int:
     out = 1
     for blk in group.blocks():
-        size, _ = _multiset_orbit_size(mono[i] for i in blk)
-        out *= size
-    return out
-
-
-def pair_orbit_size(group: GroupSpec, pair: tuple[Monomial, Monomial]) -> int:
-    a, b = pair
-    out = 1
-    for blk in group.blocks():
-        size, _ = _multiset_orbit_size((a[i], b[i]) for i in blk)
-        out *= size
+        out *= _multiset_orbit_size(mono[i] for i in blk)
     return out
 
 
@@ -213,17 +181,6 @@ def monomial_orbit_elements(group: GroupSpec, mono: Monomial) -> Iterator[Monomi
         for part in combo:
             out.extend(part)
         yield tuple(out)
-
-
-def pair_orbit_elements(group: GroupSpec,
-                        pair: tuple[Monomial, Monomial]) -> Iterator[tuple[Monomial, Monomial]]:
-    a, b = pair
-    per_block = [_distinct_arrangements([(a[i], b[i]) for i in blk]) for blk in group.blocks()]
-    for combo in itertools.product(*[list(g) for g in per_block]):
-        cells: list[tuple[int, int]] = []
-        for part in combo:
-            cells.extend(part)
-        yield tuple(x for x, _ in cells), tuple(y for _, y in cells)
 
 
 @dataclass
@@ -284,38 +241,6 @@ def enumerate_pair_orbits(group: GroupSpec, degree: int) -> OrbitTable:
         sizes=[buckets[r] for r in reps])
 
 
-def bipartition_count(k: int, l: int) -> int:
-    """Number of multisets of pairs (a, b) != (0, 0) of nonnegative integers
-    whose componentwise sums are (k, l).
-
-    For a single symmetric block on n >= 2d variables, summing this over
-    all k, l <= d counts the pair orbits of the degree-d monomial basis.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("arguments must be nonnegative")
-    parts = sorted(
-        ((a, b) for a in range(k + 1) for b in range(l + 1) if (a, b) != (0, 0)),
-        reverse=True)
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def count(rk: int, rl: int, idx: int) -> int:
-        if rk == 0 and rl == 0:
-            return 1
-        if idx == len(parts):
-            return 0
-        key = (rk, rl, idx)
-        if key in memo:
-            return memo[key]
-        a, b = parts[idx]
-        total = count(rk, rl, idx + 1)
-        if a <= rk and b <= rl:
-            total += count(rk - a, rl - b, idx)
-        memo[key] = total
-        return total
-
-    return count(k, l, 0)
-
-
 # -- Gram matrices ----------------------------------------------------------
 
 
@@ -363,30 +288,8 @@ class GramMatrix:
                         out.pop(mono, None)
         return Polynomial(self.basis.n, out)
 
-    def scaled(self, c) -> "GramMatrix":
-        c = Fraction(c)
-        return GramMatrix(self.basis, [[x * c for x in row] for row in self.entries])
-
-    def add(self, other: "GramMatrix") -> "GramMatrix":
-        if self.basis != other.basis:
-            raise DimensionMismatch("Gram matrices over different bases")
-        return GramMatrix(self.basis, [
-            [x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
-
     def __repr__(self) -> str:
         return f"GramMatrix(basis={self.basis!r})"
-
-
-def act_on_gram(g: Permutation, q: GramMatrix) -> GramMatrix:
-    """Relabel rows and columns along the induced basis permutation, so that
-    <g * Q, x x^T> equals the action of g on <Q, x x^T>.  Preserves symmetry
-    and positive semidefiniteness."""
-    basis = q.basis
-    ginv = g.inverse()
-    pre = [basis.index(act_on_monomial(ginv, m)) for m in basis.entries]
-    dim = len(basis)
-    out = [[q.entries[pre[i]][pre[j]] for j in range(dim)] for i in range(dim)]
-    return GramMatrix(basis, out)
 
 
 def reynolds_polynomial(group: GroupSpec, p: Polynomial) -> Polynomial:

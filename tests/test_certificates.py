@@ -1,4 +1,3 @@
-import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,11 +6,11 @@ import pytest
 from symsos.certificates import (GENERAL, NORMAL_FORM, SosCertificate,
                                  bit_size, expand, order_unit_certificate,
                                  parse_certificate, serialize_certificate,
-                                 sos_decomposition, symmetrize, verify)
-from symsos.errors import InvalidSystem, InvalidWitness, ParseError
+                                 verify)
+from symsos.errors import InvalidWitness, ParseError
 from symsos.groebner import boolean_basis
 from symsos.poly import MonomialBasis, Polynomial
-from symsos.symmetry import GramMatrix, GroupSpec, is_invariant
+from symsos.symmetry import GramMatrix
 
 
 def frac(a, b=1):
@@ -151,24 +150,6 @@ def test_degree_failure_is_reported_before_psd():
         "degree: sigma exceeds bound"
 
 
-def test_sos_decomposition_rebuilds_sigma():
-    rng = random.Random(79)
-    for _ in range(15):
-        n = rng.randint(1, 3)
-        basis = MonomialBasis(n, 1)
-        w = len(basis)
-        b = [[frac(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(w)]
-             for _ in range(w)]
-        psd = [[sum(b[k][i] * b[k][j] for k in range(w)) for j in range(w)]
-               for i in range(w)]
-        gram = GramMatrix(basis, psd)
-        rebuilt = Polynomial.zero(n)
-        for weight, poly in sos_decomposition(gram):
-            assert weight >= 0
-            rebuilt = rebuilt + poly * poly * weight
-        assert rebuilt == gram.to_polynomial()
-
-
 def test_bit_size_report():
     cert = quadratic_refutation()
     report = bit_size(cert)
@@ -225,84 +206,6 @@ def test_order_unit_rejects_oversized_monomial():
     w = boolean_witness(2)
     with pytest.raises(ValueError):
         order_unit_certificate(w, (2, 1), 1)  # |m| = 3 > 2d = 2
-
-
-def test_symmetrize_general_mode():
-    n = 2
-    x1 = Polynomial.variable(n, 0)
-    x2 = Polynomial.variable(n, 1)
-    gb = boolean_basis(n)
-    basis = MonomialBasis(n, 1)
-    gram = GramMatrix(basis)
-    i2 = basis.index((0, 1))
-    gram.entries[i2][i2] = frac(2)
-    zero = Polynomial.zero(n)
-    lopsided = SosCertificate(
-        target=x1 + x2,
-        sigma=gram,
-        equality_multipliers=[(x1 - x2, Polynomial.constant(n, 1)),
-                              (x2 - x1, zero)],
-        groebner_multipliers=[(gb.generators[0], zero),
-                              (gb.generators[1], Polynomial.constant(n, -2))],
-        degree_bound=2, mode=GENERAL)
-    assert verify(lopsided).accepted
-    group = GroupSpec.symmetric(2)
-    sym = symmetrize(lopsided, group)
-    assert verify(sym).accepted
-    assert is_invariant(group, sym.sigma.to_polynomial())
-    assert sym.sigma.to_polynomial() == x1 * x1 + x2 * x2
-    assert [m for _, m in sym.equality_multipliers] == \
-        [Polynomial.constant(n, frac(1, 2))] * 2
-
-
-def test_symmetrize_normal_form_scalars_average():
-    # -1 = 3(1-x1)^2 + 9(1-x2)^2 + 3 - (x1-2)^2 - 3(x2-2)^2 - 2 f1 - 6 f2
-    n = 2
-    x1 = Polynomial.variable(n, 0)
-    x2 = Polynomial.variable(n, 1)
-    one = Polynomial.constant(n, 1)
-    gb = boolean_basis(n)
-    basis = MonomialBasis(n, 1)
-    gram = GramMatrix(basis)
-    i0, i1, i2 = basis.index((0, 0)), basis.index((1, 0)), basis.index((0, 1))
-    # 3 (1 - x1)^2
-    gram.entries[i0][i0] += 3
-    gram.entries[i0][i1] -= 3
-    gram.entries[i1][i0] -= 3
-    gram.entries[i1][i1] += 3
-    # 9 (1 - x2)^2
-    gram.entries[i0][i0] += 9
-    gram.entries[i0][i2] -= 9
-    gram.entries[i2][i0] -= 9
-    gram.entries[i2][i2] += 9
-    # + 3
-    gram.entries[i0][i0] += 3
-    cert = SosCertificate(
-        target=Polynomial.constant(n, -1),
-        sigma=gram,
-        equality_multipliers=[(x1 - one * 2, frac(-1)), (x2 - one * 2, frac(-3))],
-        groebner_multipliers=[(gb.generators[0], Polynomial.constant(n, -2)),
-                              (gb.generators[1], Polynomial.constant(n, -6))],
-        degree_bound=2, mode=NORMAL_FORM)
-    assert verify(cert).accepted
-    group = GroupSpec.symmetric(2)
-    sym = symmetrize(cert, group)
-    out = verify(sym)
-    assert out.accepted, out.failure
-    assert [m for _, m in sym.equality_multipliers] == [frac(-2), frac(-2)]
-    assert is_invariant(group, sym.sigma.to_polynomial())
-
-
-def test_symmetrize_rejects_asymmetric_target():
-    cert = linear_refutation()
-    uneven = SosCertificate(
-        target=Polynomial.variable(2, 0),
-        sigma=GramMatrix(MonomialBasis(2, 0)),
-        equality_multipliers=[(Polynomial.variable(2, 0), Polynomial.constant(2, 1))],
-        groebner_multipliers=[], degree_bound=2, mode=GENERAL)
-    with pytest.raises(InvalidSystem):
-        symmetrize(uneven, GroupSpec.symmetric(2))
-    del cert
 
 
 def test_serialize_round_trip():

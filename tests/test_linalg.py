@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsos.linalg import (PsdOutcome, ldl_decomposition, min_norm_correction,
-                           psd_certificate, quadratic_form, rref_solve)
+from symsos.linalg import (PsdOutcome, min_norm_correction, psd_certificate,
+                           quadratic_form, rref_solve)
 
 
 def random_psd(rng, dim, rank=None):
@@ -43,10 +43,9 @@ def test_rejects_zero_diagonal_with_offdiagonal():
 
 def test_validation_errors():
     bad = [[[1, 2]], [[1, 2], [0, 1]], [[1, 2], [3, 1]], [[1, 0], [0]]]
-    for check in (psd_certificate, ldl_decomposition):
-        for matrix in bad:
-            with pytest.raises(ValueError, match="not (square|symmetric)"):
-                check([[Fraction(x) for x in row] for row in matrix])
+    for matrix in bad:
+        with pytest.raises(ValueError, match="not (square|symmetric)"):
+            psd_certificate([[Fraction(x) for x in row] for row in matrix])
 
 
 def test_random_psd_accepted():
@@ -85,25 +84,6 @@ def test_acceptance_implies_nonnegative_forms():
         assert quadratic_form(a, v) >= 0
 
 
-def test_ldl_reconstructs():
-    rng = random.Random(13)
-    for _ in range(25):
-        dim = rng.randint(1, 5)
-        a = random_psd(rng, dim, rank=rng.randint(1, dim))
-        perm, low, diag = ldl_decomposition(a)
-        for i in range(dim):
-            for j in range(dim):
-                got = sum(low[i][k] * diag[k] * low[j][k] for k in range(dim))
-                assert got == a[perm[i]][perm[j]]
-        assert all(d >= 0 for d in diag)
-
-
-def test_ldl_rejects_indefinite():
-    with pytest.raises(ValueError):
-        ldl_decomposition([[Fraction(0), Fraction(1)],
-                           [Fraction(1), Fraction(0)]])
-
-
 def test_rref_solve():
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert rref_solve(a, [Fraction(3), Fraction(6)]) is not None
@@ -136,10 +116,9 @@ def test_min_norm_correction_inconsistent():
 
 
 def reference_elimination(matrix):
-    """The rational pivoted LDL^T that the fraction-free elimination must
-    reproduce exactly: Fraction arithmetic, largest-diagonal pivoting (first
-    on ties), the same rejection witnesses.  Returns (outcome, perm, L with
-    a zero diagonal)."""
+    """The outcome of the rational pivoted LDL^T that the fraction-free
+    elimination must reproduce exactly: Fraction arithmetic, largest-diagonal
+    pivoting (first on ties), the same pivots and rejection witnesses."""
     a = [[Fraction(x) for x in row] for row in matrix]
     n = len(a)
     low = [[Fraction(0)] * n for _ in range(n)]
@@ -155,7 +134,7 @@ def reference_elimination(matrix):
         for pos, orig in enumerate(perm):
             v[orig] = u[pos]
         value = quadratic_form([[Fraction(x) for x in row] for row in matrix], v)
-        return PsdOutcome(is_psd=False, witness=v, witness_value=value), perm, low
+        return PsdOutcome(is_psd=False, witness=v, witness_value=value)
 
     for k in range(n):
         piv = max(range(k, n), key=lambda j: a[j][j])
@@ -192,7 +171,7 @@ def reference_elimination(matrix):
                     return lift(k, tail)
         pivots.extend([Fraction(0)] * (n - k))
         break
-    return PsdOutcome(is_psd=True, pivots=pivots), perm, low
+    return PsdOutcome(is_psd=True, pivots=pivots)
 
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -268,20 +247,7 @@ def symmetric_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(symmetric_matrices())
 def test_fraction_free_elimination_matches_rational(a):
-    expected, expected_perm, expected_low = reference_elimination(a)
+    expected = reference_elimination(a)
     assert psd_certificate(a) == expected
     if not expected.is_psd:
         assert expected.witness_value < 0
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            ldl_decomposition(a)
-        return
-    perm, low, diag = ldl_decomposition(a)
-    assert diag == expected.pivots and perm == expected_perm
-    n = len(a)
-    for i in range(n):
-        expected_low[i][i] = Fraction(1)
-    assert low == expected_low
-    for i in range(n):
-        for j in range(n):
-            got = sum((low[i][k] * diag[k] * low[j][k] for k in range(n)), Fraction(0))
-            assert got == a[perm[i]][perm[j]]

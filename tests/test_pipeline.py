@@ -10,8 +10,8 @@ from symsos.errors import InvalidInstance, InvalidSystem
 from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              _distinct_rows, _match_columns,
                              check_pseudoexpectation, find_pseudoexpectation,
-                             first_certificate, point_pseudoexpectation,
-                             prove_invariant, pseudoexpectation_value,
+                             point_pseudoexpectation, prove_invariant,
+                             pseudoexpectation_value,
                              refute_invariant_system, variable_count_report)
 from symsos.poly import MonomialBasis, Polynomial
 from symsos.sdp import (FeasibilitySystem, NumericSolution, SolveOutcome,
@@ -317,12 +317,6 @@ def test_prove_requires_invariant_target():
         prove_invariant(inst)
 
 
-def test_first_certificate_wrapper():
-    result, trail = first_certificate(half_integral_knapsack(2), 3)
-    assert result.certified
-    assert trail == [(1, "certificate")]
-
-
 def test_variable_count_report_pinned():
     # refute mode, n = 4, d = 1, one constraint orbit
     report = variable_count_report(half_integral_knapsack(4))
@@ -403,6 +397,19 @@ def test_point_pseudoexpectation_rejects_bad_point():
         point_pseudoexpectation(inst, [[1, 1]])  # violates the constraint
     with pytest.raises(InvalidInstance):
         point_pseudoexpectation(inst, [[frac(1, 2), frac(1, 2)]])  # off domain
+
+
+@pytest.mark.parametrize("degree", [3, 0, -2])
+def test_pseudoexpectation_degree_must_be_even_and_positive(degree):
+    n = 2
+    inst = ProblemInstance(group=GroupSpec.symmetric(n),
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, 1)],
+                           domain_roots=BOOL, degree=1)
+    message = "pseudoexpectation degree must be even and >= 2"
+    with pytest.raises(InvalidInstance, match=message):
+        point_pseudoexpectation(inst, [[1, 0]], degree=degree)
+    with pytest.raises(InvalidInstance, match=message):
+        find_pseudoexpectation(inst, degree=degree)
 
 
 def test_duality_on_small_battery():

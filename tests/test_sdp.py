@@ -42,6 +42,12 @@ def test_system_validation():
     assert sys_.k2 == 1 and sys_.k3 == 1 and sys_.k1 == 1
 
 
+def test_linear_map_narrower_than_psd_matrices_rejected():
+    with pytest.raises(DimensionMismatch, match="fewer columns"):
+        FeasibilitySystem(psd_matrices=[gram(1), gram(1)],
+                          linear_map=[[frac(1)]], rhs=[frac(1)])
+
+
 def test_variable_cap():
     sys_ = FeasibilitySystem(
         psd_matrices=[gram(1)],

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -6,15 +5,14 @@ import pytest
 
 from symsos.linalg import psd_certificate
 from symsos.poly import MonomialBasis, Polynomial, monomials_up_to
-from symsos.symmetry import (GramMatrix, GroupSpec, Permutation, act_on_gram,
+from symsos.symmetry import (GramMatrix, GroupSpec, Permutation,
                              act_on_monomial, act_on_polynomial,
-                             bipartition_count, canonical_monomial,
-                             canonical_pair, enumerate_monomial_orbits,
-                             enumerate_pair_orbits, is_invariant,
-                             is_invariant_system, monomial_orbit_elements,
-                             monomial_orbit_size, orbit_indicator_matrices,
-                             pair_orbit_elements, pair_orbit_size,
-                             reynolds_gram, reynolds_polynomial)
+                             canonical_monomial, canonical_pair,
+                             enumerate_monomial_orbits, enumerate_pair_orbits,
+                             is_invariant, is_invariant_system,
+                             monomial_orbit_elements, monomial_orbit_size,
+                             orbit_indicator_matrices, reynolds_gram,
+                             reynolds_polynomial)
 
 from .test_poly import random_poly
 
@@ -33,26 +31,35 @@ def brute_orbit(group, mono):
     return {act_on_monomial(g, mono) for g in group.elements()}
 
 
+def act_on_gram(g, q):
+    """g * Q: entry (a, b) of Q moves to (g(a), g(b)), so that <g * Q, x x^T>
+    is g applied to <Q, x x^T>."""
+    basis = q.basis
+    image = [basis.index(act_on_monomial(g, m)) for m in basis.entries]
+    out = [[Fraction(0)] * len(basis) for _ in image]
+    for i, r in enumerate(image):
+        for j, c in enumerate(image):
+            out[r][c] = q.entries[i][j]
+    return GramMatrix(basis, out)
+
+
+def bipartitions(k, l, largest=None):
+    """Multisets of pairs (a, b) != (0, 0) of nonnegative integers summing
+    to (k, l), counted as lex-nonincreasing sequences of parts."""
+    if (k, l) == (0, 0):
+        return 1
+    return sum(bipartitions(k - a, l - b, (a, b))
+               for a in range(k + 1) for b in range(l + 1)
+               if (a, b) != (0, 0) and (largest is None or (a, b) <= largest))
+
+
 def test_group_spec_basics():
     g = GroupSpec((2, 1))
     assert g.n == 3
-    assert g.order() == 2
     assert str(g) == "S(2)xS(1)"
-    assert GroupSpec.symmetric(3).order() == 6
-    assert GroupSpec.trivial(4).order() == 1
     assert len(list(GroupSpec((2, 2)).elements())) == 4
     with pytest.raises(ValueError):
         GroupSpec((0, 2))
-
-
-def test_permutation_compose_inverse():
-    g = Permutation((1, 2, 0))
-    assert g.inverse().images == (2, 0, 1)
-    assert g.compose(g.inverse()).images == (0, 1, 2)
-    h = Permutation((1, 0, 2))
-    left = g.compose(h)
-    for i in range(3):
-        assert left.images[i] == g.images[h.images[i]]
 
 
 def test_act_on_monomial_moves_exponents():
@@ -116,19 +123,6 @@ def test_orbit_sizes_against_brute_force():
         assert len(elements) == len(set(elements))
 
 
-def test_pair_orbit_sizes_against_brute_force():
-    rng = random.Random(59)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        group = random_group(rng, n)
-        a = tuple(rng.randint(0, 2) for _ in range(n))
-        b = tuple(rng.randint(0, 2) for _ in range(n))
-        brute = {(act_on_monomial(g, a), act_on_monomial(g, b))
-                 for g in group.elements()}
-        assert pair_orbit_size(group, (a, b)) == len(brute)
-        assert set(pair_orbit_elements(group, (a, b))) == brute
-
-
 def test_enumerate_monomial_orbits_partitions():
     for group in (GroupSpec.symmetric(3), GroupSpec((2, 1)), GroupSpec.trivial(2)):
         for d in (1, 2, 3):
@@ -149,13 +143,6 @@ def test_enumerate_pair_orbits_partitions():
     assert len(table) == 5
 
 
-def test_bipartition_count_small_values():
-    assert bipartition_count(0, 0) == 1
-    assert bipartition_count(1, 0) == 1
-    assert bipartition_count(1, 1) == 2
-    assert bipartition_count(2, 0) == 2
-
-
 def test_bipartition_count_matches_orbit_enumeration():
     # orbits of monomial pairs with fixed degrees (k, l) under S_n, n large
     for k in range(0, 4):
@@ -165,7 +152,7 @@ def test_bipartition_count_matches_orbit_enumeration():
             table = enumerate_pair_orbits(group, max(k, l))
             found = sum(1 for a, b in table.representatives
                         if sum(a) == k and sum(b) == l)
-            assert found == bipartition_count(k, l), (k, l)
+            assert found == bipartitions(k, l), (k, l)
 
 
 def test_gram_matrix_polynomial():
@@ -186,10 +173,11 @@ def test_reynolds_polynomial_is_group_average():
         group = random_group(rng, n)
         p = random_poly(rng, n, 3)
         avg = reynolds_polynomial(group, p)
+        elements = list(group.elements())
         brute = Polynomial.zero(n)
-        for g in group.elements():
+        for g in elements:
             brute = brute + act_on_polynomial(g, p)
-        brute = brute * Fraction(1, group.order())
+        brute = brute * Fraction(1, len(elements))
         assert avg == brute
         assert is_invariant(group, avg)
         assert reynolds_polynomial(group, avg) == avg  # idempotent
@@ -208,11 +196,15 @@ def test_reynolds_gram_is_group_average():
                 entries[i][j] = entries[j][i]
         q = GramMatrix(basis, entries)
         avg = reynolds_gram(group, q)
-        total = GramMatrix(basis)
-        for g in group.elements():
-            total = total.add(act_on_gram(g, q))
-        expected = total.scaled(Fraction(1, group.order()))
-        assert avg == expected
+        elements = list(group.elements())
+        total = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
+        for g in elements:
+            moved = act_on_gram(g, q).entries
+            for i, row in enumerate(moved):
+                for j, x in enumerate(row):
+                    total[i][j] += x
+        expected = [[x / len(elements) for x in row] for row in total]
+        assert avg == GramMatrix(basis, expected)
 
 
 def test_act_on_gram_transforms_polynomial():
