@@ -1,6 +1,6 @@
-"""Multivariate division with quotient tracking, and proof reconstruction.
+"""Normal forms modulo a Groebner basis, and proof reconstruction.
 
-Reduction is plain multivariate division in grlex order against a list of
+Division is multivariate division in grlex order against a list of
 generators that the caller asserts is a Groebner basis (no Buchberger
 completion here).  Quotients are kept because downstream certificate
 reconstruction needs them: reducing both sides of a polynomial identity
@@ -10,13 +10,19 @@ basis elements.
 Finite product domains get a ready-made basis: for each variable x_i a
 univariate generator (x_i - r_1)...(x_i - r_2k) over the 2k domain roots.
 Generators in disjoint single variables form a Groebner basis in any
-monomial order, so the caller assertion is discharged for these.
+monomial order (their leading monomials are pairwise coprime), so the
+caller assertion is discharged for these.  For any basis of that shape,
+one univariate generator per variable, reduce_polynomial reduces term by
+term from per-variable tables of x_i^e mod g_i(x_i); the normal form is
+unique, so it equals divide's remainder.  divide remains for quotients
+and for every other basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidDomain, ReconstructionError
@@ -48,6 +54,59 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.generators)
+
+    @cached_property
+    def _power_tables(self) -> list[_PowerTable] | None:
+        """Variable i's table of x_i^e mod g_i, or None for any other shape.
+
+        The shape is exactly one generator per variable, each univariate
+        in its own variable.  Generators with equal coefficients share a
+        table, so a finite domain basis builds one.
+        """
+        tables: list = [None] * self.n
+        shared: dict = {}
+        for g in self.generators:
+            used = {i for mono in g.terms for i, e in enumerate(mono) if e}
+            if len(used) != 1:
+                return None
+            (i,) = used
+            if tables[i] is not None:
+                return None
+            coeffs = tuple(sorted((mono[i], c) for mono, c in g.terms.items()))
+            if coeffs not in shared:
+                shared[coeffs] = _PowerTable(dict(coeffs))
+            tables[i] = shared[coeffs]
+        if any(t is None for t in tables):
+            return None
+        return tables
+
+
+class _PowerTable:
+    """x^e mod g(x) for one univariate g of degree k, grown on demand.
+
+    A row maps exponents below k to nonzero coefficients.  Row e - k is
+    x^e mod g for e >= k: row 0 is x^k - g / lc(g), and each further row
+    is x times the previous one with its x^k term replaced by row 0.
+    """
+
+    __slots__ = ("k", "_rows")
+
+    def __init__(self, coeffs: dict[int, Fraction]):
+        self.k = max(coeffs)
+        lc = coeffs[self.k]
+        self._rows = [{e: -c / lc for e, c in coeffs.items() if e != self.k}]
+
+    def row(self, e: int) -> dict[int, Fraction]:
+        rows, k = self._rows, self.k
+        while len(rows) <= e - k:
+            prev = rows[-1]
+            top = prev.get(k - 1, 0)
+            nxt = {f: top * c for f, c in rows[0].items()}
+            for f, c in prev.items():
+                if f + 1 < k:
+                    nxt[f + 1] = nxt.get(f + 1, 0) + c
+            rows.append({f: c for f, c in nxt.items() if c})
+        return rows[e - k]
 
 
 @dataclass
@@ -119,7 +178,29 @@ def divide(dividend: Polynomial, basis: GroebnerBasis) -> DivisionResult:
 
 
 def reduce_polynomial(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    return divide(p, basis).remainder
+    """The normal form of p modulo basis: divide(p, basis).remainder.
+
+    With one univariate generator per variable, each exponent e >= k_i of
+    a term is replaced by the table row x_i^e mod g_i; the product of the
+    rows is already reduced.  Other bases go through divide.
+    """
+    tables = basis._power_tables
+    if tables is None:
+        return divide(p, basis).remainder
+    if p.n != basis.n:
+        raise DimensionMismatch(
+            f"dividend over {p.n} variables, basis over {basis.n}")
+    out: dict = {}
+    for mono, coeff in p.terms.items():
+        terms = [(mono, coeff)]
+        for i, e in enumerate(mono):
+            if e >= tables[i].k:
+                row = tables[i].row(e).items()
+                terms = [(m[:i] + (f,) + m[i + 1:], c * a)
+                         for m, c in terms for f, a in row]
+        for m, c in terms:
+            out[m] = out.get(m, 0) + c
+    return Polynomial(p.n, out)
 
 
 def finite_domain_basis(n: int, roots: Sequence) -> GroebnerBasis:

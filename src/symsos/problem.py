@@ -249,7 +249,11 @@ def parse_problem(text: str) -> ProblemFile:
         value, line, column = raw["domain"]
         pf.domain_roots = _parse_domain(value, line, column)
     for value, line, column in repeats["groebner"]:
-        pf.groebner_polys.append(parse_polynomial(value, n, line, column - 1))
+        g = parse_polynomial(value, n, line, column - 1)
+        if g.is_zero():
+            raise ParseError("groebner generator is zero", line,
+                             column + len(value) - len(value.lstrip()))
+        pf.groebner_polys.append(g)
     for value, line, column in repeats["eq"]:
         pf.equalities.append(parse_polynomial(value, n, line, column - 1))
     if "target" in raw:

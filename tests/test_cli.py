@@ -166,6 +166,18 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generator", ["0", "x1 - x1"])
+@pytest.mark.parametrize("command", ["refute", "reduce", "orbits"])
+def test_zero_groebner_generator_exits_2(tmp_path, capsys, command, generator):
+    problem = write(tmp_path, "zero.sos",
+                    f"vars: 2\ngroebner: x1^2 - x1\ngroebner:  {generator}\n"
+                    "eq: x1 + x2 - 1/2\ntarget: refute\n")
+    assert cli.main([command, problem]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: groebner generator is zero")
+    assert "(line 3, column 12)" in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()

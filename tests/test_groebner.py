@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symsos.errors import InvalidDomain, ReconstructionError
+from symsos import groebner
+from symsos.errors import DimensionMismatch, InvalidDomain, ReconstructionError
 from symsos.groebner import (GroebnerBasis, boolean_basis, divide,
                              finite_domain_basis, reconstruct_proof,
                              reduce_identity, reduce_polynomial)
@@ -144,3 +147,100 @@ def test_reconstruct_proof_mismatch_raises_with_residual():
 def test_basis_rejects_zero_generator():
     with pytest.raises(ValueError):
         GroebnerBasis((Polynomial.zero(1),))
+
+
+# -- reduce_polynomial against divide -------------------------------------
+
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+NONZERO = RATIONALS.filter(bool)
+
+
+def x(n, i, e=1):
+    return Polynomial.monomial(n, tuple(e if j == i else 0 for j in range(n)))
+
+
+@st.composite
+def polynomials(draw, n):
+    monos = st.tuples(*[st.integers(0, 8)] * n)
+    return Polynomial(n, draw(st.dictionaries(monos, RATIONALS, max_size=6)))
+
+
+@st.composite
+def univariate_bases(draw):
+    """One univariate generator per variable: a finite domain of 2, 4 or 6
+    rational roots, or arbitrary non-monic generators of degree 1 to 4."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        size = draw(st.sampled_from([2, 4, 6]))
+        roots = draw(st.sets(RATIONALS, min_size=size, max_size=size))
+        return finite_domain_basis(n, sorted(roots))
+    gens = []
+    for i in range(n):
+        k = draw(st.integers(1, 4))
+        g = draw(NONZERO) * x(n, i, k)
+        for e in range(k):
+            g = g + draw(RATIONALS) * x(n, i, e)
+        gens.append(g)
+    return GroebnerBasis(tuple(gens))
+
+
+def fallback_bases():
+    """Bases outside the one-univariate-generator-per-variable shape."""
+    x1, x2 = x(2, 0), x(2, 1)
+    return [
+        GroebnerBasis((x1 - x2, x2 * x2 - x2)),               # two variables
+        GroebnerBasis((x1 * x1 - x1, x1 ** 3 - x1, x2 * x2 - x2)),  # two on x1
+        GroebnerBasis((x1 * x1 - x1, x2 * x2 - x2,
+                       Polynomial.constant(2, 3))),           # nonzero constant
+        GroebnerBasis((x1 * x1 - x1,)),                       # x2 has none
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_reduce_matches_division_on_univariate_bases(data):
+    gb = data.draw(univariate_bases())
+    p = data.draw(polynomials(gb.n))
+    assert reduce_polynomial(p, gb) == divide(p, gb).remainder
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(fallback_bases()), polynomials(2))
+def test_reduce_matches_division_on_fallback_bases(gb, p):
+    assert reduce_polynomial(p, gb) == divide(p, gb).remainder
+
+
+def counting_divide(monkeypatch):
+    calls = []
+    real = groebner.divide
+
+    def counted(p, basis):
+        calls.append(p)
+        return real(p, basis)
+
+    monkeypatch.setattr(groebner, "divide", counted)
+    return calls
+
+
+def test_product_domain_reduction_makes_no_division(monkeypatch):
+    calls = counting_divide(monkeypatch)
+    gb = finite_domain_basis(3, (Fraction(0), Fraction(1), Fraction(-1), Fraction(2)))
+    p = random_poly(random.Random(41), 3, 8, terms=8)
+    reduce_polynomial(p, gb)
+    assert calls == []
+    reconstruct_proof(p, reduce_polynomial(p, gb), [], gb)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("index", range(len(fallback_bases())))
+def test_other_bases_reduce_by_division(monkeypatch, index):
+    gb = fallback_bases()[index]
+    calls = counting_divide(monkeypatch)
+    reduce_polynomial(x(2, 0, 3) * x(2, 1, 2), gb)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gb", [boolean_basis(2), fallback_bases()[0]])
+def test_reduce_rejects_arity_mismatch(gb):
+    with pytest.raises(DimensionMismatch):
+        reduce_polynomial(x(3, 0, 2), gb)
