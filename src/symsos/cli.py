@@ -3,7 +3,7 @@
 Exit codes: 0 success/accepted, 1 rejected or no certificate found,
 2 usage or parse error, 3 resource or numeric failure.  Certificate
 files are byte-identical across runs for identical inputs and flags:
-iteration orders are fixed and the solver seed defaults to 0.
+iteration orders are fixed and the solver makes one attempt from zero.
 
 Numeric output (solver diagnostics, pseudoexpectation moments) is always
 labelled as such; a "certified" line is printed only after a certificate
@@ -54,7 +54,7 @@ def _problem(args) -> tuple[ProblemFile, ProblemInstance]:
 def _config(pf: ProblemFile, args) -> SolverConfig:
     opts = dict(pf.options)
     for key, attr in (("tolerance", "tolerance"), ("denom-bound", "denom_bound"),
-                      ("max-iters", "max_iters"), ("seed", "seed")):
+                      ("max-iters", "max_iters")):
         value = getattr(args, attr, None)
         if value is not None:
             opts[key] = value
@@ -62,9 +62,7 @@ def _config(pf: ProblemFile, args) -> SolverConfig:
     return SolverConfig(tolerance=opts.get("tolerance", default.tolerance),
                         max_iters=opts.get("max-iters", default.max_iters),
                         denominator_bound=opts.get("denom-bound",
-                                                   default.denominator_bound),
-                        seed=opts.get("seed", default.seed),
-                        restarts=opts.get("restarts", default.restarts))
+                                                   default.denominator_bound))
 
 
 def _mono_str(n: int, mono) -> str:
@@ -256,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None)
             p.add_argument("--max-iters", dest="max_iters", type=int,
                            default=None)
-            p.add_argument("--seed", type=int, default=None)
             p.add_argument("-o", "--output", default=None,
                            help="certificate output path")
         p.set_defaults(func=func)

@@ -3,9 +3,8 @@
 Division is multivariate division in grlex order against a list of
 generators that the caller asserts is a Groebner basis (no Buchberger
 completion here).  Quotients are kept because downstream certificate
-reconstruction needs them: reducing both sides of a polynomial identity
-and differencing the recorded quotients recovers exact cofactors on the
-basis elements.
+reconstruction needs them: dividing the difference of the two sides of a
+polynomial identity recovers exact cofactors on the basis elements.
 
 Finite product domains get a ready-made basis: for each variable x_i a
 univariate generator (x_i - r_1)...(x_i - r_2k) over the 2k domain roots.
@@ -252,11 +251,11 @@ def reconstruct_proof(target: Polynomial,
     combo = sigma
     for mult, constr in equality_products:
         combo = combo + mult * constr
-    div_target = divide(target, basis)
-    div_combo = divide(combo, basis)
-    residual = div_target.remainder - div_combo.remainder
-    if not residual.is_zero():
+    # With the generator order fixed, division is linear in the dividend,
+    # so one division of the difference yields both residual and cofactors.
+    div = divide(target - combo, basis)
+    if not div.remainder.is_zero():
         raise ReconstructionError(
             "reduced sides disagree; no cofactors exist for this identity",
-            residual=residual)
-    return [rho - q for rho, q in zip(div_target.quotients, div_combo.quotients)]
+            residual=div.remainder)
+    return div.quotients

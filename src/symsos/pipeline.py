@@ -366,10 +366,13 @@ def refute_invariant_system(inst: ProblemInstance,
 # -- pseudoexpectations ------------------------------------------------------
 
 
-def _irreducible(mono: Monomial, gb: Optional[GroebnerBasis]) -> bool:
+def _irreducible(monos: Sequence[Monomial],
+                 gb: Optional[GroebnerBasis]) -> list[Monomial]:
+    """The monomials that no generator's leading monomial divides."""
     if gb is None:
-        return True
-    return not any(mono_divides(g.leading_monomial(), mono) for g in gb.generators)
+        return list(monos)
+    leads = [g.leading_monomial() for g in gb.generators]
+    return [m for m in monos if not any(mono_divides(lm, m) for lm in leads)]
 
 
 def _pseudoexpectation_degree(inst: ProblemInstance, degree: Optional[int]) -> int:
@@ -394,7 +397,7 @@ def find_pseudoexpectation(inst: ProblemInstance, degree: Optional[int] = None,
     n = inst.n
     gb = inst.groebner
     mono_table = enumerate_monomial_orbits(inst.group, deg)
-    reps = [r for r in mono_table.representatives if _irreducible(r, gb)]
+    reps = _irreducible(mono_table.representatives, gb)
     slot = {r: i for i, r in enumerate(reps)}
 
     def moment_row(p: Polynomial) -> list[Fraction]:
@@ -459,7 +462,7 @@ def point_pseudoexpectation(inst: ProblemInstance, points: Sequence[Sequence],
                     raise InvalidInstance(f"point {pt} is outside the domain")
     gb = inst.groebner
     mono_table = enumerate_monomial_orbits(inst.group, deg)
-    reps = [r for r in mono_table.representatives if _irreducible(r, gb)]
+    reps = _irreducible(mono_table.representatives, gb)
     moments = {}
     for rep in reps:
         members = list(monomial_orbit_elements(inst.group, rep))

@@ -20,7 +20,7 @@ from .poly import Polynomial
 from .symmetry import GroupSpec
 
 _SCALAR_KEYS = {"vars", "group", "domain", "target", "degree", "epsilon",
-                "tolerance", "denom-bound", "max-iters", "seed", "restarts"}
+                "tolerance", "denom-bound", "max-iters"}
 _REPEAT_KEYS = {"eq", "groebner"}
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<var>x\d+)|(?P<op>[*^/+-]))")
@@ -270,7 +270,7 @@ def parse_problem(text: str) -> ProblemFile:
         pf.epsilon = parse_rational(value, line, column)
         if pf.epsilon < 0:
             raise ParseError("epsilon must be nonnegative", line, column)
-    for key in ("tolerance", "denom-bound", "max-iters", "seed", "restarts"):
+    for key in ("tolerance", "denom-bound", "max-iters"):
         if key in raw:
             value, line, column = raw[key]
             if key == "tolerance":

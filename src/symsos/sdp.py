@@ -4,11 +4,12 @@ The systems solved here are tiny after symmetry reduction, so the solver
 favors simplicity and determinism over raw speed: projected alternating
 minimization (exact affine projection onto the linear constraints, spectral
 clipping of the PSD combination pulled back to coefficient space by least
-squares), with a log-det barrier damped Newton polish when the alternation
-stalls, and seeded jittered restarts.  Floats live only in this file;
-rationalize() rounds a numeric solution back to exact rationals and
-re-closes the linear system exactly; the one exact PSD check of the result
-is certificates.verify, run by the caller on the finished certificate.
+squares), then one log-det barrier damped Newton polish when the
+alternation does not land inside.  It is one deterministic attempt from
+zero, with no restarts.  Floats live only in this file; rationalize()
+rounds a numeric solution back to exact rationals and re-closes the linear
+system exactly; the one exact PSD check of the result is
+certificates.verify, run by the caller on the finished certificate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +31,8 @@ MAX_VARIABLES = 512
 @dataclass
 class SolverConfig:
     tolerance: float = 1e-9
-    max_iters: int = 1600  # alternation steps, shared by all restarts
+    max_iters: int = 400  # total alternation steps
     denominator_bound: int = 2 ** 32
-    seed: int = 0
-    restarts: int = 3
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -42,10 +41,6 @@ class SolverConfig:
             raise InvalidInstance("max-iters must be at least 1")
         if self.denominator_bound < 1:
             raise InvalidInstance("denom-bound must be at least 1")
-        if self.seed < 0:
-            raise InvalidInstance("seed must be nonnegative")
-        if self.restarts < 0:
-            raise InvalidInstance("restarts must be nonnegative")
 
 
 @dataclass
@@ -152,11 +147,9 @@ def solve_feasibility(system: FeasibilitySystem,
         s = (gmat @ y[:k2]).reshape(dim, dim)
         return (s + s.T) / 2.0
 
-    rng = np.random.default_rng(cfg.seed)
-    total_iters = 0
+    iters = 0
     best_lin = math.inf
     best_deficit = math.inf
-    per_attempt = max(cfg.max_iters // (cfg.restarts + 1), 1)
 
     def measure(y: np.ndarray) -> tuple[float, Optional[SolveOutcome]]:
         """Linear residual plus PSD deficit of y (each folded into the best
@@ -174,81 +167,67 @@ def solve_feasibility(system: FeasibilitySystem,
             return lin + deficit, None
         sol = NumericSolution(values=[float(v) for v in y],
                               psd_min_eigenvalue_estimate=min_eig,
-                              linear_residual_norm=lin, iterations=total_iters)
-        return lin + deficit, SolveOutcome(True, sol, lin, deficit, total_iters)
+                              linear_residual_norm=lin, iterations=iters)
+        return lin + deficit, SolveOutcome(True, sol, lin, deficit, iters)
 
-    for attempt in range(cfg.restarts + 1):
-        if attempt == 0:
-            y = project_affine(np.zeros(nvar))
-        else:
-            y = project_affine(rng.standard_normal(nvar))
-        push = 1e-2
-        stall = 0
-        prev_err = math.inf
-        for _ in range(per_attempt):
-            total_iters += 1
-            err, found = measure(y)
-            if found:
-                return found
-            if err >= prev_err - 1e-15:
-                stall += 1
-            else:
-                stall = 0
-            prev_err = err
-            if stall >= 40:
-                if push > cfg.tolerance:
-                    push *= 0.25
-                    stall = 0
-                else:
-                    break
-            s = matrix_of(y)
-            w, v = np.linalg.eigh(s)
-            clipped = np.maximum(w, push)
-            target = (v * clipped) @ v.T
-            a_new = gpinv @ target.reshape(-1)
-            y = np.concatenate([a_new, y[k2:]])
-            y = project_affine(y)
-        # Alternation did not land inside: barrier polish from the best
-        # affine-feasible point of this attempt.
-        y = _logdet_newton(gmat, amat, rhs, y, k2, cfg)
-        y = project_affine(y)
-        found = measure(y)[1]
+    y = project_affine(np.zeros(nvar))
+    push = 1e-2
+    stall = 0
+    prev_err = math.inf
+    for _ in range(cfg.max_iters):
+        iters += 1
+        err, found = measure(y)
         if found:
             return found
-    return SolveOutcome(False, None, best_lin, best_deficit, total_iters)
-
-
-def _logdet_newton(gmat: np.ndarray, amat: np.ndarray, rhs: np.ndarray,
-                   y0: np.ndarray, k2: int, cfg: SolverConfig) -> np.ndarray:
-    """Damped Newton ascent of log det(S(y) + shift I) - mu |y|^2 over the
-    affine set, with the shift driven toward zero.  The mu term bounds the
-    objective when the cone is unbounded, keeping iterates at a moderate
-    scale (small coordinates rationalize to small fractions later).
-    Returns the best iterate found."""
-    mu = 1e-6
-    nvar = y0.shape[0]
-    dim = int(round(math.sqrt(gmat.shape[0])))
-    if amat.shape[0]:
-        u, sv, vt = np.linalg.svd(amat)
-        rank = int(np.sum(sv > sv[0] * 1e-12)) if sv.size else 0
+        if err >= prev_err - 1e-15:
+            stall += 1
+        else:
+            stall = 0
+        prev_err = err
+        if stall >= 40:
+            if push > cfg.tolerance:
+                push *= 0.25
+                stall = 0
+            else:
+                break
+        s = matrix_of(y)
+        w, v = np.linalg.eigh(s)
+        clipped = np.maximum(w, push)
+        target = (v * clipped) @ v.T
+        a_new = gpinv @ target.reshape(-1)
+        y = np.concatenate([a_new, y[k2:]])
+        y = project_affine(y)
+    # Alternation did not land inside: barrier polish from its last
+    # iterate, over the null space of the linear rows.
+    if k1:
+        _, sv, vt = np.linalg.svd(amat)
+        rank = int(np.sum(sv > sv[0] * 1e-12))
         null = vt[rank:].T  # (nvar, m)
-        # Restore exact-ish affine feasibility of the base point.
-        y0 = y0 - np.linalg.pinv(amat) @ (amat @ y0 - rhs)
     else:
         null = np.eye(nvar)
+    y = _logdet_newton(matrix_of, project_affine(y), null, cfg)
+    found = measure(project_affine(y))[1]
+    return found or SolveOutcome(False, None, best_lin, best_deficit, iters)
+
+
+def _logdet_newton(matrix_of: Callable[[np.ndarray], np.ndarray],
+                   y0: np.ndarray, null: np.ndarray,
+                   cfg: SolverConfig) -> np.ndarray:
+    """Damped Newton ascent of log det(S(y) + shift I) - mu |y|^2 over the
+    affine set y0 + span(null), with the shift driven toward zero.  S is
+    matrix_of, linear in y.  The mu term bounds the objective when the
+    cone is unbounded, keeping iterates at a moderate scale (small
+    coordinates rationalize to small fractions later).  Returns the best
+    iterate found."""
+    mu = 1e-6
     m = null.shape[1]
     if m == 0:
         return y0
-
-    def s_of(y: np.ndarray) -> np.ndarray:
-        s = (gmat @ y[:k2]).reshape(dim, dim)
-        return (s + s.T) / 2.0
-
-    directions = [ (gmat @ null[:k2, j]).reshape(dim, dim) for j in range(m) ]
-    directions = [ (d + d.T) / 2.0 for d in directions ]
+    directions = np.stack([matrix_of(null[:, j]) for j in range(m)])
+    eye = np.eye(directions.shape[1])
 
     def min_eig(y: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(s_of(y))[0])
+        return float(np.linalg.eigvalsh(matrix_of(y))[0])
 
     best = y0.copy()
     best_eig = min_eig(best)
@@ -256,7 +235,7 @@ def _logdet_newton(gmat: np.ndarray, amat: np.ndarray, rhs: np.ndarray,
     shift = max(0.0, -best_eig) + 1.0
     for _ in range(40):
         for _ in range(25):
-            s = s_of(y) + shift * np.eye(dim)
+            s = matrix_of(y) + shift * eye
             if _logdet(s) is None:
                 shift *= 4.0
                 continue
@@ -266,13 +245,8 @@ def _logdet_newton(gmat: np.ndarray, amat: np.ndarray, rhs: np.ndarray,
                 # Cholesky can pass on a huge iterate that LU still finds
                 # singular; the polish cannot go on from there.
                 return best
-            grad = np.array([np.trace(sinv @ d) for d in directions])
+            grad, hess = _barrier_derivatives(sinv, directions)
             grad -= 2.0 * mu * (null.T @ y)
-            hess = np.empty((m, m))
-            for i in range(m):
-                sd = sinv @ directions[i]
-                for j in range(i, m):
-                    hess[i, j] = hess[j, i] = np.trace(sd @ sinv @ directions[j])
             hess += 2.0 * mu * np.eye(m)
             try:
                 step = np.linalg.solve(hess + 1e-12 * np.eye(m), grad)
@@ -284,8 +258,7 @@ def _logdet_newton(gmat: np.ndarray, amat: np.ndarray, rhs: np.ndarray,
             improved = False
             for _ in range(30):
                 cand = y + scale * (null @ step)
-                s_cand = s_of(cand) + shift * np.eye(dim)
-                val = _logdet(s_cand)
+                val = _logdet(matrix_of(cand) + shift * eye)
                 if val is not None and val - mu * float(cand @ cand) > cur + 1e-14:
                     y = cand
                     improved = True
@@ -303,6 +276,14 @@ def _logdet_newton(gmat: np.ndarray, amat: np.ndarray, rhs: np.ndarray,
         if shift < cfg.tolerance / 4:
             break
     return best
+
+
+def _barrier_derivatives(sinv: np.ndarray,
+                         directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient tr(S^-1 D_i) and negated Hessian tr(S^-1 D_i S^-1 D_j) of
+    log det S along the stacked directions D, given sinv = S^-1."""
+    sd = sinv @ directions
+    return np.trace(sd, axis1=1, axis2=2), np.einsum("iab,jba->ij", sd, sd)
 
 
 def _logdet(s: np.ndarray) -> Optional[float]:

@@ -207,14 +207,29 @@ def test_prove_tight_target_exits_with_documented_code(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("flags,option", [
-    (["--seed", "-1"], ""),
-    (["--denom-bound", "0"], ""),
-    ([], "restarts: -1\n"),
-    (["--max-iters", "-5"], ""),
-    (["--tolerance", "nan"], ""),
-], ids=["seed", "denom-bound", "restarts", "max-iters", "tolerance"])
-def test_bad_solver_settings_exit_2(tmp_path, capsys, flags, option):
-    problem = write(tmp_path, "k2.sos", KNAPSACK2 + option)
+@pytest.mark.parametrize("flags", [
+    ["--denom-bound", "0"],
+    ["--max-iters", "-5"],
+    ["--tolerance", "nan"],
+], ids=["denom-bound", "max-iters", "tolerance"])
+def test_bad_solver_settings_exit_2(tmp_path, capsys, flags):
+    problem = write(tmp_path, "k2.sos", KNAPSACK2)
     assert cli.main(["refute", problem] + flags) == cli.EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_seed_flag_is_rejected(tmp_path, capsys):
+    # The solver makes one deterministic attempt; there is no seed to set.
+    problem = write(tmp_path, "k2.sos", KNAPSACK2)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["refute", problem, "--seed", "0"])
+    assert info.value.code == cli.EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["seed: 0\n", "restarts: 3\n"],
+                         ids=["seed", "restarts"])
+def test_restart_keys_are_unknown(tmp_path, capsys, line):
+    problem = write(tmp_path, "k2.sos", KNAPSACK2 + line)
+    assert cli.main(["refute", problem]) == cli.EXIT_USAGE
+    assert "unknown key" in capsys.readouterr().err

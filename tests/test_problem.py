@@ -151,7 +151,7 @@ def test_round_trip_random_instances():
             domain_roots=(frac(0), frac(1)) if rng.random() < 0.7 else None,
             target=target, degree=rng.randint(1, 3),
             epsilon=frac(rng.randint(0, 3), 4) if rng.random() < 0.5 else None,
-            options={"seed": rng.randint(0, 9)} if rng.random() < 0.3 else {})
+            options={"max-iters": rng.randint(1, 9)} if rng.random() < 0.3 else {})
         text = serialize_problem(pf)
         back = parse_problem(text)
         assert back == pf, text

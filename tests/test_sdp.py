@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symsos import sdp
 from symsos.errors import DimensionMismatch, ResourceLimit
 from symsos.poly import MonomialBasis
 from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, NumericSolution,
@@ -111,9 +113,43 @@ def test_max_iters_is_the_total_budget():
 
 
 def test_solver_deterministic():
-    a = solve_feasibility(small_system(), SolverConfig(seed=0))
-    b = solve_feasibility(small_system(), SolverConfig(seed=0))
+    a = solve_feasibility(small_system())
+    b = solve_feasibility(small_system())
     assert a.solution.values == b.solution.values
+
+
+def test_solver_config_has_only_its_three_settings():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "tolerance", "max_iters", "denominator_bound"]
+
+
+def test_give_up_polishes_once(monkeypatch):
+    calls = []
+    real = sdp._logdet_newton
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sdp, "_logdet_newton", counted)
+    out = solve_feasibility(psd_conflict_with_free_direction())
+    assert not out.feasible
+    assert len(calls) == 1
+
+
+def test_barrier_derivatives_match_trace_loops():
+    rng = np.random.default_rng(5)
+    for dim, m in ((1, 1), (4, 3), (9, 7)):
+        root = rng.standard_normal((dim, dim))
+        sinv = root @ root.T + np.eye(dim)
+        raw = rng.standard_normal((m, dim, dim))
+        directions = (raw + raw.transpose(0, 2, 1)) / 2.0
+        grad, hess = sdp._barrier_derivatives(sinv, directions)
+        ref_grad = [np.trace(sinv @ d) for d in directions]
+        ref_hess = [[np.trace(sinv @ di @ sinv @ dj) for dj in directions]
+                    for di in directions]
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12)
 
 
 def test_simplest_in_interval():
