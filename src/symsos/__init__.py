@@ -18,7 +18,7 @@ from .pipeline import (PipelineResult, ProblemInstance, Pseudoexpectation,
 from .poly import Monomial, MonomialBasis, Polynomial, coefficient_norm
 from .problem import ProblemFile, parse_polynomial, parse_problem, serialize_problem
 from .sdp import (FeasibilitySystem, RationalizeOutcome, SolveOutcome,
-                  SolverConfig, combination, rationalize, simplest_in_interval,
+                  combination, rationalize, simplest_in_interval,
                   solve_feasibility)
 from .symmetry import (GramMatrix, GroupSpec, OrbitTable, Permutation,
                        canonical_monomial, canonical_pair,

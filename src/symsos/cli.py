@@ -1,9 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 success/accepted, 1 rejected or no certificate found,
-2 usage or parse error, 3 resource or numeric failure.  Certificate
-files are byte-identical across runs for identical inputs and flags:
-iteration orders are fixed and the solver makes one attempt from zero.
+2 usage, parse or unreadable-file error, 3 resource or numeric failure.
+Certificate files are byte-identical across runs for identical inputs and
+flags: iteration orders are fixed and the solver makes one attempt from
+zero.  The solver takes no settings, and each subcommand accepts only the
+flags it reads.
 
 Numeric output (solver diagnostics, pseudoexpectation moments) is always
 labelled as such; a "certified" line is printed only after a certificate
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -27,8 +28,7 @@ from .pipeline import (ProblemInstance, check_pseudoexpectation,
                        find_pseudoexpectation, prove_invariant,
                        refute_invariant_system, variable_count_report)
 from .poly import Polynomial
-from .problem import ProblemFile, parse_problem
-from .sdp import SolverConfig
+from .problem import parse_problem, parse_rational
 from .symmetry import reynolds_polynomial
 
 EXIT_OK = 0
@@ -42,27 +42,13 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _problem(args) -> tuple[ProblemFile, ProblemInstance]:
+def _problem(args) -> ProblemInstance:
     pf = parse_problem(_read(args.file))
     if getattr(args, "degree", None) is not None:
         pf.degree = args.degree
     if getattr(args, "epsilon", None) is not None:
-        pf.epsilon = Fraction(args.epsilon)
-    return pf, pf.instance()
-
-
-def _config(pf: ProblemFile, args) -> SolverConfig:
-    opts = dict(pf.options)
-    for key, attr in (("tolerance", "tolerance"), ("denom-bound", "denom_bound"),
-                      ("max-iters", "max_iters")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            opts[key] = value
-    default = SolverConfig()
-    return SolverConfig(tolerance=opts.get("tolerance", default.tolerance),
-                        max_iters=opts.get("max-iters", default.max_iters),
-                        denominator_bound=opts.get("denom-bound",
-                                                   default.denominator_bound))
+        pf.epsilon = parse_rational(args.epsilon)
+    return pf.instance()
 
 
 def _mono_str(n: int, mono) -> str:
@@ -78,7 +64,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 
 def _cmd_orbits(args) -> int:
-    pf, inst = _problem(args)
+    inst = _problem(args)
     report = variable_count_report(inst)
     payload = {k: getattr(report, k) for k in (
         "n", "gram_degree", "w_size", "pair_orbit_count", "indicator_count",
@@ -97,7 +83,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    pf, inst = _problem(args)
+    inst = _problem(args)
     if inst.groebner is None:
         print("error: nothing to reduce by (no domain or groebner lines)",
               file=sys.stderr)
@@ -116,7 +102,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_reynolds(args) -> int:
-    pf, inst = _problem(args)
+    inst = _problem(args)
     pairs = [("eq", p) for p in inst.equalities]
     if inst.target is not None:
         pairs.append(("target", inst.target))
@@ -134,12 +120,11 @@ def _cmd_reynolds(args) -> int:
 
 
 def _run_search(args, mode: str) -> int:
-    pf, inst = _problem(args)
-    cfg = _config(pf, args)
+    inst = _problem(args)
     if mode == "prove":
-        result = prove_invariant(inst, cfg)
+        result = prove_invariant(inst)
     else:
-        result = refute_invariant_system(inst, cfg)
+        result = refute_invariant_system(inst)
     if not result.certified:
         detail = result.reason or "unknown"
         payload = {"status": result.status, "reason": detail}
@@ -176,14 +161,13 @@ def _run_search(args, mode: str) -> int:
 
 
 def _cmd_pseudoexpect(args) -> int:
-    pf, inst = _problem(args)
-    cfg = _config(pf, args)
-    pe = find_pseudoexpectation(inst, config=cfg)
+    inst = _problem(args)
+    pe = find_pseudoexpectation(inst)
     if pe is None:
         _emit(args, {"status": "none-found"},
               ["no pseudoexpectation found (numeric evidence)"])
         return EXIT_NONE
-    valid = check_pseudoexpectation(inst, pe, tolerance=cfg.tolerance * 1e3)
+    valid = check_pseudoexpectation(inst, pe)
     moments = {_mono_str(inst.n, m): f"{v:.12g}" for m, v in
                sorted(pe.moments.items(), key=lambda kv: (sum(kv[0]), kv[0]))}
     payload = {"status": "numeric-pseudoexpectation", "degree": pe.degree,
@@ -238,40 +222,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, cert_input=False, search=False):
+    def add(name, func, help_text, file_help="problem file", degree=False,
+            epsilon=False, output=False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="certificate file" if cert_input
-                       else "problem file")
+        p.add_argument("file", help=file_help)
         p.add_argument("--json", action="store_true",
                        help="machine readable output")
-        if not cert_input:
+        if degree:
             p.add_argument("--degree", type=int, default=None)
-        if search:
+        if epsilon:
             p.add_argument("--epsilon", default=None,
                            help="rational slack added to the target")
-            p.add_argument("--tolerance", type=float, default=None)
-            p.add_argument("--denom-bound", dest="denom_bound", type=int,
-                           default=None)
-            p.add_argument("--max-iters", dest="max_iters", type=int,
-                           default=None)
+        if output:
             p.add_argument("-o", "--output", default=None,
                            help="certificate output path")
         p.set_defaults(func=func)
-        return p
 
-    add("orbits", _cmd_orbits, "print variable counts before and after reduction")
+    add("orbits", _cmd_orbits, "print variable counts before and after reduction",
+        degree=True)
     add("reduce", _cmd_reduce, "reduce the file's polynomials modulo the domain")
     add("reynolds", _cmd_reynolds, "print group averages of the file's polynomials")
     add("prove", lambda a: _run_search(a, "prove"),
-        "search for an invariant proof of the target", search=True)
+        "search for an invariant proof of the target", degree=True,
+        epsilon=True, output=True)
     add("refute", lambda a: _run_search(a, "refute"),
-        "search for an invariant refutation of the constraints", search=True)
+        "search for an invariant refutation of the constraints", degree=True,
+        output=True)
     add("pseudoexpect", _cmd_pseudoexpect,
-        "search numerically for a symmetric pseudoexpectation", search=True)
+        "search numerically for a symmetric pseudoexpectation", degree=True)
     add("verify", _cmd_verify, "check a certificate file exactly",
-        cert_input=True)
+        file_help="certificate file")
     add("bitsize", _cmd_bitsize, "report coefficient bit sizes of a certificate",
-        cert_input=True)
+        file_help="certificate file")
     return parser
 
 
@@ -283,7 +265,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # An unreadable input or unwritable output path.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceLimit, OverflowError, MemoryError) as exc:

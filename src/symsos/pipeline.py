@@ -34,8 +34,8 @@ from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
 from .poly import Monomial, MonomialBasis, Polynomial, mono_divides, monomials_up_to
-from .sdp import (FeasibilitySystem, SolveOutcome, SolverConfig, combination,
-                  rationalize, solve_feasibility)
+from .sdp import (FeasibilitySystem, SolveOutcome, combination, rationalize,
+                  solve_feasibility)
 from .symmetry import (GramMatrix, GroupSpec, OrbitTable, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system,
@@ -247,9 +247,7 @@ class _SearchSpec:
     epsilon: Optional[Fraction] = None
 
 
-def _search(inst: ProblemInstance, spec: _SearchSpec,
-            config: Optional[SolverConfig]) -> PipelineResult:
-    cfg = config or SolverConfig()
+def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     gb = inst.groebner
     table = enumerate_pair_orbits(inst.group, spec.gram_degree)
     indicators = orbit_indicator_matrices(table, MonomialBasis(inst.n, spec.gram_degree))
@@ -264,14 +262,13 @@ def _search(inst: ProblemInstance, spec: _SearchSpec,
     a_cols = [_reduced(q.to_polynomial(), gb) for q in indicators]
     amat, rhs = _match_columns(a_cols + spec.free_columns, _reduced(spec.goal, gb))
     system = FeasibilitySystem(psd_matrices=indicators, linear_map=amat, rhs=rhs)
-    outcome = solve_feasibility(system, cfg)
+    outcome = solve_feasibility(system)
     if not outcome.feasible:
         return no_certificate("solver-infeasible", outcome)
     k2 = len(indicators)
     # verify is the one exact check; a sigma that is not PSD tries a finer window.
     for window in RATIONALIZE_WINDOWS:
-        rat = rationalize(outcome.solution, system,
-                          denominator_bound=cfg.denominator_bound, window=window)
+        rat = rationalize(outcome.solution, system, window=window)
         if not rat.ok:
             continue
         sigma = combination(system, rat.values[:k2])
@@ -299,8 +296,7 @@ def _search(inst: ProblemInstance, spec: _SearchSpec,
     return no_certificate("rationalization-failed", outcome)
 
 
-def prove_invariant(inst: ProblemInstance,
-                    config: Optional[SolverConfig] = None) -> PipelineResult:
+def prove_invariant(inst: ProblemInstance) -> PipelineResult:
     """Search for target + epsilon == sigma + sum lambda_j p_j (mod the ring),
     with sigma and every lambda_j invariant, at Gram degree inst.degree."""
     if inst.target is None:
@@ -333,11 +329,10 @@ def prove_invariant(inst: ProblemInstance,
         goal=inst.target + Polynomial.constant(n, inst.epsilon), gram_degree=d,
         free_columns=free_columns, multipliers=multipliers,
         constraint_orbits=_constraint_orbits(inst), degree_bound=2 * d,
-        mode=GENERAL, epsilon=inst.epsilon), config)
+        mode=GENERAL, epsilon=inst.epsilon))
 
 
-def refute_invariant_system(inst: ProblemInstance,
-                            config: Optional[SolverConfig] = None) -> PipelineResult:
+def refute_invariant_system(inst: ProblemInstance) -> PipelineResult:
     """Search for -1 == sigma + sum_i c_i (sum of squared constraints in
     orbit i) + ideal, the normal form over a finite product domain."""
     if inst.target is not None:
@@ -360,7 +355,7 @@ def refute_invariant_system(inst: ProblemInstance,
         free_columns=free_columns, multipliers=multipliers,
         constraint_orbits=orbits,
         degree_bound=max(2 * gram_degree, max(2 * p.degree() for p in eqs)),
-        mode=NORMAL_FORM), config)
+        mode=NORMAL_FORM))
 
 
 # -- pseudoexpectations ------------------------------------------------------
@@ -384,14 +379,13 @@ def _pseudoexpectation_degree(inst: ProblemInstance, degree: Optional[int]) -> i
     return deg
 
 
-def find_pseudoexpectation(inst: ProblemInstance, degree: Optional[int] = None,
-                           config: Optional[SolverConfig] = None) -> Optional[Pseudoexpectation]:
+def find_pseudoexpectation(inst: ProblemInstance,
+                           degree: Optional[int] = None) -> Optional[Pseudoexpectation]:
     """Numeric search for a symmetric degree-2d pseudoexpectation.
 
     Returns floating point moment values (evidence, not a theorem), or None
     when the solver cannot reach feasibility within tolerance.
     """
-    cfg = config or SolverConfig()
     deg = _pseudoexpectation_degree(inst, degree)
     orbits = _constraint_orbits(inst)
     n = inst.n
@@ -431,7 +425,7 @@ def find_pseudoexpectation(inst: ProblemInstance, degree: Optional[int] = None,
     rows, rhs = _distinct_rows(rows, [Fraction(1)] + [Fraction(0)] * (len(rows) - 1))
 
     system = FeasibilitySystem(psd_matrices=e_mats, linear_map=rows, rhs=rhs)
-    outcome = solve_feasibility(system, cfg)
+    outcome = solve_feasibility(system)
     if not outcome.feasible:
         return None
     values = outcome.solution.values

@@ -19,8 +19,7 @@ from .pipeline import ProblemInstance
 from .poly import Polynomial
 from .symmetry import GroupSpec
 
-_SCALAR_KEYS = {"vars", "group", "domain", "target", "degree", "epsilon",
-                "tolerance", "denom-bound", "max-iters"}
+_SCALAR_KEYS = {"vars", "group", "domain", "target", "degree", "epsilon"}
 _REPEAT_KEYS = {"eq", "groebner"}
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<var>x\d+)|(?P<op>[*^/+-]))")
@@ -36,17 +35,6 @@ class ProblemFile:
     target: Optional[Polynomial] = None  # None means refute mode
     degree: int = 1
     epsilon: Optional[Fraction] = None
-    options: dict = field(default_factory=dict)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        return (self.n, self.block_sizes, self.equalities, self.domain_roots,
-                self.groebner_polys, self.target, self.degree, self.epsilon,
-                self.options) == \
-               (other.n, other.block_sizes, other.equalities, other.domain_roots,
-                other.groebner_polys, other.target, other.degree, other.epsilon,
-                other.options)
 
     def instance(self) -> ProblemInstance:
         kwargs = dict(group=GroupSpec(self.block_sizes),
@@ -78,8 +66,10 @@ def _tokens(text: str, line: int, offset: int):
     return out
 
 
-def parse_rational(text: str, line: int = 0, column: int = 1) -> Fraction:
-    """Exact value from an integer, decimal, or a/b literal."""
+def parse_rational(text: str, line: Optional[int] = None,
+                   column: Optional[int] = None) -> Fraction:
+    """Exact value from an integer, decimal, or a/b literal; a ParseError
+    carries line and column when given."""
     body = text.strip()
     try:
         if "/" in body:
@@ -270,17 +260,6 @@ def parse_problem(text: str) -> ProblemFile:
         pf.epsilon = parse_rational(value, line, column)
         if pf.epsilon < 0:
             raise ParseError("epsilon must be nonnegative", line, column)
-    for key in ("tolerance", "denom-bound", "max-iters"):
-        if key in raw:
-            value, line, column = raw[key]
-            if key == "tolerance":
-                try:
-                    pf.options[key] = float(value.strip())
-                except ValueError:
-                    raise ParseError("tolerance expects a number", line,
-                                     column) from None
-            else:
-                pf.options[key] = _parse_int(value, key, line, column)
     return pf
 
 
@@ -298,6 +277,4 @@ def serialize_problem(pf: ProblemFile) -> str:
     lines.append(f"degree: {pf.degree}")
     if pf.epsilon is not None:
         lines.append(f"epsilon: {pf.epsilon}")
-    for key, value in sorted(pf.options.items()):
-        lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"

@@ -6,10 +6,13 @@ minimization (exact affine projection onto the linear constraints, spectral
 clipping of the PSD combination pulled back to coefficient space by least
 squares), then one log-det barrier damped Newton polish when the
 alternation does not land inside.  It is one deterministic attempt from
-zero, with no restarts.  Floats live only in this file; rationalize()
-rounds a numeric solution back to exact rationals and re-closes the linear
-system exactly; the one exact PSD check of the result is
-certificates.verify, run by the caller on the finished certificate.
+zero, with no restarts, and it takes no settings: the tolerance, the step
+budget and rationalize's denominator bound are the module constants
+below.  Each alternation step decomposes S(y) once, for both its
+feasibility test and its spectral clipping.  Floats live only in this
+file; rationalize() rounds a numeric solution back to exact rationals and
+re-closes the linear system exactly; the one exact PSD check of the result
+is certificates.verify, run by the caller on the finished certificate.
 """
 
 from __future__ import annotations
@@ -22,25 +25,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidInstance, ResourceLimit
+from .errors import DimensionMismatch, ResourceLimit
 from .symmetry import GramMatrix
 
 MAX_VARIABLES = 512
-
-
-@dataclass
-class SolverConfig:
-    tolerance: float = 1e-9
-    max_iters: int = 400  # total alternation steps
-    denominator_bound: int = 2 ** 32
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise InvalidInstance("tolerance must be a finite number above 0")
-        if self.max_iters < 1:
-            raise InvalidInstance("max-iters must be at least 1")
-        if self.denominator_bound < 1:
-            raise InvalidInstance("denom-bound must be at least 1")
+TOLERANCE = 1e-9  # scale-relative feasibility tolerance of a numeric point
+MAX_ITERS = 400  # total alternation steps
+DENOMINATOR_BOUND = 2 ** 32  # largest denominator rationalize keeps
 
 
 @dataclass
@@ -115,11 +106,9 @@ def _float_matrix(q: GramMatrix) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in q.entries], dtype=float)
 
 
-def solve_feasibility(system: FeasibilitySystem,
-                      config: Optional[SolverConfig] = None) -> SolveOutcome:
+def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
     """Search for a numeric solution; never raises on infeasibility, just
     reports the best residuals seen."""
-    cfg = config or SolverConfig()
     if system.variables > MAX_VARIABLES:
         raise ResourceLimit(
             f"{system.variables} variables exceed solver cap {MAX_VARIABLES}")
@@ -151,19 +140,18 @@ def solve_feasibility(system: FeasibilitySystem,
     best_lin = math.inf
     best_deficit = math.inf
 
-    def measure(y: np.ndarray) -> tuple[float, Optional[SolveOutcome]]:
-        """Linear residual plus PSD deficit of y (each folded into the best
-        seen), and the feasible outcome at y when both are within
-        tolerance."""
+    def measure(y: np.ndarray, min_eig: float) -> tuple[float, Optional[SolveOutcome]]:
+        """Linear residual plus PSD deficit of y, whose S(y) has smallest
+        eigenvalue min_eig (each folded into the best seen), and the
+        feasible outcome at y when both are within tolerance."""
         nonlocal best_lin, best_deficit
         lin = float(np.max(np.abs(amat @ y - rhs))) if k1 else 0.0
-        min_eig = float(np.linalg.eigvalsh(matrix_of(y))[0])
         deficit = max(0.0, -min_eig)
         best_lin = min(best_lin, lin)
         best_deficit = min(best_deficit, deficit)
         # Scale-relative: float projection error grows with the iterate.
         scale = max(1.0, float(np.max(np.abs(y))))
-        if not (lin <= cfg.tolerance * scale and min_eig >= -cfg.tolerance * scale):
+        if not (lin <= TOLERANCE * scale and min_eig >= -TOLERANCE * scale):
             return lin + deficit, None
         sol = NumericSolution(values=[float(v) for v in y],
                               psd_min_eigenvalue_estimate=min_eig,
@@ -174,9 +162,10 @@ def solve_feasibility(system: FeasibilitySystem,
     push = 1e-2
     stall = 0
     prev_err = math.inf
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         iters += 1
-        err, found = measure(y)
+        w, v = np.linalg.eigh(matrix_of(y))
+        err, found = measure(y, float(w[0]))
         if found:
             return found
         if err >= prev_err - 1e-15:
@@ -185,13 +174,11 @@ def solve_feasibility(system: FeasibilitySystem,
             stall = 0
         prev_err = err
         if stall >= 40:
-            if push > cfg.tolerance:
+            if push > TOLERANCE:
                 push *= 0.25
                 stall = 0
             else:
                 break
-        s = matrix_of(y)
-        w, v = np.linalg.eigh(s)
         clipped = np.maximum(w, push)
         target = (v * clipped) @ v.T
         a_new = gpinv @ target.reshape(-1)
@@ -205,14 +192,13 @@ def solve_feasibility(system: FeasibilitySystem,
         null = vt[rank:].T  # (nvar, m)
     else:
         null = np.eye(nvar)
-    y = _logdet_newton(matrix_of, project_affine(y), null, cfg)
-    found = measure(project_affine(y))[1]
+    y = project_affine(_logdet_newton(matrix_of, project_affine(y), null))
+    found = measure(y, float(np.linalg.eigvalsh(matrix_of(y))[0]))[1]
     return found or SolveOutcome(False, None, best_lin, best_deficit, iters)
 
 
 def _logdet_newton(matrix_of: Callable[[np.ndarray], np.ndarray],
-                   y0: np.ndarray, null: np.ndarray,
-                   cfg: SolverConfig) -> np.ndarray:
+                   y0: np.ndarray, null: np.ndarray) -> np.ndarray:
     """Damped Newton ascent of log det(S(y) + shift I) - mu |y|^2 over the
     affine set y0 + span(null), with the shift driven toward zero.  S is
     matrix_of, linear in y.  The mu term bounds the objective when the
@@ -270,10 +256,10 @@ def _logdet_newton(matrix_of: Callable[[np.ndarray], np.ndarray],
             if eig > best_eig:
                 best_eig = eig
                 best = y.copy()
-        if best_eig > cfg.tolerance:
+        if best_eig > TOLERANCE:
             break
         shift /= 4.0
-        if shift < cfg.tolerance / 4:
+        if shift < TOLERANCE / 4:
             break
     return best
 
@@ -322,7 +308,6 @@ class RationalizeOutcome:
 
 def rationalize(solution: NumericSolution | Sequence[float],
                 system: FeasibilitySystem,
-                denominator_bound: int = 2 ** 32,
                 window: Fraction = Fraction(1, 10 ** 6)) -> RationalizeOutcome:
     """Round a numeric solution to exact rationals that solve the linear
     system exactly.
@@ -344,8 +329,8 @@ def rationalize(solution: NumericSolution | Sequence[float],
     for v in values:
         exact = Fraction(v)
         cand = simplest_in_interval(exact - window, exact + window)
-        if cand.denominator > denominator_bound:
-            cand = exact.limit_denominator(denominator_bound)
+        if cand.denominator > DENOMINATOR_BOUND:
+            cand = exact.limit_denominator(DENOMINATOR_BOUND)
         y.append(cand)
 
     k1, k2 = system.k1, system.k2

@@ -207,29 +207,65 @@ def test_prove_tight_target_exits_with_documented_code(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("flags", [
-    ["--denom-bound", "0"],
-    ["--max-iters", "-5"],
-    ["--tolerance", "nan"],
-], ids=["denom-bound", "max-iters", "tolerance"])
-def test_bad_solver_settings_exit_2(tmp_path, capsys, flags):
-    problem = write(tmp_path, "k2.sos", KNAPSACK2)
-    assert cli.main(["refute", problem] + flags) == cli.EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
-
-
 def test_seed_flag_is_rejected(tmp_path, capsys):
-    # The solver makes one deterministic attempt; there is no seed to set.
+    # The solver makes one deterministic attempt with fixed settings; there
+    # is no seed, tolerance, denominator bound or step budget to set.
     problem = write(tmp_path, "k2.sos", KNAPSACK2)
-    with pytest.raises(SystemExit) as info:
-        cli.main(["refute", problem, "--seed", "0"])
-    assert info.value.code == cli.EXIT_USAGE
-    assert "--seed" in capsys.readouterr().err
+    for flag, value in (("--seed", "0"), ("--tolerance", "1e-6"),
+                        ("--denom-bound", "1000"), ("--max-iters", "4000")):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["refute", problem, flag, value])
+        assert info.value.code == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["seed: 0\n", "restarts: 3\n"],
-                         ids=["seed", "restarts"])
+@pytest.mark.parametrize("line", ["seed: 0\n", "restarts: 3\n", "tolerance: 1e-6\n",
+                                  "denom-bound: 1000\n", "max-iters: 4000\n"],
+                         ids=["seed", "restarts", "tolerance", "denom-bound",
+                              "max-iters"])
 def test_restart_keys_are_unknown(tmp_path, capsys, line):
     problem = write(tmp_path, "k2.sos", KNAPSACK2 + line)
     assert cli.main(["refute", problem]) == cli.EXIT_USAGE
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_bad_epsilon_exits_2(tmp_path, capsys, value):
+    problem = write(tmp_path, "p.sos", PROVE)
+    assert cli.main(["prove", problem, "--epsilon", value]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"error: bad rational literal {value!r}")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["refute", "verify"])
+def test_unreadable_input_exits_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"vars: 2\n\xff\n")
+    assert cli.main([command, str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    problem = write(tmp_path, "k2.sos", KNAPSACK2)
+    assert cli.main(["refute", problem, "-o", str(tmp_path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("refute", ["--epsilon", "7"]),
+    ("pseudoexpect", ["--epsilon", "7"]),
+    ("pseudoexpect", ["-o", "out.json"]),
+    ("reduce", ["--degree", "1"]),
+    ("reynolds", ["--degree", "1"]),
+], ids=["refute-epsilon", "pseudoexpect-epsilon", "pseudoexpect-output",
+        "reduce-degree", "reynolds-degree"])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, command, flags):
+    problem = write(tmp_path, "k2.sos", KNAPSACK2)
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, problem] + flags)
+    assert info.value.code == cli.EXIT_USAGE
+    assert flags[0] in capsys.readouterr().err

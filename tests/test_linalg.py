@@ -176,7 +176,7 @@ def reference_elimination(matrix):
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 TINY = st.builds(Fraction, st.integers(-1, 1), st.integers(2, 4))
-# The 36 largest primes below 2^32 (SolverConfig.denominator_bound), one
+# The 36 largest primes below 2^32 (sdp.DENOMINATOR_BOUND), one
 # denominator per upper-triangular entry of an 8 x 8 matrix: the lcm that
 # scales the matrix to integers then reaches about 2^1150.
 PRIMES = tuple(2**32 - k for k in (

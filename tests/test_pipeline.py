@@ -71,7 +71,7 @@ def captured_system(monkeypatch, inst, search=refute_invariant_system):
     (which is stubbed to give up at once)."""
     seen = []
 
-    def capture(system, config):
+    def capture(system):
         seen.append(system)
         return SolveOutcome(False, None, 1.0, 1.0, 0)
 
@@ -150,7 +150,7 @@ def ladder_instance():
 def planted_solution(monkeypatch, a1, a2):
     """Make the solver answer sigma = [[1, a1], [a1, a2]] for
     ladder_instance(); returns the windows rationalize is then called with."""
-    def planted(system, config):
+    def planted(system):
         values = [1.0 if q.entries[0][0] else a1 if q.entries[0][1] else a2
                   for q in system.psd_matrices] + [0.0] * system.k3
         return SolveOutcome(True, NumericSolution(values, 0.0, 0.0, 1), 0.0, 0.0, 1)

@@ -150,8 +150,7 @@ def test_round_trip_random_instances():
             n=n, block_sizes=tuple(blocks), equalities=eqs,
             domain_roots=(frac(0), frac(1)) if rng.random() < 0.7 else None,
             target=target, degree=rng.randint(1, 3),
-            epsilon=frac(rng.randint(0, 3), 4) if rng.random() < 0.5 else None,
-            options={"max-iters": rng.randint(1, 9)} if rng.random() < 0.3 else {})
+            epsilon=frac(rng.randint(0, 3), 4) if rng.random() < 0.5 else None)
         text = serialize_problem(pf)
         back = parse_problem(text)
         assert back == pf, text

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,7 @@ from symsos import sdp
 from symsos.errors import DimensionMismatch, ResourceLimit
 from symsos.poly import MonomialBasis
 from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, NumericSolution,
-                        SolveOutcome, SolverConfig, combination, rationalize,
+                        SolveOutcome, combination, rationalize,
                         simplest_in_interval, solve_feasibility)
 from symsos.symmetry import GramMatrix
 
@@ -104,23 +103,30 @@ def test_solver_survives_singular_polish_matrix(monkeypatch):
 
 
 def test_max_iters_is_the_total_budget():
-    out = solve_feasibility(psd_conflict_with_free_direction(),
-                            SolverConfig(max_iters=8))
+    out = solve_feasibility(psd_conflict_with_free_direction())
     assert not out.feasible
-    assert out.iterations <= 8
-    default = solve_feasibility(psd_conflict_with_free_direction())
-    assert default.iterations > 8
+    assert out.iterations == sdp.MAX_ITERS
+
+
+def test_one_eigendecomposition_per_alternation_step(monkeypatch):
+    # With the polish stubbed out, the only other decomposition is the
+    # measurement of the polished point.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(matrix, _original=getattr(np.linalg, name)):
+            calls.append(matrix)
+            return _original(matrix)
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(sdp, "_logdet_newton", lambda matrix_of, y0, *rest: y0)
+    out = solve_feasibility(psd_conflict_with_free_direction())
+    assert not out.feasible
+    assert len(calls) == out.iterations + 1
 
 
 def test_solver_deterministic():
     a = solve_feasibility(small_system())
     b = solve_feasibility(small_system())
     assert a.solution.values == b.solution.values
-
-
-def test_solver_config_has_only_its_three_settings():
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "tolerance", "max_iters", "denominator_bound"]
 
 
 def test_give_up_polishes_once(monkeypatch):
