@@ -13,8 +13,8 @@ from .linalg import PsdOutcome, psd_certificate
 from .pipeline import (PipelineResult, ProblemInstance, Pseudoexpectation,
                        VariableCountReport, check_pseudoexpectation,
                        find_pseudoexpectation, point_pseudoexpectation,
-                       prove_invariant, pseudoexpectation_value,
-                       refute_invariant_system, variable_count_report)
+                       prove_invariant, refute_invariant_system,
+                       variable_count_report)
 from .poly import Monomial, MonomialBasis, Polynomial, coefficient_norm
 from .problem import ProblemFile, parse_polynomial, parse_problem, serialize_problem
 from .sdp import (FeasibilitySystem, RationalizeOutcome, SolveOutcome,

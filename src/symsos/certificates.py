@@ -20,6 +20,7 @@ v^T sigma v < 0).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -473,9 +474,12 @@ def parse_certificate(text: str) -> SosCertificate:
         mode = doc["mode"]
         bound = int(doc["degree_bound"])
         target = _poly_load(doc["target"], n)
-        basis = MonomialBasis(n, int(doc["sigma_basis_degree"]))
+        d = int(doc["sigma_basis_degree"])
+        # Compare the grid with C(n + d, d) before building that many monomials.
+        if d >= 0 and len(doc["sigma"]) != math.comb(n + d, d):
+            raise DimensionMismatch("entry grid does not match basis size")
         rows = [[_frac_parse(x) for x in row] for row in doc["sigma"]]
-        sigma = GramMatrix(basis, rows)
+        sigma = GramMatrix(MonomialBasis(n, d), rows)
         eq = []
         for item in doc["equality_multipliers"]:
             constraint = _poly_load(item["constraint"], n)

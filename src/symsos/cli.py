@@ -82,41 +82,36 @@ def _cmd_orbits(args) -> int:
     return EXIT_OK
 
 
+def _map_polynomials(args, inst: ProblemInstance, fn) -> int:
+    """Print fn(p) for each equality and the target, labelled as in the file."""
+    pairs = [("eq", p) for p in inst.equalities]
+    if inst.target is not None:
+        pairs.append(("target", inst.target))
+    payload = {}
+    lines = []
+    for label, p in pairs:
+        image = fn(p)
+        payload.setdefault(label, []).append(str(image))
+        lines.append(f"{label}: {p}  ->  {image}")
+    _emit(args, payload, lines)
+    return EXIT_OK
+
+
 def _cmd_reduce(args) -> int:
     inst = _problem(args)
     if inst.groebner is None:
         print("error: nothing to reduce by (no domain or groebner lines)",
               file=sys.stderr)
         return EXIT_USAGE
-    pairs = [("eq", p) for p in inst.equalities]
-    if inst.target is not None:
-        pairs.append(("target", inst.target))
-    payload = {}
-    lines = []
-    for label, p in pairs:
-        r = reduce_polynomial(p, inst.groebner)
-        payload.setdefault(label, []).append(str(r))
-        lines.append(f"{label}: {p}  ->  {r}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _map_polynomials(args, inst, lambda p: reduce_polynomial(p, inst.groebner))
 
 
 def _cmd_reynolds(args) -> int:
     inst = _problem(args)
-    pairs = [("eq", p) for p in inst.equalities]
-    if inst.target is not None:
-        pairs.append(("target", inst.target))
-    if not pairs:
+    if not inst.equalities and inst.target is None:
         print("error: no polynomials to average", file=sys.stderr)
         return EXIT_USAGE
-    payload = {}
-    lines = []
-    for label, p in pairs:
-        avg = reynolds_polynomial(inst.group, p)
-        payload.setdefault(label, []).append(str(avg))
-        lines.append(f"{label}: {p}  ->  {avg}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _map_polynomials(args, inst, lambda p: reynolds_polynomial(inst.group, p))
 
 
 def _run_search(args, mode: str) -> int:

@@ -17,6 +17,8 @@ everything numeric is quarantined in the solver.
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
+It solves the same moment system, built by _moment_system, that
+check_pseudoexpectation evaluates.
 """
 
 from __future__ import annotations
@@ -361,15 +363,6 @@ def refute_invariant_system(inst: ProblemInstance) -> PipelineResult:
 # -- pseudoexpectations ------------------------------------------------------
 
 
-def _irreducible(monos: Sequence[Monomial],
-                 gb: Optional[GroebnerBasis]) -> list[Monomial]:
-    """The monomials that no generator's leading monomial divides."""
-    if gb is None:
-        return list(monos)
-    leads = [g.leading_monomial() for g in gb.generators]
-    return [m for m in monos if not any(mono_divides(lm, m) for lm in leads)]
-
-
 def _pseudoexpectation_degree(inst: ProblemInstance, degree: Optional[int]) -> int:
     """The functional's degree: 2 * inst.degree by default, else degree,
     which must be even and >= 2."""
@@ -379,52 +372,77 @@ def _pseudoexpectation_degree(inst: ProblemInstance, degree: Optional[int]) -> i
     return deg
 
 
+def _moment_representatives(inst: ProblemInstance, deg: int) -> list[Monomial]:
+    """The orbit representatives of the monomials of degree <= deg that no
+    generator's leading monomial divides: one moment unknown each."""
+    reps = enumerate_monomial_orbits(inst.group, deg).representatives
+    if inst.groebner is None:
+        return reps
+    leads = [g.leading_monomial() for g in inst.groebner.generators]
+    return [m for m in reps if not any(mono_divides(lm, m) for lm in leads)]
+
+
+def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polynomial]
+                   ) -> tuple[list[Monomial], FeasibilitySystem]:
+    """The moment system of a symmetric degree-deg functional L.
+
+    L's unknowns are its values L_r on the representatives.  The PSD
+    matrices E_r give the moment matrix over the degree deg/2 basis as
+    M(L) = sum_r L_r E_r; the rows are the distinct equations L(1) = 1 and
+    L(m p) = 0 for every monomial m of degree <= deg - deg p and each p in
+    constraints.  Each product monomial is reduced modulo the ring and
+    mapped onto the representatives once.
+    """
+    n, gb = inst.n, inst.groebner
+    reps = _moment_representatives(inst, deg)
+    slot = {r: i for i, r in enumerate(reps)}
+    cache: dict[Monomial, dict[int, Fraction]] = {}
+
+    def moment_of(mono: Monomial) -> dict[int, Fraction]:
+        """L(mono) as coefficients on the unknowns."""
+        if mono not in cache:
+            row: dict[int, Fraction] = {}
+            for m, coeff in _reduced(Polynomial.monomial(n, mono), gb).terms.items():
+                r = slot[canonical_monomial(inst.group, m)]
+                row[r] = row.get(r, 0) + coeff
+            cache[mono] = row
+        return cache[mono]
+
+    half = MonomialBasis(n, deg // 2)
+    e_mats = [GramMatrix(half) for _ in reps]
+    for i, a in enumerate(half.entries):
+        for j, b in enumerate(half.entries):
+            for r, coeff in moment_of(tuple(x + y for x, y in zip(a, b))).items():
+                if coeff:
+                    e_mats[r].entries[i][j] += coeff
+
+    def moment_row(shift: Monomial, p: Polynomial) -> list[Fraction]:
+        """L(x^shift * p) as a row over the unknowns."""
+        row = [Fraction(0)] * len(reps)
+        for mono, coeff in p.terms.items():
+            for r, c in moment_of(tuple(x + y for x, y in zip(shift, mono))).items():
+                row[r] += coeff * c
+        return row
+
+    rows = [moment_row((0,) * n, Polynomial.constant(n, 1))]
+    for p in constraints:
+        rows += [moment_row(m, p) for m in monomials_up_to(n, max(deg - p.degree(), 0))]
+    rows, rhs = _distinct_rows(rows, [Fraction(1)] + [Fraction(0)] * (len(rows) - 1))
+    return reps, FeasibilitySystem(psd_matrices=e_mats, linear_map=rows, rhs=rhs)
+
+
 def find_pseudoexpectation(inst: ProblemInstance,
                            degree: Optional[int] = None) -> Optional[Pseudoexpectation]:
     """Numeric search for a symmetric degree-2d pseudoexpectation.
 
     Returns floating point moment values (evidence, not a theorem), or None
-    when the solver cannot reach feasibility within tolerance.
+    when the solver cannot reach feasibility within tolerance.  One
+    constraint per orbit is enough: L is symmetric.
     """
     deg = _pseudoexpectation_degree(inst, degree)
     orbits = _constraint_orbits(inst)
-    n = inst.n
-    gb = inst.groebner
-    mono_table = enumerate_monomial_orbits(inst.group, deg)
-    reps = _irreducible(mono_table.representatives, gb)
-    slot = {r: i for i, r in enumerate(reps)}
-
-    def moment_row(p: Polynomial) -> list[Fraction]:
-        row = [Fraction(0)] * len(reps)
-        for mono, coeff in p.terms.items():
-            row[slot[canonical_monomial(inst.group, mono)]] += coeff
-        return row
-
-    half = MonomialBasis(n, deg // 2)
-    cache: dict[Monomial, Polynomial] = {}
-
-    def reduced_mono(mono: Monomial) -> Polynomial:
-        if mono not in cache:
-            cache[mono] = _reduced(Polynomial.monomial(n, mono), gb)
-        return cache[mono]
-
-    e_mats = [GramMatrix(half) for _ in reps]
-    for i, a in enumerate(half.entries):
-        for j, b in enumerate(half.entries):
-            prod = tuple(x + y for x, y in zip(a, b))
-            for mono, coeff in reduced_mono(prod).terms.items():
-                e_mats[slot[canonical_monomial(inst.group, mono)]].entries[i][j] += coeff
-
-    one_row = [Fraction(0)] * len(reps)
-    one_row[slot[(0,) * n]] = Fraction(1)
-    rows = [one_row]
-    for orbit in orbits:
-        p = inst.equalities[orbit[0]]
-        for mono in monomials_up_to(n, max(deg - p.degree(), 0)):
-            rows.append(moment_row(_reduced(Polynomial.monomial(n, mono) * p, gb)))
-    rows, rhs = _distinct_rows(rows, [Fraction(1)] + [Fraction(0)] * (len(rows) - 1))
-
-    system = FeasibilitySystem(psd_matrices=e_mats, linear_map=rows, rhs=rhs)
+    reps, system = _moment_system(inst, deg,
+                                  [inst.equalities[orbit[0]] for orbit in orbits])
     outcome = solve_feasibility(system)
     if not outcome.feasible:
         return None
@@ -454,11 +472,8 @@ def point_pseudoexpectation(inst: ProblemInstance, points: Sequence[Sequence],
             for g in inst.groebner.generators:
                 if g.evaluate(pt) != 0:
                     raise InvalidInstance(f"point {pt} is outside the domain")
-    gb = inst.groebner
-    mono_table = enumerate_monomial_orbits(inst.group, deg)
-    reps = _irreducible(mono_table.representatives, gb)
     moments = {}
-    for rep in reps:
+    for rep in _moment_representatives(inst, deg):
         members = list(monomial_orbit_elements(inst.group, rep))
         total = Fraction(0)
         for pt in pts:
@@ -469,36 +484,18 @@ def point_pseudoexpectation(inst: ProblemInstance, points: Sequence[Sequence],
                              numeric=False)
 
 
-def pseudoexpectation_value(pe: Pseudoexpectation, p: Polynomial,
-                            gb: Optional[GroebnerBasis]):
-    """Apply the functional to a polynomial (after ring reduction)."""
-    reduced = _reduced(p, gb)
-    total = Fraction(0) if not pe.numeric else 0.0
-    for mono, coeff in reduced.terms.items():
-        val = pe.moments[canonical_monomial(pe.group, mono)]
-        total = total + (coeff * val if not pe.numeric else float(coeff) * val)
-    return total
-
-
 def check_pseudoexpectation(inst: ProblemInstance, pe: Pseudoexpectation,
                             tolerance: float = 1e-6) -> bool:
-    """Numeric validity: L(1) = 1, L vanishes on constraint multiples up to
-    pe.degree, and the moment matrix is PSD within tolerance."""
-    n = inst.n
-    gb = inst.groebner
-    one = pseudoexpectation_value(pe, Polynomial.constant(n, 1), gb)
-    if abs(float(one) - 1.0) > tolerance:
+    """Numeric validity of pe's moments on inst's representatives: every
+    moment row (L(1) = 1 and L vanishing on each constraint's multiples up
+    to pe.degree) holds, and the moment matrix is PSD, within tolerance."""
+    reps, system = _moment_system(inst, pe.degree, inst.equalities)
+    values = np.array([float(pe.moments[r]) for r in reps])
+    residual = (np.array(system.linear_map, dtype=float) @ values
+                - np.array(system.rhs, dtype=float))
+    if float(np.abs(residual).max()) > tolerance:
         return False
-    for p in inst.equalities:
-        for mono in monomials_up_to(n, max(pe.degree - p.degree(), 0)):
-            val = pseudoexpectation_value(pe, Polynomial.monomial(n, mono) * p, gb)
-            if abs(float(val)) > tolerance:
-                return False
-    half = MonomialBasis(n, pe.degree // 2)
-    mat = np.empty((len(half), len(half)))
-    for i, a in enumerate(half.entries):
-        for j, b in enumerate(half.entries):
-            prod = Polynomial.monomial(n, tuple(x + y for x, y in zip(a, b)))
-            mat[i, j] = float(pseudoexpectation_value(pe, prod, gb))
+    stack = np.array([q.entries for q in system.psd_matrices], dtype=float)
+    mat = np.tensordot(values, stack, axes=1)
     mat = (mat + mat.T) / 2.0
     return float(np.linalg.eigvalsh(mat)[0]) >= -tolerance

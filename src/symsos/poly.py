@@ -13,6 +13,7 @@ the term order used by the division algorithm downstream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
@@ -269,20 +270,13 @@ class Polynomial:
 
 def monomials_up_to(n: int, d: int) -> list[Monomial]:
     """All monomials in n variables of total degree <= d, grlex ascending."""
-    if d < 0:
-        return []
     out: list[Monomial] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            prefix.append(e)
-            rec(prefix, remaining - 1, budget - e)
-            prefix.pop()
-
-    rec([], n, d)
+    for deg in range(d + 1):
+        for combo in itertools.combinations_with_replacement(range(n), deg):
+            mono = [0] * n
+            for i in combo:
+                mono[i] += 1
+            out.append(tuple(mono))
     out.sort(key=grlex_key)
     return out
 

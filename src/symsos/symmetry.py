@@ -154,24 +154,21 @@ def monomial_orbit_size(group: GroupSpec, mono: Monomial) -> int:
 
 
 def _distinct_arrangements(items: Sequence) -> Iterator[tuple]:
-    """All distinct orderings of a multiset, without generating duplicates."""
-    counts = Counter(items)
-    keys = sorted(counts)
-    total = len(items)
-    slot: list = [None] * total
-
-    def rec(pos: int) -> Iterator[tuple]:
-        if pos == total:
-            yield tuple(slot)
+    """All distinct orderings of a multiset in lexicographic order, without
+    generating duplicates (the classic next-permutation step)."""
+    slot = sorted(items)
+    while True:
+        yield tuple(slot)
+        i = len(slot) - 2
+        while i >= 0 and slot[i] >= slot[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                slot[pos] = k
-                yield from rec(pos + 1)
-                counts[k] += 1
-
-    yield from rec(0)
+        j = len(slot) - 1
+        while slot[j] <= slot[i]:
+            j -= 1
+        slot[i], slot[j] = slot[j], slot[i]
+        slot[i + 1:] = reversed(slot[i + 1:])
 
 
 def monomial_orbit_elements(group: GroupSpec, mono: Monomial) -> Iterator[Monomial]:

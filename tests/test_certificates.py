@@ -1,8 +1,10 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from symsos import certificates
 from symsos.certificates import (GENERAL, NORMAL_FORM, SosCertificate,
                                  bit_size, expand, order_unit_certificate,
                                  parse_certificate, serialize_certificate,
@@ -230,3 +232,18 @@ def test_parse_certificate_errors():
     good = serialize_certificate(linear_refutation())
     with pytest.raises(ParseError):
         parse_certificate(good.replace("symsos.certificate/1", "something/9"))
+
+
+def test_parse_checks_the_grid_before_building_a_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("basis built before the grid size check")
+
+    monkeypatch.setattr(certificates, "MonomialBasis", no_basis)
+    # C(3 + 2, 2) = 10 rows are needed; the grid has 1
+    doc = {"format": "symsos.certificate/1", "variables": 3, "mode": "general",
+           "degree_bound": 4, "target": [], "sigma_basis_degree": 2,
+           "sigma": [["1"]], "equality_multipliers": [],
+           "groebner_multipliers": []}
+    with pytest.raises(ParseError, match="malformed certificate document: "
+                                         "entry grid does not match basis size"):
+        parse_certificate(json.dumps(doc))

@@ -139,6 +139,19 @@ def test_orbits_json(tmp_path, capsys):
     assert payload["after_variables"] <= payload["before_variables"]
 
 
+def test_verify_of_a_1500_variable_certificate_exits_0(tmp_path, capsys):
+    # 1 = sigma with sigma = [[1]] over the degree-0 basis: nothing in
+    # verify may recurse once per variable
+    n = 1500
+    doc = {"format": "symsos.certificate/1", "variables": n, "mode": "general",
+           "degree_bound": 0, "target": [[[0] * n, "1"]],
+           "sigma_basis_degree": 0, "sigma": [["1/1"]],
+           "equality_multipliers": [], "groebner_multipliers": []}
+    path = write(tmp_path, "big.cert.json", json.dumps(doc))
+    assert cli.main(["verify", path]) == cli.EXIT_OK
+    assert "certified:" in capsys.readouterr().out
+
+
 def test_reduce_command(tmp_path, capsys):
     problem = write(tmp_path, "r.sos",
                     "vars: 1\ndomain: {0,1}\neq: x1^2 + x1\ntarget: refute\n")

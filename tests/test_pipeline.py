@@ -8,10 +8,9 @@ from symsos import linalg, pipeline
 from symsos.certificates import NORMAL_FORM, verify
 from symsos.errors import InvalidInstance, InvalidSystem
 from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
-                             _distinct_rows, _match_columns,
+                             Pseudoexpectation, _distinct_rows, _match_columns,
                              check_pseudoexpectation, find_pseudoexpectation,
                              point_pseudoexpectation, prove_invariant,
-                             pseudoexpectation_value,
                              refute_invariant_system, variable_count_report)
 from symsos.poly import MonomialBasis, Polynomial
 from symsos.sdp import (FeasibilitySystem, NumericSolution, SolveOutcome,
@@ -384,8 +383,27 @@ def test_point_pseudoexpectation_exact():
     assert pe.moments[(1, 1)] == 0
     assert pe.moments[(0, 0)] == 1
     assert check_pseudoexpectation(inst, pe)
-    value = pseudoexpectation_value(pe, sum_of_vars(n), inst.groebner)
-    assert value == 1
+
+
+def test_check_pseudoexpectation_rejects_each_violation():
+    n = 2
+    group = GroupSpec.symmetric(n)
+    inst = ProblemInstance(group=group,
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, 1)],
+                           domain_roots=BOOL, degree=1)
+    point = point_pseudoexpectation(inst, [[1, 0]])
+    assert check_pseudoexpectation(inst, point)
+    # L(1) = 2: twice a valid functional; the constraint rows and PSD hold
+    doubled = replace(point, moments={m: 2 * v for m, v in point.moments.items()})
+    assert not check_pseudoexpectation(inst, doubled)
+    # L(x1 + x2 - 1) = -1/5; with L[x1] <= 1/2 the moment matrix stays PSD
+    bumped = replace(point, moments={**point.moments, (1, 0): frac(2, 5)})
+    assert not check_pseudoexpectation(inst, bumped)
+    # no constraints; v = (0, 1, 1) over (1, x1, x2) has v^T M v = -1
+    free = ProblemInstance(group=group, equalities=[], domain_roots=BOOL, degree=1)
+    indefinite = Pseudoexpectation(group=group, degree=2, numeric=False, moments={
+        (0, 0): frac(1), (1, 0): frac(1, 2), (1, 1): frac(-1)})
+    assert not check_pseudoexpectation(free, indefinite)
 
 
 def test_point_pseudoexpectation_rejects_bad_point():

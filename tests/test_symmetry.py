@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -298,3 +299,18 @@ def test_monomial_orbit_size_multiset():
     assert monomial_orbit_size(GroupSpec.symmetric(3), (2, 1, 0)) == 6
     assert monomial_orbit_size(GroupSpec((2, 1)), (1, 0, 2)) == 2
     assert monomial_orbit_size(GroupSpec.trivial(3), (1, 1, 0)) == 1
+
+
+def test_orbit_elements_in_lexicographic_order():
+    mono = (2, 0, 1, 0, 2)
+    want = sorted(set(itertools.permutations(mono)))
+    assert list(monomial_orbit_elements(GroupSpec.symmetric(5), mono)) == want
+
+
+def test_orbit_elements_of_1200_variables():
+    # one step per arrangement, not one recursion level per variable
+    n = 1200
+    x1 = (1,) + (0,) * (n - 1)
+    elements = list(monomial_orbit_elements(GroupSpec.symmetric(n), x1))
+    assert len(elements) == n
+    assert len(set(elements)) == n and all(sum(m) == 1 for m in elements)
