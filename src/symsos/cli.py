@@ -3,13 +3,15 @@
 Exit codes: 0 success/accepted, 1 rejected or no certificate found,
 2 usage, parse or unreadable-file error, 3 resource or numeric failure.
 Certificate files are byte-identical across runs for identical inputs and
-flags: iteration orders are fixed and the solver makes one attempt from
-zero.  The solver takes no settings, and each subcommand accepts only the
-flags it reads.
+flags: iteration orders are fixed and the solver makes one deterministic
+attempt from the least-norm solution of its linear rows.  The solver takes
+no settings, and each subcommand accepts only the flags it reads.
 
 Numeric output (solver diagnostics, pseudoexpectation moments) is always
 labelled as such; a "certified" line is printed only after a certificate
-has passed exact verification.
+has passed exact verification.  A search without a certificate names its
+reason: dual-witness (numeric evidence that none exists at this degree),
+solver-stopped, or rationalization-failed.
 """
 
 from __future__ import annotations

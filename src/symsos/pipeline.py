@@ -11,8 +11,11 @@ distinct coefficient equation (one per monomial orbit for invariant data),
 hand the tiny symmetry-reduced SDP to the numeric solver, then per rounding
 window round back to rationals, reconstruct the Groebner cofactors exactly,
 and verify, the one exact check (a sigma that is not PSD moves on to the
-next, finer window).  The variable-count report is read off the same orbit
-tables.  A returned certificate is always exact and has been verified;
+next, finer window).  When the solver finds no point, the result says why:
+"dual-witness" when its primal iterate is numeric evidence that no
+certificate exists at this degree, "solver-stopped" when it stopped at its
+step cap or a failed factorisation without deciding.  The variable-count
+report is read off the same orbit tables.  A returned certificate is always exact and has been verified;
 everything numeric is quarantined in the solver.
 
 find_pseudoexpectation searches the dual side at matching degree; its
@@ -36,8 +39,8 @@ from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
 from .poly import Monomial, MonomialBasis, Polynomial, mono_divides, monomials_up_to
-from .sdp import (FeasibilitySystem, SolveOutcome, combination, rationalize,
-                  solve_feasibility)
+from .sdp import (FeasibilitySystem, SolveOutcome, combination, psd_stack,
+                  rationalize, solve_feasibility)
 from .symmetry import (GramMatrix, GroupSpec, OrbitTable, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system,
@@ -105,7 +108,9 @@ class VariableCountReport:
 @dataclass
 class PipelineResult:
     status: str  # "certificate" | "no-certificate-at-degree"
-    reason: Optional[str] = None  # "solver-infeasible" | "rationalization-failed"
+    # "dual-witness" | "solver-stopped" | "rationalization-failed", or
+    # "internal verification failed: ..."
+    reason: Optional[str] = None
     certificate: Optional[SosCertificate] = None
     bit_report: Optional[BitSizeReport] = None
     accounting: Optional[VariableCountReport] = None
@@ -266,7 +271,8 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     system = FeasibilitySystem(psd_matrices=indicators, linear_map=amat, rhs=rhs)
     outcome = solve_feasibility(system)
     if not outcome.feasible:
-        return no_certificate("solver-infeasible", outcome)
+        return no_certificate("dual-witness" if outcome.dual_witness
+                              else "solver-stopped", outcome)
     k2 = len(indicators)
     # verify is the one exact check; a sigma that is not PSD tries a finer window.
     for window in RATIONALIZE_WINDOWS:
@@ -436,7 +442,7 @@ def find_pseudoexpectation(inst: ProblemInstance,
     """Numeric search for a symmetric degree-2d pseudoexpectation.
 
     Returns floating point moment values (evidence, not a theorem), or None
-    when the solver cannot reach feasibility within tolerance.  One
+    when the solver finds no point within tolerance.  One
     constraint per orbit is enough: L is symmetric.
     """
     deg = _pseudoexpectation_degree(inst, degree)
@@ -495,7 +501,5 @@ def check_pseudoexpectation(inst: ProblemInstance, pe: Pseudoexpectation,
                 - np.array(system.rhs, dtype=float))
     if float(np.abs(residual).max()) > tolerance:
         return False
-    stack = np.array([q.entries for q in system.psd_matrices], dtype=float)
-    mat = np.tensordot(values, stack, axes=1)
-    mat = (mat + mat.T) / 2.0
+    mat = np.tensordot(values, psd_stack(system.psd_matrices), axes=1)
     return float(np.linalg.eigvalsh(mat)[0]) >= -tolerance

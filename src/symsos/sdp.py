@@ -1,18 +1,21 @@
 """Desk-scale semidefinite feasibility, and the numeric-to-exact bridge.
 
-The systems solved here are tiny after symmetry reduction, so the solver
-favors simplicity and determinism over raw speed: projected alternating
-minimization (exact affine projection onto the linear constraints, spectral
-clipping of the PSD combination pulled back to coefficient space by least
-squares), then one log-det barrier damped Newton polish when the
-alternation does not land inside.  It is one deterministic attempt from
-zero, with no restarts, and it takes no settings: the tolerance, the step
-budget and rationalize's denominator bound are the module constants
-below.  Each alternation step decomposes S(y) once, for both its
-feasibility test and its spectral clipping.  Floats live only in this
-file; rationalize() rounds a numeric solution back to exact rationals and
-re-closes the linear system exactly; the one exact PSD check of the result
-is certificates.verify, run by the caller on the finished certificate.
+The systems solved here are tiny after symmetry reduction.  The solver
+starts from y0, the least-norm solution of the linear rows, and keeps it
+when S(y0) already passes the tolerance test.  Otherwise it runs one
+primal-dual interior-point method (the HKM direction of Helmberg, Rendl,
+Vanderbei and Wolkowicz, with Mehrotra's predictor-corrector) on the
+phase-1 problem max t s.t. S(y0 + N z) - t I PSD, with N the directions of
+the rows' null space that move S.  It stops at the first point whose
+smallest eigenvalue clears MARGIN, so that rationalize's coarse windows
+still land inside the cone; or when its primal iterate is a dual witness
+that max t < 0; or at the step cap or a failed factorisation, when it keeps
+the best point seen if that passes the tolerance test.  It is one
+deterministic attempt with no settings: its constants are below.  Floats
+live only in this file; rationalize() rounds a numeric solution back to
+exact rationals and re-closes the linear system exactly; the one exact PSD
+check of the result is certificates.verify, run by the caller on the
+finished certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +33,10 @@ from .symmetry import GramMatrix
 
 MAX_VARIABLES = 512
 TOLERANCE = 1e-9  # scale-relative feasibility tolerance of a numeric point
-MAX_ITERS = 400  # total alternation steps
+MARGIN = 1e-3  # smallest eigenvalue of S(y) at which the search stops
+MAX_STEPS = 60  # interior-point step cap
+STEP_FRACTION = 0.95  # share of the step to the cone's boundary taken
+WITNESS_RADIUS = 1e5  # a dual witness rules out solutions this close to y0
 DENOMINATOR_BOUND = 2 ** 32  # largest denominator rationalize keeps
 
 
@@ -100,184 +106,164 @@ class SolveOutcome:
     best_linear_residual: float
     best_psd_deficit: float
     iterations: int
+    dual_witness: bool = False  # not feasible, with numeric evidence why
 
 
-def _float_matrix(q: GramMatrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in q.entries], dtype=float)
+def psd_stack(matrices: Sequence[GramMatrix]) -> np.ndarray:
+    """The symmetric matrices in floating point, as one array of shape
+    (len(matrices), dim, dim).  numerator / denominator is float(x), and
+    skipping the many zero entries keeps the conversion cheap."""
+    dim = matrices[0].dim
+    stack = np.empty((len(matrices), dim, dim))
+    for out, q in zip(stack, matrices):
+        out[:] = [[x.numerator / x.denominator if x else 0.0 for x in row]
+                  for row in q.entries]
+    return stack
 
 
 def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
-    """Search for a numeric solution; never raises on infeasibility, just
-    reports the best residuals seen."""
+    """Search for a numeric solution; never raises on infeasibility.
+
+    y0, the least-norm solution of the linear rows, is the answer when S(y0)
+    passes the tolerance test.  Otherwise the interior-point method moves y
+    along the directions of the rows' null space that change S, and stops
+    at the first point whose S(y) has smallest eigenvalue >= MARGIN, or
+    with a dual witness, or at the step cap or a failed factorisation.
+    """
     if system.variables > MAX_VARIABLES:
         raise ResourceLimit(
             f"{system.variables} variables exceed solver cap {MAX_VARIABLES}")
-    k1, k2, k3 = system.k1, system.k2, system.k3
-    nvar = k2 + k3
-    dim = system.gram_dim
-    stack = np.stack([_float_matrix(q) for q in system.psd_matrices])
-    gmat = stack.reshape(k2, dim * dim).T  # (dim^2, k2)
-    gpinv = np.linalg.pinv(gmat)
-    if k1:
-        amat = np.array([[float(x) for x in row] for row in system.linear_map])
-        rhs = np.array([float(x) for x in system.rhs])
-        apinv = np.linalg.pinv(amat)
-    else:
-        amat = np.zeros((0, nvar))
-        rhs = np.zeros(0)
-        apinv = np.zeros((nvar, 0))
-
-    def project_affine(y: np.ndarray) -> np.ndarray:
-        if not k1:
-            return y
-        return y - apinv @ (amat @ y - rhs)
-
-    def matrix_of(y: np.ndarray) -> np.ndarray:
-        s = (gmat @ y[:k2]).reshape(dim, dim)
-        return (s + s.T) / 2.0
-
-    iters = 0
-    best_lin = math.inf
-    best_deficit = math.inf
-
-    def measure(y: np.ndarray, min_eig: float) -> tuple[float, Optional[SolveOutcome]]:
-        """Linear residual plus PSD deficit of y, whose S(y) has smallest
-        eigenvalue min_eig (each folded into the best seen), and the
-        feasible outcome at y when both are within tolerance."""
-        nonlocal best_lin, best_deficit
-        lin = float(np.max(np.abs(amat @ y - rhs))) if k1 else 0.0
-        deficit = max(0.0, -min_eig)
-        best_lin = min(best_lin, lin)
-        best_deficit = min(best_deficit, deficit)
-        # Scale-relative: float projection error grows with the iterate.
-        scale = max(1.0, float(np.max(np.abs(y))))
-        if not (lin <= TOLERANCE * scale and min_eig >= -TOLERANCE * scale):
-            return lin + deficit, None
-        sol = NumericSolution(values=[float(v) for v in y],
-                              psd_min_eigenvalue_estimate=min_eig,
-                              linear_residual_norm=lin, iterations=iters)
-        return lin + deficit, SolveOutcome(True, sol, lin, deficit, iters)
-
-    y = project_affine(np.zeros(nvar))
-    push = 1e-2
-    stall = 0
-    prev_err = math.inf
-    for _ in range(MAX_ITERS):
-        iters += 1
-        w, v = np.linalg.eigh(matrix_of(y))
-        err, found = measure(y, float(w[0]))
-        if found:
-            return found
-        if err >= prev_err - 1e-15:
-            stall += 1
-        else:
-            stall = 0
-        prev_err = err
-        if stall >= 40:
-            if push > TOLERANCE:
-                push *= 0.25
-                stall = 0
-            else:
-                break
-        clipped = np.maximum(w, push)
-        target = (v * clipped) @ v.T
-        a_new = gpinv @ target.reshape(-1)
-        y = np.concatenate([a_new, y[k2:]])
-        y = project_affine(y)
-    # Alternation did not land inside: barrier polish from its last
-    # iterate, over the null space of the linear rows.
-    if k1:
-        _, sv, vt = np.linalg.svd(amat)
-        rank = int(np.sum(sv > sv[0] * 1e-12))
-        null = vt[rank:].T  # (nvar, m)
-    else:
-        null = np.eye(nvar)
-    y = project_affine(_logdet_newton(matrix_of, project_affine(y), null))
-    found = measure(y, float(np.linalg.eigvalsh(matrix_of(y))[0]))[1]
-    return found or SolveOutcome(False, None, best_lin, best_deficit, iters)
-
-
-def _logdet_newton(matrix_of: Callable[[np.ndarray], np.ndarray],
-                   y0: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """Damped Newton ascent of log det(S(y) + shift I) - mu |y|^2 over the
-    affine set y0 + span(null), with the shift driven toward zero.  S is
-    matrix_of, linear in y.  The mu term bounds the objective when the
-    cone is unbounded, keeping iterates at a moderate scale (small
-    coordinates rationalize to small fractions later).  Returns the best
-    iterate found."""
-    mu = 1e-6
-    m = null.shape[1]
-    if m == 0:
-        return y0
-    directions = np.stack([matrix_of(null[:, j]) for j in range(m)])
-    eye = np.eye(directions.shape[1])
-
-    def min_eig(y: np.ndarray) -> float:
-        return float(np.linalg.eigvalsh(matrix_of(y))[0])
-
-    best = y0.copy()
-    best_eig = min_eig(best)
-    y = y0.copy()
-    shift = max(0.0, -best_eig) + 1.0
-    for _ in range(40):
-        for _ in range(25):
-            s = matrix_of(y) + shift * eye
-            if _logdet(s) is None:
-                shift *= 4.0
-                continue
-            try:
-                sinv = np.linalg.inv(s)
-            except np.linalg.LinAlgError:
-                # Cholesky can pass on a huge iterate that LU still finds
-                # singular; the polish cannot go on from there.
-                return best
-            grad, hess = _barrier_derivatives(sinv, directions)
-            grad -= 2.0 * mu * (null.T @ y)
-            hess += 2.0 * mu * np.eye(m)
-            try:
-                step = np.linalg.solve(hess + 1e-12 * np.eye(m), grad)
-            except np.linalg.LinAlgError:
-                break
-            # Damped line search on the true objective.
-            scale = 1.0
-            cur = _logdet(s) - mu * float(y @ y)
-            improved = False
-            for _ in range(30):
-                cand = y + scale * (null @ step)
-                val = _logdet(matrix_of(cand) + shift * eye)
-                if val is not None and val - mu * float(cand @ cand) > cur + 1e-14:
-                    y = cand
-                    improved = True
-                    break
-                scale /= 2.0
-            if not improved:
-                break
-            eig = min_eig(y)
-            if eig > best_eig:
-                best_eig = eig
-                best = y.copy()
-        if best_eig > TOLERANCE:
-            break
-        shift /= 4.0
-        if shift < TOLERANCE / 4:
-            break
-    return best
-
-
-def _barrier_derivatives(sinv: np.ndarray,
-                         directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient tr(S^-1 D_i) and negated Hessian tr(S^-1 D_i S^-1 D_j) of
-    log det S along the stacked directions D, given sinv = S^-1."""
-    sd = sinv @ directions
-    return np.trace(sd, axis1=1, axis2=2), np.einsum("iab,jba->ij", sd, sd)
-
-
-def _logdet(s: np.ndarray) -> Optional[float]:
+    k1, k2, nvar, dim = system.k1, system.k2, system.variables, system.gram_dim
+    gmat = psd_stack(system.psd_matrices).reshape(k2, dim * dim)
+    amat = np.array(system.linear_map, dtype=float).reshape(k1, nvar)
+    rhs = np.array(system.rhs, dtype=float)
     try:
-        chol = np.linalg.cholesky(s)
+        y0, null = _least_norm(amat, rhs)
+        s0 = (y0[:k2] @ gmat).reshape(dim, dim)
+        eig = float(np.linalg.eigvalsh(s0)[0])
+        # Every later iterate moves along the null space, keeping this residual.
+        lin = float(np.max(np.abs(amat @ y0 - rhs), initial=0.0))
+        scale = max(1.0, float(np.max(np.abs(y0), initial=0.0)))
+        if lin > TOLERANCE * scale:  # the rows contradict each other
+            return SolveOutcome(False, None, lin, max(0.0, -eig), 0, dual_witness=True)
+        if eig >= -TOLERANCE * scale:
+            sol = NumericSolution([float(v) for v in y0], eig, lin, 0)
+            return SolveOutcome(True, sol, lin, max(0.0, -eig), 0)
+        ops, back = _directions(null[:k2].T @ gmat, dim)
     except np.linalg.LinAlgError:
-        return None
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+        return SolveOutcome(False, None, math.inf, math.inf, 0)
+    del gmat  # only ops is needed from here on
+    exit_, z, steps, best = _phase_one(s0, eig, ops)
+    if exit_ == "witness" or best < -TOLERANCE * scale:
+        return SolveOutcome(False, None, lin, max(0.0, -best), steps,
+                            dual_witness=exit_ == "witness")
+    y = y0 + null @ (back @ z)
+    sol = NumericSolution([float(v) for v in y], best, lin, steps)
+    return SolveOutcome(True, sol, lin, max(0.0, -best), steps)
+
+
+def _directions(fmat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-1 operators and the map back to fmat's row coordinates.
+
+    fmat holds, as rows, the flattened change of S along each null-space
+    direction.  The operators are the changes along an orthonormal basis
+    of the directions that move S, then -I for t; back maps coordinates in
+    that basis to coordinates of fmat's rows.
+    """
+    left, sv, right = np.linalg.svd(fmat, full_matrices=False)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * 1e-12))
+    ops = np.empty((rank + 1, dim, dim))
+    np.multiply(sv[:rank, None], right[:rank], out=ops[:rank].reshape(rank, dim * dim))
+    ops[rank] = -np.eye(dim)
+    return ops, left[:, :rank]
+
+
+def _least_norm(amat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least-norm least-squares solution of amat y = rhs, and an
+    orthonormal basis of amat's null space as columns."""
+    left, sv, right = np.linalg.svd(amat)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * 1e-12))
+    y0 = right[:rank].T @ ((left[:, :rank].T @ rhs) / sv[:rank])
+    return y0, right[rank:].T
+
+
+def _phase_one(s0: np.ndarray, eig0: float,
+               ops: np.ndarray) -> tuple[str, np.ndarray, int, float]:
+    """Primal-dual interior-point steps on max t s.t.
+    Z = s0 + sum_j z_j ops[j] - t I PSD, with u = (z, t) and ops[-1] = -I,
+    so Z = s0 + sum_i u_i ops[i]; eig0 is s0's smallest eigenvalue.
+
+    HKM direction with Mehrotra's predictor-corrector.  The dual iterate
+    u starts at z = 0, t = eig0 - 1 and stays feasible.  The primal
+    iterate X (PSD, trace 1, <ops[j], X> = 0 once feasible) bounds t:
+    every feasible (z, t) has t <= <s0, X> + |z| |r| with r the vector of
+    <ops[j], X> over the directions.  So <s0, X> < 0 with
+    WITNESS_RADIUS |r| <= -<s0, X> is a dual witness: no solution lies
+    within WITNESS_RADIUS of y0.  Returns the exit ("feasible", "witness"
+    or "stopped"), the z with the largest lambda_min(S) seen, the steps
+    taken, and that eigenvalue.
+    """
+    m, dim = ops.shape[0] - 1, s0.shape[0]
+    eye = np.eye(dim)
+    flat = ops.reshape(m + 1, dim * dim)
+    goal = np.zeros(m + 1)
+    goal[m] = 1.0
+    scaled = np.empty_like(ops)
+    u = np.zeros(m + 1)
+    u[m] = eig0 - 1.0
+    x = eye / dim
+    best, best_z, step = -math.inf, u[:m].copy(), 0
+    try:
+        for step in range(MAX_STEPS + 1):
+            s = s0 + (u[:m] @ flat[:m]).reshape(dim, dim)
+            eig = float(np.linalg.eigvalsh(s)[0])
+            if eig > best:
+                best, best_z = eig, u[:m].copy()
+            if best >= MARGIN:
+                return "feasible", best_z, step, best
+            bound = float(np.sum(s0 * x))
+            residual = float(np.linalg.norm(flat[:m] @ x.ravel()))
+            if bound < 0 and WITNESS_RADIUS * residual <= -bound:
+                return "witness", best_z, step, best
+            if step == MAX_STEPS:
+                break
+            z = s - u[m] * eye
+            lz_inv = np.linalg.inv(np.linalg.cholesky(z))
+            lx = np.linalg.cholesky(x)
+            lx_inv = np.linalg.inv(lx)
+            z_inv = lz_inv.T @ lz_inv
+            for op, out in zip(ops, scaled):  # one direction at a time
+                np.matmul(lz_inv @ op, lx, out=out)
+            schur = scaled.reshape(m + 1, -1) @ scaled.reshape(m + 1, -1).T
+            primal_residual = goal + flat @ x.ravel()  # b - A(X), A(Y) = -<ops, Y>
+            mu = float(np.sum(x * z)) / dim
+
+            def direction(r_zinv: np.ndarray):
+                """The step solving A(dX) = b - A(X), dZ = -A^T(du) and
+                X dZ + dX Z = R, given R Z^-1."""
+                du = np.linalg.solve(schur, primal_residual + flat @ r_zinv.ravel())
+                dz = np.tensordot(du, ops, axes=1)
+                dx = r_zinv - x @ dz @ z_inv
+                return du, (dx + dx.T) / 2.0, dz
+
+            du, dx, dz = direction(-x)
+            ap = min(1.0, _max_step(lx_inv, dx))
+            ad = min(1.0, _max_step(lz_inv, dz))
+            gap = float(np.sum((x + ap * dx) * (z + ad * dz))) / dim
+            sigma = min(1.0, (gap / mu) ** 3)
+            du, dx, dz = direction(sigma * mu * z_inv - x - dx @ dz @ z_inv)
+            x = x + min(1.0, STEP_FRACTION * _max_step(lx_inv, dx)) * dx
+            u = u + min(1.0, STEP_FRACTION * _max_step(lz_inv, dz)) * du
+    except np.linalg.LinAlgError:
+        pass
+    return "stopped", best_z, step, best
+
+
+def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
+    """The largest alpha with L L^T + alpha d PSD (inf if there is none),
+    given L^-1."""
+    low = float(np.linalg.eigvalsh(chol_inv @ d @ chol_inv.T)[0])
+    return math.inf if low >= 0 else -1.0 / low
 
 
 # -- exact rounding ----------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from symsos import linalg, pipeline
@@ -258,7 +259,36 @@ def test_refute_satisfiable_returns_none():
     result = refute_invariant_system(inst)
     assert not result.certified
     assert result.status == "no-certificate-at-degree"
-    assert result.reason == "solver-infeasible"
+    assert result.reason == "dual-witness"
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_refute_half_integral_knapsack_beyond_small_n(n):
+    result = refute_invariant_system(half_integral_knapsack(n))
+    assert result.certified
+    assert verify(result.certificate).accepted
+
+
+def test_refute_contradictory_pair():
+    n = 8
+    total = sum_of_vars(n)
+    inst = ProblemInstance(group=GroupSpec.symmetric(n),
+                           equalities=[total - Polynomial.constant(n, frac(n, 2)),
+                                       total - Polynomial.constant(n, frac(n + 1, 2))],
+                           domain_roots=BOOL, degree=1)
+    result = refute_invariant_system(inst)
+    assert result.certified
+    assert verify(result.certificate).accepted
+
+
+def test_stopped_solver_gives_its_own_reason(monkeypatch):
+    def failing(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    result = refute_invariant_system(half_integral_knapsack(8))
+    assert not result.certified
+    assert result.reason == "solver-stopped"
 
 
 def test_refute_requires_closed_system():
@@ -299,13 +329,24 @@ def test_prove_constant_one():
     assert result.certificate.equality_multipliers == []
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_prove_literal_square_at_default_epsilon(n):
+    p = sum_of_vars(n) - Polynomial.constant(n, frac(n, 2))
+    inst = ProblemInstance(group=GroupSpec.symmetric(n), equalities=[],
+                           domain_roots=BOOL, target=p * p, degree=1)
+    result = prove_invariant(inst)
+    assert result.certified
+    assert result.epsilon == pipeline.DEFAULT_EPSILON
+    assert verify(result.certificate).accepted
+
+
 def test_prove_minus_one_fails_on_satisfiable():
     inst = ProblemInstance(group=GroupSpec.symmetric(2), equalities=[],
                            domain_roots=BOOL, target=Polynomial.constant(2, -1),
                            degree=1, epsilon=frac(0))
     result = prove_invariant(inst)
     assert not result.certified
-    assert result.reason == "solver-infeasible"
+    assert result.reason == "dual-witness"
 
 
 def test_prove_requires_invariant_target():

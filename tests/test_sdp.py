@@ -84,7 +84,8 @@ def test_solver_reports_psd_conflict():
 
 def psd_conflict_with_free_direction():
     """a0 * diag(1, 0) + a1 * diag(0, 1) with a1 = -1 forced and a0 free:
-    infeasible, and the free direction sends the solver into its polish."""
+    infeasible, and the free direction sends the solver into its
+    interior-point steps."""
     basis = MonomialBasis(1, 1)
     qa = GramMatrix(basis, [[frac(1), frac(0)], [frac(0), frac(0)]])
     qb = GramMatrix(basis, [[frac(0), frac(0)], [frac(0), frac(1)]])
@@ -102,60 +103,33 @@ def test_solver_survives_singular_polish_matrix(monkeypatch):
     assert not out.feasible
 
 
-def test_max_iters_is_the_total_budget():
+def test_free_direction_conflict_ends_in_a_dual_witness():
     out = solve_feasibility(psd_conflict_with_free_direction())
     assert not out.feasible
-    assert out.iterations == sdp.MAX_ITERS
+    assert out.dual_witness
+    assert out.iterations <= sdp.MAX_STEPS // 4
 
 
-def test_one_eigendecomposition_per_alternation_step(monkeypatch):
-    # With the polish stubbed out, the only other decomposition is the
-    # measurement of the polished point.
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(matrix, _original=getattr(np.linalg, name)):
-            calls.append(matrix)
-            return _original(matrix)
-        monkeypatch.setattr(np.linalg, name, counted)
-    monkeypatch.setattr(sdp, "_logdet_newton", lambda matrix_of, y0, *rest: y0)
-    out = solve_feasibility(psd_conflict_with_free_direction())
-    assert not out.feasible
-    assert len(calls) == out.iterations + 1
+def test_psd_stack_is_float_of_each_entry():
+    rng = random.Random(97)
+    basis = MonomialBasis(2, 1)
+    matrices = []
+    for _ in range(4):
+        entries = [[frac(0)] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                if rng.random() < 0.6:
+                    entries[i][j] = entries[j][i] = frac(rng.randint(-10 ** 30, 10 ** 30),
+                                                         rng.randint(1, 10 ** 25))
+        matrices.append(GramMatrix(basis, entries))
+    expected = [[[float(x) for x in row] for row in q.entries] for q in matrices]
+    assert sdp.psd_stack(matrices).tolist() == expected
 
 
 def test_solver_deterministic():
     a = solve_feasibility(small_system())
     b = solve_feasibility(small_system())
     assert a.solution.values == b.solution.values
-
-
-def test_give_up_polishes_once(monkeypatch):
-    calls = []
-    real = sdp._logdet_newton
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(sdp, "_logdet_newton", counted)
-    out = solve_feasibility(psd_conflict_with_free_direction())
-    assert not out.feasible
-    assert len(calls) == 1
-
-
-def test_barrier_derivatives_match_trace_loops():
-    rng = np.random.default_rng(5)
-    for dim, m in ((1, 1), (4, 3), (9, 7)):
-        root = rng.standard_normal((dim, dim))
-        sinv = root @ root.T + np.eye(dim)
-        raw = rng.standard_normal((m, dim, dim))
-        directions = (raw + raw.transpose(0, 2, 1)) / 2.0
-        grad, hess = sdp._barrier_derivatives(sinv, directions)
-        ref_grad = [np.trace(sinv @ d) for d in directions]
-        ref_hess = [[np.trace(sinv @ di @ sinv @ dj) for dj in directions]
-                    for di in directions]
-        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12)
 
 
 def test_simplest_in_interval():
