@@ -423,6 +423,13 @@ def _frac_parse(s: str) -> Fraction:
         raise ParseError(f"bad rational {s!r}: {exc}")
 
 
+def _int_load(value) -> int:
+    """A JSON integer; a float or a bool is malformed, never truncated."""
+    if type(value) is not int:
+        raise ParseError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _poly_dump(p: Polynomial) -> list:
     return [[list(m), _frac_str(c)] for m, c in p.items_grlex()]
 
@@ -433,7 +440,7 @@ def _poly_load(data, n: int) -> Polynomial:
         if len(entry) != 2:
             raise ParseError("polynomial term must be [exponents, coefficient]")
         mono, coeff = entry
-        terms[tuple(int(e) for e in mono)] = _frac_parse(coeff)
+        terms[tuple(_int_load(e) for e in mono)] = _frac_parse(coeff)
     return Polynomial(n, terms)
 
 
@@ -470,11 +477,11 @@ def parse_certificate(text: str) -> SosCertificate:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ParseError(f"missing or unsupported format tag (want {FORMAT_TAG})")
     try:
-        n = int(doc["variables"])
+        n = _int_load(doc["variables"])
         mode = doc["mode"]
-        bound = int(doc["degree_bound"])
+        bound = _int_load(doc["degree_bound"])
         target = _poly_load(doc["target"], n)
-        d = int(doc["sigma_basis_degree"])
+        d = _int_load(doc["sigma_basis_degree"])
         # Compare the grid with C(n + d, d) before building that many monomials.
         if d >= 0 and len(doc["sigma"]) != math.comb(n + d, d):
             raise DimensionMismatch("entry grid does not match basis size")

@@ -5,13 +5,14 @@ goal == sigma + sum(multiplier * constraint) + ideal with sigma and the
 multipliers invariant; they differ in the goal, the free columns and the
 certificate mode.  Each validates its instance, describes its search in a
 _SearchSpec, and hands it to the one search core, _search: enumerate the
-pair orbits and build the indicator matrices once, reduce modulo the
-coordinate ring, match coefficients into a linear system with one row per
-distinct coefficient equation (one per monomial orbit for invariant data),
-hand the tiny symmetry-reduced SDP to the numeric solver, then per rounding
-window round back to rationals, reconstruct the Groebner cofactors exactly,
-and verify, the one exact check (a sigma that is not PSD moves on to the
-next, finer window).  When the solver finds no point, the result says why:
+pair orbits once as a grid of merged-orbit ids over the Gram basis (one
+unknown of sigma per id), reduce modulo the coordinate ring, match
+coefficients into a linear system with one row per distinct coefficient
+equation (one per monomial orbit for invariant data), hand the tiny
+symmetry-reduced SDP to the numeric solver, then per rounding window round
+back to rationals, reconstruct the Groebner cofactors exactly, and verify,
+the one exact check (a sigma that is not PSD moves on to the next, finer
+window).  When the solver finds no point, the result says why:
 "dual-witness" when its primal iterate is numeric evidence that no
 certificate exists at this degree, "solver-stopped" when it stopped at its
 step cap or a failed factorisation without deciding.  The variable-count
@@ -27,6 +28,7 @@ check_pseudoexpectation evaluates.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -41,7 +43,7 @@ from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
 from .poly import Monomial, MonomialBasis, Polynomial, mono_divides, monomials_up_to
 from .sdp import (FeasibilitySystem, SolveOutcome, combination, psd_stack,
                   rationalize, solve_feasibility)
-from .symmetry import (GramMatrix, GroupSpec, OrbitTable, canonical_monomial,
+from .symmetry import (GroupSpec, OrbitTable, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system,
                        monomial_orbit_elements, orbit_indicator_matrices)
@@ -195,25 +197,25 @@ def _constraint_orbits(inst: ProblemInstance) -> list[list[int]]:
     return orbits
 
 
-def _accounting(inst: ProblemInstance, table: OrbitTable,
-                indicators: Sequence[GramMatrix],
+def _accounting(inst: ProblemInstance, table: OrbitTable, indicators: int,
                 orbits: Optional[list[list[int]]],
                 free: int) -> VariableCountReport:
-    """Unknown counts of a search over these pair orbits and indicators
-    with `free` free scalars.  orbits partitions the equality constraints,
-    or is None when they are not closed under the group."""
+    """Unknown counts of a search over these pair orbits, merged into
+    `indicators` ids, with `free` free scalars.  orbits partitions the
+    equality constraints, or is None when they are not closed under the
+    group."""
     n, gram_degree = inst.n, table.degree
     w = math.comb(n + gram_degree, gram_degree)
     mult_dims = [math.comb(n + e, e) for e in
                  (_multiplier_degree(p, gram_degree) for p in inst.equalities)]
     return VariableCountReport(
         n=n, gram_degree=gram_degree, w_size=w, y_size=w * w,
-        pair_orbit_count=len(table), indicator_count=len(indicators),
+        pair_orbit_count=len(table), indicator_count=indicators,
         constraint_orbit_count=len(inst.equalities) if orbits is None
         else len(orbits),
         multiplier_dims=mult_dims,
         before_variables=w * (w + 1) // 2 + sum(mult_dims),
-        after_variables=len(indicators) + free)
+        after_variables=indicators + free)
 
 
 def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
@@ -221,7 +223,7 @@ def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
     inst sets them up; prove and refute attach the same report."""
     gram_degree = _gram_degree(inst)
     table = enumerate_pair_orbits(inst.group, gram_degree)
-    indicators = orbit_indicator_matrices(table, MonomialBasis(inst.n, gram_degree))
+    ids = orbit_indicator_matrices(table, MonomialBasis(inst.n, gram_degree))
     try:
         orbits = _constraint_orbits(inst)
     except InvalidSystem:
@@ -231,16 +233,16 @@ def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
     else:  # one scalar per monomial orbit of each multiplier
         free = sum(len(enumerate_monomial_orbits(
             inst.group, _multiplier_degree(p, gram_degree))) for p in inst.equalities)
-    return _accounting(inst, table, indicators, orbits, free)
+    return _accounting(inst, table, 1 + max(map(max, ids)), orbits, free)
 
 
 @dataclass
 class _SearchSpec:
     """One certificate search: goal == sigma + sum of equality terms + ideal.
 
-    sigma combines the pair-orbit indicator matrices of the Gram basis of
-    degree gram_degree.  free_columns holds the reduced equality term of
-    each free scalar, and multipliers turns the scalars' exact values into
+    sigma has one unknown per merged pair orbit of the Gram basis of degree
+    gram_degree.  free_columns holds the reduced equality term of each free
+    scalar, and multipliers turns the scalars' exact values into
     the certificate's (constraint, multiplier) pairs.
     """
 
@@ -257,8 +259,10 @@ class _SearchSpec:
 def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     gb = inst.groebner
     table = enumerate_pair_orbits(inst.group, spec.gram_degree)
-    indicators = orbit_indicator_matrices(table, MonomialBasis(inst.n, spec.gram_degree))
-    accounting = _accounting(inst, table, indicators, spec.constraint_orbits,
+    basis = MonomialBasis(inst.n, spec.gram_degree)
+    ids = orbit_indicator_matrices(table, basis)
+    k2 = 1 + max(map(max, ids))
+    accounting = _accounting(inst, table, k2, spec.constraint_orbits,
                              len(spec.free_columns))
 
     def no_certificate(reason: str, outcome: SolveOutcome) -> PipelineResult:
@@ -266,14 +270,20 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
                               accounting=accounting, solver=outcome,
                               epsilon=spec.epsilon)
 
-    a_cols = [_reduced(q.to_polynomial(), gb) for q in indicators]
+    # Id r's column sums x^(a + b) over the entries (a, b) that hold r.
+    a_terms: list[Counter] = [Counter() for _ in range(k2)]
+    for a, row in zip(basis, ids):
+        for b, r in zip(basis, row):
+            a_terms[r][tuple(x + y for x, y in zip(a, b))] += 1
+    a_cols = [_reduced(Polynomial(inst.n, t), gb) for t in a_terms]
     amat, rhs = _match_columns(a_cols + spec.free_columns, _reduced(spec.goal, gb))
-    system = FeasibilitySystem(psd_matrices=indicators, linear_map=amat, rhs=rhs)
+    unit = [{r: Fraction(1)} for r in range(k2)]
+    system = FeasibilitySystem(basis=basis, gram=[[unit[r] for r in row] for row in ids],
+                               linear_map=amat, rhs=rhs)
     outcome = solve_feasibility(system)
     if not outcome.feasible:
         return no_certificate("dual-witness" if outcome.dual_witness
                               else "solver-stopped", outcome)
-    k2 = len(indicators)
     # verify is the one exact check; a sigma that is not PSD tries a finer window.
     for window in RATIONALIZE_WINDOWS:
         rat = rationalize(outcome.solution, system, window=window)
@@ -392,12 +402,12 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
                    ) -> tuple[list[Monomial], FeasibilitySystem]:
     """The moment system of a symmetric degree-deg functional L.
 
-    L's unknowns are its values L_r on the representatives.  The PSD
-    matrices E_r give the moment matrix over the degree deg/2 basis as
-    M(L) = sum_r L_r E_r; the rows are the distinct equations L(1) = 1 and
-    L(m p) = 0 for every monomial m of degree <= deg - deg p and each p in
-    constraints.  Each product monomial is reduced modulo the ring and
-    mapped onto the representatives once.
+    L's unknowns are its values L_r on the representatives.  gram is the
+    moment matrix over the degree deg/2 basis, entry (a, b) the sparse form
+    L(x^(a + b)) over the unknowns; the rows are the distinct equations
+    L(1) = 1 and L(m p) = 0 for every monomial m of degree <= deg - deg p
+    and each p in constraints.  Each product monomial is reduced modulo the
+    ring and mapped onto the representatives once.
     """
     n, gb = inst.n, inst.groebner
     reps = _moment_representatives(inst, deg)
@@ -415,12 +425,7 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
         return cache[mono]
 
     half = MonomialBasis(n, deg // 2)
-    e_mats = [GramMatrix(half) for _ in reps]
-    for i, a in enumerate(half.entries):
-        for j, b in enumerate(half.entries):
-            for r, coeff in moment_of(tuple(x + y for x, y in zip(a, b))).items():
-                if coeff:
-                    e_mats[r].entries[i][j] += coeff
+    gram = [[moment_of(tuple(x + y for x, y in zip(a, b))) for b in half] for a in half]
 
     def moment_row(shift: Monomial, p: Polynomial) -> list[Fraction]:
         """L(x^shift * p) as a row over the unknowns."""
@@ -434,7 +439,7 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
     for p in constraints:
         rows += [moment_row(m, p) for m in monomials_up_to(n, max(deg - p.degree(), 0))]
     rows, rhs = _distinct_rows(rows, [Fraction(1)] + [Fraction(0)] * (len(rows) - 1))
-    return reps, FeasibilitySystem(psd_matrices=e_mats, linear_map=rows, rhs=rhs)
+    return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs)
 
 
 def find_pseudoexpectation(inst: ProblemInstance,
@@ -501,5 +506,5 @@ def check_pseudoexpectation(inst: ProblemInstance, pe: Pseudoexpectation,
                 - np.array(system.rhs, dtype=float))
     if float(np.abs(residual).max()) > tolerance:
         return False
-    mat = np.tensordot(values, psd_stack(system.psd_matrices), axes=1)
+    mat = (values @ psd_stack(system)).reshape(system.gram_dim, -1)
     return float(np.linalg.eigvalsh(mat)[0]) >= -tolerance

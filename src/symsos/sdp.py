@@ -1,6 +1,7 @@
 """Desk-scale semidefinite feasibility, and the numeric-to-exact bridge.
 
-The systems solved here are tiny after symmetry reduction.  The solver
+The systems solved here are tiny after symmetry reduction; each holds
+S(y) as one W x W grid of sparse forms over its unknowns.  The solver
 starts from y0, the least-norm solution of the linear rows, and keeps it
 when S(y0) already passes the tolerance test.  Otherwise it runs one
 primal-dual interior-point method (the HKM direction of Helmberg, Rendl,
@@ -21,7 +22,7 @@ finished certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, ResourceLimit
+from .poly import MonomialBasis
 from .symmetry import GramMatrix
 
 MAX_VARIABLES = 512
@@ -42,27 +44,34 @@ DENOMINATOR_BOUND = 2 ** 32  # largest denominator rationalize keeps
 
 @dataclass
 class FeasibilitySystem:
-    """Find (a, b) with sum a_i * psd_matrices[i] PSD and A (a, b) = rhs.
+    """Find (a, b) with S(a) PSD and A (a, b) = rhs.
 
-    a has one entry per PSD matrix (k2 of them); b holds the k3 free
-    scalars, the columns of linear_map past the first k2.  linear_map is a
-    dense rational k1 x (k2 + k3) matrix, one row per distinct coefficient
+    gram is S, a symmetric W x W grid over basis whose entry (i, j) is a
+    sparse form {r: c}, so S(a)[i][j] = sum c * a[r]; k2, the number of
+    PSD unknowns a, is read off it.  b holds the k3 free scalars, the
+    columns of linear_map past the first k2.  linear_map is a dense
+    rational k1 x (k2 + k3) matrix, one row per distinct coefficient
     equation (one per monomial orbit for invariant data).
     """
 
-    psd_matrices: list[GramMatrix]
+    basis: MonomialBasis
+    gram: list[list[dict[int, Fraction]]]
     linear_map: list[list[Fraction]]
     rhs: list[Fraction]
+    k2: int = field(init=False)
 
     def __post_init__(self):
-        if not self.psd_matrices:
-            raise ValueError("need at least one PSD coefficient matrix")
-        basis = self.psd_matrices[0].basis
-        for q in self.psd_matrices:
-            if q.basis != basis:
-                raise DimensionMismatch("PSD coefficient matrices over different bases")
+        dim = len(self.basis)
+        if len(self.gram) != dim or any(len(row) != dim for row in self.gram):
+            raise DimensionMismatch("gram grid does not match basis size")
+        if any(self.gram[i][j] != self.gram[j][i] for i in range(dim) for j in range(i)):
+            raise ValueError("gram grid is not symmetric")
+        self.k2 = 1 + max((r for row in self.gram for form in row for r in form),
+                          default=-1)
+        if not self.k2:
+            raise ValueError("need at least one PSD unknown")
         if self.k3 < 0:
-            raise DimensionMismatch("linear map has fewer columns than PSD matrices")
+            raise DimensionMismatch("linear map has fewer columns than PSD unknowns")
         width = self.k2 + self.k3
         for row in self.linear_map:
             if len(row) != width:
@@ -75,16 +84,12 @@ class FeasibilitySystem:
         return len(self.linear_map)
 
     @property
-    def k2(self) -> int:
-        return len(self.psd_matrices)
-
-    @property
     def k3(self) -> int:
         return len(self.linear_map[0]) - self.k2 if self.linear_map else 0
 
     @property
     def gram_dim(self) -> int:
-        return self.psd_matrices[0].dim
+        return len(self.basis)
 
     @property
     def variables(self) -> int:
@@ -109,15 +114,14 @@ class SolveOutcome:
     dual_witness: bool = False  # not feasible, with numeric evidence why
 
 
-def psd_stack(matrices: Sequence[GramMatrix]) -> np.ndarray:
-    """The symmetric matrices in floating point, as one array of shape
-    (len(matrices), dim, dim).  numerator / denominator is float(x), and
-    skipping the many zero entries keeps the conversion cheap."""
-    dim = matrices[0].dim
-    stack = np.empty((len(matrices), dim, dim))
-    for out, q in zip(stack, matrices):
-        out[:] = [[x.numerator / x.denominator if x else 0.0 for x in row]
-                  for row in q.entries]
+def psd_stack(system: FeasibilitySystem) -> np.ndarray:
+    """S in floating point, as one (k2, W * W) array whose row r holds
+    a[r]'s coefficient in each entry, row-major.  One pass over the terms;
+    numerator / denominator is float(c)."""
+    stack = np.zeros((system.k2, system.gram_dim ** 2))
+    for ij, form in enumerate(form for row in system.gram for form in row):
+        for r, c in form.items():
+            stack[r, ij] = c.numerator / c.denominator
     return stack
 
 
@@ -134,7 +138,7 @@ def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
         raise ResourceLimit(
             f"{system.variables} variables exceed solver cap {MAX_VARIABLES}")
     k1, k2, nvar, dim = system.k1, system.k2, system.variables, system.gram_dim
-    gmat = psd_stack(system.psd_matrices).reshape(k2, dim * dim)
+    gmat = psd_stack(system)
     amat = np.array(system.linear_map, dtype=float).reshape(k1, nvar)
     rhs = np.array(system.rhs, dtype=float)
     try:
@@ -349,18 +353,6 @@ def rationalize(solution: NumericSolution | Sequence[float],
 
 
 def combination(system: FeasibilitySystem, a_values: Sequence[Fraction]) -> GramMatrix:
-    """sum a_i * psd_matrices[i] as an exact GramMatrix."""
-    basis = system.psd_matrices[0].basis
-    out = GramMatrix(basis)
-    for i, coeff in enumerate(a_values):
-        if coeff == 0:
-            continue
-        coeff = Fraction(coeff)
-        q = system.psd_matrices[i]
-        for r in range(out.dim):
-            rowq = q.entries[r]
-            rowo = out.entries[r]
-            for c in range(out.dim):
-                if rowq[c]:
-                    rowo[c] += coeff * rowq[c]
-    return out
+    """S(a) as an exact GramMatrix."""
+    return GramMatrix(system.basis, [[sum(c * a_values[r] for r, c in form.items())
+                                      for form in row] for row in system.gram])

@@ -332,28 +332,22 @@ def reynolds_gram(group: GroupSpec, q: GramMatrix) -> GramMatrix:
     return GramMatrix(q.basis, out)
 
 
-def orbit_indicator_matrices(table: OrbitTable, basis: MonomialBasis) -> list[GramMatrix]:
-    """0/1 symmetric matrices spanning the invariant matrices on this basis.
+def orbit_indicator_matrices(table: OrbitTable, basis: MonomialBasis) -> list[list[int]]:
+    """One symmetric grid of ids 0..k-1 over this basis: indicator r is the
+    0/1 matrix that is 1 exactly where the grid holds r.
 
-    Each pair orbit is merged with its transpose orbit so the indicators are
-    symmetric; they have disjoint supports and sum to the all-ones matrix.
+    Each pair orbit is merged with its transpose orbit, so the indicators
+    are symmetric, have disjoint supports and sum to the all-ones matrix.
     Every G-invariant Gram matrix is a unique rational combination of them.
     """
     if table.kind != "pair":
         raise ValueError("need a pair orbit table")
     if table.degree != basis.d or table.group.n != basis.n:
         raise DimensionMismatch("orbit table and basis disagree")
-    merged_id: dict[int, int] = {}
-    for idx, rep in enumerate(table.representatives):
-        a, b = rep
-        partner = table.orbit_of[canonical_pair(table.group, (b, a))]
-        merged_id[idx] = min(idx, partner)
-    order: list[int] = sorted(set(merged_id.values()))
-    slot = {m: i for i, m in enumerate(order)}
-    mats = [GramMatrix(basis) for _ in order]
-    for (a, b), idx in table.orbit_of.items():
-        mats[slot[merged_id[idx]]].entries[basis.index(a)][basis.index(b)] = Fraction(1)
-    return mats
+    merged = [min(idx, table.orbit_of[canonical_pair(table.group, (b, a))])
+              for idx, (a, b) in enumerate(table.representatives)]
+    slot = {m: i for i, m in enumerate(sorted(set(merged)))}
+    return [[slot[merged[table.orbit_of[(a, b)]]] for b in basis] for a in basis]
 
 
 def is_invariant(group: GroupSpec, p: Polynomial) -> bool:

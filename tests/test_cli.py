@@ -152,6 +152,38 @@ def test_verify_of_a_1500_variable_certificate_exits_0(tmp_path, capsys):
     assert "certified:" in capsys.readouterr().out
 
 
+def one_is_one(**changes):
+    """The document 1 = sigma, sigma = [[1]] over the degree-0 basis in one
+    variable, with the given fields replaced."""
+    doc = {"format": "symsos.certificate/1", "variables": 1, "mode": "general",
+           "degree_bound": 0, "target": [[[0], "1/1"]],
+           "sigma_basis_degree": 0, "sigma": [["1/1"]],
+           "equality_multipliers": [], "groebner_multipliers": []}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("target", [[[0.5], "1/1"]]),
+    ("target", [[[True], "1/1"]]),
+    ("target", [[["0"], "1/1"]]),
+    ("variables", 1.0),
+    ("variables", True),
+    ("degree_bound", 2.5),
+    ("sigma_basis_degree", False),
+], ids=["exponent-0.5", "exponent-true", "exponent-string", "variables-1.0",
+        "variables-true", "degree-bound-2.5", "basis-degree-false"])
+@pytest.mark.parametrize("command", ["verify", "bitsize"])
+def test_non_integer_fields_exit_2(tmp_path, capsys, command, field, value):
+    assert cli.main([command, write(tmp_path, "ok.cert.json", one_is_one())]) == 0
+    capsys.readouterr()
+    path = write(tmp_path, "bad.cert.json", one_is_one(**{field: value}))
+    assert cli.main([command, path]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith("error: ")
+
+
 def test_reduce_command(tmp_path, capsys):
     problem = write(tmp_path, "r.sos",
                     "vars: 1\ndomain: {0,1}\neq: x1^2 + x1\ntarget: refute\n")

@@ -110,6 +110,55 @@ def test_search_enumerates_orbits_once(monkeypatch, search, inst):
     assert calls == {"enumerate_pair_orbits": 1, "orbit_indicator_matrices": 1}
 
 
+def counted_gram_matrices(monkeypatch):
+    """One flag per GramMatrix built from now on: whether it was built
+    inside combination; and the list of rationalize calls."""
+    built, inside, windows = [], [], []
+    original_init = GramMatrix.__init__
+    original_combination = pipeline.combination
+    original_rationalize = pipeline.rationalize
+
+    def counted_init(self, *args, **kwargs):
+        built.append(bool(inside))
+        original_init(self, *args, **kwargs)
+
+    def counted_combination(*args):
+        inside.append(True)
+        try:
+            return original_combination(*args)
+        finally:
+            inside.pop()
+
+    def counted_rationalize(*args, **kwargs):
+        windows.append(kwargs["window"])
+        return original_rationalize(*args, **kwargs)
+
+    monkeypatch.setattr(GramMatrix, "__init__", counted_init)
+    monkeypatch.setattr(pipeline, "combination", counted_combination)
+    monkeypatch.setattr(pipeline, "rationalize", counted_rationalize)
+    return built, windows
+
+
+@pytest.mark.parametrize("search,inst", [
+    (refute_invariant_system, half_integral_knapsack(2)),
+    (prove_invariant, pinned_proof()),
+], ids=["refute", "prove"])
+def test_search_builds_gram_matrices_only_in_combination(monkeypatch, search, inst):
+    built, windows = counted_gram_matrices(monkeypatch)
+    assert search(inst).certified
+    assert windows and built == [True] * len(windows)
+
+
+def test_pseudoexpectation_search_builds_no_gram_matrix(monkeypatch):
+    built, _ = counted_gram_matrices(monkeypatch)
+    n = 4
+    inst = ProblemInstance(group=GroupSpec.symmetric(n),
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, 2)],
+                           domain_roots=BOOL, degree=1)
+    assert find_pseudoexpectation(inst) is not None
+    assert built == []
+
+
 def counted_psd_calls(monkeypatch):
     """Every matrix handed to linalg.psd_certificate from now on."""
     calls = []
@@ -151,8 +200,9 @@ def planted_solution(monkeypatch, a1, a2):
     """Make the solver answer sigma = [[1, a1], [a1, a2]] for
     ladder_instance(); returns the windows rationalize is then called with."""
     def planted(system):
-        values = [1.0 if q.entries[0][0] else a1 if q.entries[0][1] else a2
-                  for q in system.psd_matrices] + [0.0] * system.k3
+        (one,), (lin,), (sq,) = system.gram[0][0], system.gram[0][1], system.gram[1][1]
+        values = [0.0] * system.variables
+        values[one], values[lin], values[sq] = 1.0, a1, a2
         return SolveOutcome(True, NumericSolution(values, 0.0, 0.0, 1), 0.0, 0.0, 1)
 
     windows = []
@@ -239,8 +289,7 @@ def test_conflicting_rows_survive_matching():
     amat, rhs = _match_columns([x1 + x2], x1 - x2)
     assert amat == [[frac(1)], [frac(1)]] and sorted(rhs) == [-1, 1]
     system = FeasibilitySystem(
-        psd_matrices=[GramMatrix(MonomialBasis(2, 0), [[frac(1)]])],
-        linear_map=amat, rhs=rhs)
+        basis=MonomialBasis(2, 0), gram=[[{0: frac(1)}]], linear_map=amat, rhs=rhs)
     assert not solve_feasibility(system).feasible
 
 
@@ -445,6 +494,31 @@ def test_check_pseudoexpectation_rejects_each_violation():
     indefinite = Pseudoexpectation(group=group, degree=2, numeric=False, moments={
         (0, 0): frac(1), (1, 0): frac(1, 2), (1, 1): frac(-1)})
     assert not check_pseudoexpectation(free, indefinite)
+
+
+def two_plus_one():
+    """x1 + x2 = 3 on {0,1,2,3}^2 under S(2), moments of degree 6.  x^4
+    reduces to a cubic, so 30 of the 100 moment-matrix entries are forms
+    over several representatives."""
+    return ProblemInstance(group=GroupSpec.symmetric(2),
+                           equalities=[sum_of_vars(2) - Polynomial.constant(2, 3)],
+                           domain_roots=tuple(frac(v) for v in range(4)), degree=3)
+
+
+def test_moment_matrix_entries_with_several_representatives():
+    inst = two_plus_one()
+    reps, system = pipeline._moment_system(inst, 6, inst.equalities)
+    assert system.gram_dim == 10 and system.k2 == len(reps)
+    assert sum(len(form) > 1 for row in system.gram for form in row) == 30
+    point = point_pseudoexpectation(inst, [[2, 1]])
+    assert check_pseudoexpectation(inst, point)
+    raised = replace(point, moments={m: v + frac(1, 3) if sum(m) == 6 else v
+                                     for m, v in point.moments.items()})
+    assert raised.moments != point.moments
+    assert not check_pseudoexpectation(inst, raised)
+    found = find_pseudoexpectation(inst)
+    assert found is not None and found.numeric
+    assert check_pseudoexpectation(inst, found)
 
 
 def test_point_pseudoexpectation_rejects_bad_point():

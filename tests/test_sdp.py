@@ -22,37 +22,44 @@ def basis1():
     return MonomialBasis(1, 0)
 
 
-def gram(value):
-    return GramMatrix(basis1(), [[frac(value)]])
+def gram(k2=1):
+    """The 1x1 grid S(a) = [[a_0 + ... + a_(k2-1)]]."""
+    return [[{r: frac(1) for r in range(k2)}]]
+
+
+def scalar_system(linear_map, rhs, k2=1):
+    return FeasibilitySystem(basis=basis1(), gram=gram(k2),
+                             linear_map=linear_map, rhs=rhs)
 
 
 def small_system():
-    """One 1x1 block Q = [[1]], one unknown a with a = 2."""
-    return FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1)]], rhs=[frac(2)])
+    """S(a) = [[a]], one unknown a with a = 2."""
+    return scalar_system([[frac(1)]], [frac(2)])
 
 
 def test_system_validation():
-    with pytest.raises(ValueError):
-        FeasibilitySystem(psd_matrices=[], linear_map=[], rhs=[])
+    with pytest.raises(ValueError, match="at least one"):
+        FeasibilitySystem(basis=basis1(), gram=[[{}]], linear_map=[], rhs=[])
+    with pytest.raises(DimensionMismatch, match="basis size"):
+        FeasibilitySystem(basis=MonomialBasis(1, 1), gram=gram(),
+                          linear_map=[[frac(1)]], rhs=[frac(1)])
+    with pytest.raises(ValueError, match="not symmetric"):
+        FeasibilitySystem(basis=MonomialBasis(1, 1),
+                          gram=[[{0: frac(1)}, {0: frac(1)}], [{}, {0: frac(1)}]],
+                          linear_map=[[frac(1)]], rhs=[frac(1)])
     with pytest.raises(DimensionMismatch):
-        FeasibilitySystem(psd_matrices=[gram(1)],
-                          linear_map=[[frac(1), frac(2)]], rhs=[frac(0), frac(1)])
-    sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1), frac(1)]], rhs=[frac(1)])
+        scalar_system([[frac(1), frac(2)]], [frac(0), frac(1)])
+    sys_ = scalar_system([[frac(1), frac(1)]], [frac(1)])
     assert sys_.k2 == 1 and sys_.k3 == 1 and sys_.k1 == 1
 
 
 def test_linear_map_narrower_than_psd_matrices_rejected():
     with pytest.raises(DimensionMismatch, match="fewer columns"):
-        FeasibilitySystem(psd_matrices=[gram(1), gram(1)],
-                          linear_map=[[frac(1)]], rhs=[frac(1)])
+        scalar_system([[frac(1)]], [frac(1)], k2=2)
 
 
 def test_variable_cap():
-    sys_ = FeasibilitySystem(
-        psd_matrices=[gram(1)],
-        linear_map=[[frac(1)] * (MAX_VARIABLES + 1)], rhs=[frac(0)])
+    sys_ = scalar_system([[frac(1)] * (MAX_VARIABLES + 1)], [frac(0)])
     assert sys_.k3 == MAX_VARIABLES and sys_.variables == MAX_VARIABLES + 1
     with pytest.raises(ResourceLimit):
         solve_feasibility(sys_)
@@ -65,9 +72,7 @@ def test_solver_trivial_feasible():
 
 
 def test_solver_reports_infeasible_linear():
-    sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1)], [frac(1)]],
-                             rhs=[frac(0), frac(1)])
+    sys_ = scalar_system([[frac(1)], [frac(1)]], [frac(0), frac(1)])
     out = solve_feasibility(sys_)
     assert not out.feasible
     assert out.best_linear_residual > 1e-3
@@ -75,21 +80,17 @@ def test_solver_reports_infeasible_linear():
 
 def test_solver_reports_psd_conflict():
     # a = -1 forced, but block demands a >= 0
-    sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1)]], rhs=[frac(-1)])
+    sys_ = scalar_system([[frac(1)]], [frac(-1)])
     out = solve_feasibility(sys_)
     assert not out.feasible
     assert out.best_psd_deficit > 1e-3
 
 
 def psd_conflict_with_free_direction():
-    """a0 * diag(1, 0) + a1 * diag(0, 1) with a1 = -1 forced and a0 free:
-    infeasible, and the free direction sends the solver into its
-    interior-point steps."""
-    basis = MonomialBasis(1, 1)
-    qa = GramMatrix(basis, [[frac(1), frac(0)], [frac(0), frac(0)]])
-    qb = GramMatrix(basis, [[frac(0), frac(0)], [frac(0), frac(1)]])
-    return FeasibilitySystem(psd_matrices=[qa, qb],
+    """S(a) = diag(a0, a1) with a1 = -1 forced and a0 free: infeasible, and
+    the free direction sends the solver into its interior-point steps."""
+    return FeasibilitySystem(basis=MonomialBasis(1, 1),
+                             gram=[[{0: frac(1)}, {}], [{}, {1: frac(1)}]],
                              linear_map=[[frac(0), frac(1)]], rhs=[frac(-1)])
 
 
@@ -112,18 +113,21 @@ def test_free_direction_conflict_ends_in_a_dual_witness():
 
 def test_psd_stack_is_float_of_each_entry():
     rng = random.Random(97)
-    basis = MonomialBasis(2, 1)
-    matrices = []
-    for _ in range(4):
-        entries = [[frac(0)] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                if rng.random() < 0.6:
-                    entries[i][j] = entries[j][i] = frac(rng.randint(-10 ** 30, 10 ** 30),
-                                                         rng.randint(1, 10 ** 25))
-        matrices.append(GramMatrix(basis, entries))
-    expected = [[[float(x) for x in row] for row in q.entries] for q in matrices]
-    assert sdp.psd_stack(matrices).tolist() == expected
+    k2, dim = 4, 3
+    grid = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            grid[i][j] = grid[j][i] = {
+                r: frac(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+                for r in rng.sample(range(k2), rng.randint(0, k2))}
+    grid[0][0][k2 - 1] = frac(1, 3)  # the last unknown appears
+    system = FeasibilitySystem(basis=MonomialBasis(2, 1), gram=grid,
+                               linear_map=[[frac(1)] * k2], rhs=[frac(0)])
+    assert system.k2 == k2
+    assert any(len(form) > 1 for row in grid for form in row)
+    expected = [[float(form.get(r, 0)) for row in grid for form in row]
+                for r in range(k2)]
+    assert sdp.psd_stack(system).tolist() == expected
 
 
 def test_solver_deterministic():
@@ -161,14 +165,13 @@ def test_rationalize_recovers_planted_solution():
     rng = random.Random(89)
     for _ in range(20):
         planted = [frac(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
-        q = GramMatrix(basis1(), [[frac(1)]])
         # a * 1 with a = planted[0] forced nonneg for PSD; keep it positive
         planted[0] = abs(planted[0]) + 1
         rows = [[frac(1), frac(0), frac(0)],
                 [frac(1), frac(2), frac(-1)]]
         rhs = [planted[0],
                planted[0] + 2 * planted[1] - planted[2]]
-        sys_ = FeasibilitySystem(psd_matrices=[q], linear_map=rows, rhs=rhs)
+        sys_ = scalar_system(rows, rhs)
         noisy = [float(v) + rng.uniform(-1e-9, 1e-9) for v in planted]
         sol = NumericSolution(values=noisy, psd_min_eigenvalue_estimate=0.0,
                               linear_residual_norm=0.0, iterations=1)
@@ -180,21 +183,19 @@ def test_rationalize_recovers_planted_solution():
 
 
 def test_combination_exact():
-    basis = MonomialBasis(1, 1)
-    qa = GramMatrix(basis, [[frac(1), frac(0)], [frac(0), frac(0)]])
-    qb = GramMatrix(basis, [[frac(0), frac(1)], [frac(1), frac(0)]])
-    sys_ = FeasibilitySystem(psd_matrices=[qa, qb],
+    off = {1: frac(1)}
+    sys_ = FeasibilitySystem(basis=MonomialBasis(1, 1),
+                             gram=[[{0: frac(1)}, off], [off, {0: frac(2), 1: frac(-1)}]],
                              linear_map=[[frac(1), frac(1)]], rhs=[frac(1)])
     combo = combination(sys_, [frac(1, 3), frac(2, 5)])
-    assert combo.entries[0][0] == frac(1, 3)
-    assert combo.entries[0][1] == frac(2, 5)
-    assert combo.entries[1][1] == 0
+    assert isinstance(combo, GramMatrix) and combo.basis == MonomialBasis(1, 1)
+    assert combo.entries == [[frac(1, 3), frac(2, 5)], [frac(2, 5), frac(4, 15)]]
+    assert combination(sys_, [frac(0), frac(0)]).entries == [[0, 0], [0, 0]]
 
 
 def test_end_to_end_solve_then_rationalize():
     # strictly feasible: a = 1 + b, b free; PSD needs a >= 0
-    sys_ = FeasibilitySystem(psd_matrices=[gram(1)],
-                             linear_map=[[frac(1), frac(-1)]], rhs=[frac(1)])
+    sys_ = scalar_system([[frac(1), frac(-1)]], [frac(1)])
     out = solve_feasibility(sys_)
     assert out.feasible
     rat = rationalize(out.solution, sys_)

@@ -247,23 +247,17 @@ def test_orbit_indicator_matrices():
     group = GroupSpec.symmetric(3)
     basis = MonomialBasis(3, 1)
     table = enumerate_pair_orbits(group, 1)
-    indicators = orbit_indicator_matrices(table, basis)
+    ids = orbit_indicator_matrices(table, basis)
     w = len(basis)
-    total = [[Fraction(0)] * w for _ in range(w)]
-    supports = set()
-    for q in indicators:
-        for i in range(w):
-            for j in range(w):
-                e = q.entries[i][j]
-                assert e in (0, 1)
-                assert q.entries[j][i] == e  # transpose-merged, symmetric
-                if e:
-                    assert (i, j) not in supports
-                    supports.add((i, j))
-                    total[i][j] += e
-    assert all(total[i][j] == 1 for i in range(w) for j in range(w))
+    assert len(ids) == w and all(len(row) == w for row in ids)
+    # transpose-merged, so each indicator is symmetric; one id per entry, so
+    # the supports are disjoint and sum to the all-ones matrix
+    assert all(ids[i][j] == ids[j][i] for i in range(w) for j in range(w))
+    used = {r for row in ids for r in row}
+    assert used == set(range(4))  # (1,1); (1,x_i) with (x_i,1); (x_i,x_i); (x_i,x_j)
     # each indicator promotes to an invariant polynomial
-    for q in indicators:
+    for r in used:
+        q = GramMatrix(basis, [[Fraction(int(x == r)) for x in row] for row in ids])
         assert is_invariant(group, q.to_polynomial())
 
 
