@@ -73,7 +73,8 @@ def _cmd_orbits(args) -> int:
         "constraint_orbit_count", "before_variables", "after_variables")}
     lines = [
         f"variables: {report.n}, gram basis degree: {report.gram_degree}",
-        f"gram dimension: {report.w_size}",
+        f"gram dimension: {report.w_size} (standard monomials of degree "
+        f"<= {report.gram_degree})",
         f"pair orbits: {report.pair_orbit_count} "
         f"(merged indicators: {report.indicator_count})",
         f"constraint orbits: {report.constraint_orbit_count}",

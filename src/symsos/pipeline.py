@@ -16,22 +16,34 @@ window).  When the solver finds no point, the result says why:
 "dual-witness" when its primal iterate is numeric evidence that no
 certificate exists at this degree, "solver-stopped" when it stopped at its
 step cap or a failed factorisation without deciding.  The variable-count
-report is read off the same orbit tables.  A returned certificate is always exact and has been verified;
-everything numeric is quarantined in the solver.
+report is read off the same orbit tables.  A returned certificate is
+always exact and has been verified; everything numeric is quarantined in
+the solver.
+
+The Gram basis, and the moment matrix's basis on the dual side, are the
+ring's standard monomials, those that no generator's leading monomial
+divides (on {0,1}^n the multilinear ones), filtered by _standard.  Any q
+is congruent to its normal form, of no higher degree, so q^2 and NF(q)^2
+agree modulo the ring and the other monomials add unknowns but no
+proving power.  The solver sees only the standard block; the
+certificate's sigma is still a GramMatrix over the whole MonomialBasis,
+zero on every other row and column.  When a groebner: file's generators
+are not permuted among themselves by the group, the standard monomials
+need not be closed under it, and the invariant search over them may miss
+a certificate that exists; a certificate it returns is still verified.
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
 It solves the same moment system, built by _moment_system, that
 check_pseudoexpectation evaluates.
 """
-
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +92,10 @@ class ProblemInstance:
             raise InvalidInstance("epsilon must be nonnegative")
         if self.domain_roots is not None and self.groebner is None:
             self.groebner = finite_domain_basis(n, self.domain_roots)
+        if self.groebner is not None and any(
+                g.degree() == 0 for g in self.groebner.generators):
+            raise InvalidInstance("a constant groebner generator leaves no "
+                                  "standard monomial: the ring is zero")
 
     @property
     def n(self) -> int:
@@ -197,20 +213,43 @@ def _constraint_orbits(inst: ProblemInstance) -> list[list[int]]:
     return orbits
 
 
-def _accounting(inst: ProblemInstance, table: OrbitTable, indicators: int,
-                orbits: Optional[list[list[int]]],
+def _standard(monomials: Iterable[Monomial],
+              gb: Optional[GroebnerBasis]) -> list[Monomial]:
+    """The standard monomials among these: those that no generator's
+    leading monomial divides, which reduction modulo the ring leaves as
+    they are (on {0,1}^n, the multilinear ones).  Every polynomial is
+    congruent to one over them of no higher degree."""
+    if gb is None:
+        return list(monomials)
+    leads = [g.leading_monomial() for g in gb.generators]
+    return [m for m in monomials if not any(mono_divides(lm, m) for lm in leads)]
+
+
+def _gram_orbits(inst: ProblemInstance, gram_degree: int):
+    """The Gram side of a search: the pair orbits of the degree-gram_degree
+    basis, its standard monomials, and the grid of merged-orbit ids over
+    them (one unknown of sigma per id)."""
+    table = enumerate_pair_orbits(inst.group, gram_degree)
+    standard = _standard(MonomialBasis(inst.n, gram_degree), inst.groebner)
+    return table, standard, orbit_indicator_matrices(table, standard)
+
+
+def _accounting(inst: ProblemInstance, table: OrbitTable, standard: list[Monomial],
+                indicators: int, orbits: Optional[list[list[int]]],
                 free: int) -> VariableCountReport:
-    """Unknown counts of a search over these pair orbits, merged into
-    `indicators` ids, with `free` free scalars.  orbits partitions the
-    equality constraints, or is None when they are not closed under the
-    group."""
+    """Unknown counts of a search whose sigma is a Gram matrix over the
+    standard monomials, with their pair orbits merged into `indicators`
+    ids, and `free` free scalars.  orbits partitions the equality
+    constraints, or is None when they are not closed under the group."""
     n, gram_degree = inst.n, table.degree
-    w = math.comb(n + gram_degree, gram_degree)
+    w = len(standard)
     mult_dims = [math.comb(n + e, e) for e in
                  (_multiplier_degree(p, gram_degree) for p in inst.equalities)]
     return VariableCountReport(
         n=n, gram_degree=gram_degree, w_size=w, y_size=w * w,
-        pair_orbit_count=len(table), indicator_count=indicators,
+        pair_orbit_count=len({table.orbit_of[(a, b)] for a in standard
+                              for b in standard}),
+        indicator_count=indicators,
         constraint_orbit_count=len(inst.equalities) if orbits is None
         else len(orbits),
         multiplier_dims=mult_dims,
@@ -222,8 +261,7 @@ def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
     """Unknown counts before and after symmetry reduction, as the search for
     inst sets them up; prove and refute attach the same report."""
     gram_degree = _gram_degree(inst)
-    table = enumerate_pair_orbits(inst.group, gram_degree)
-    ids = orbit_indicator_matrices(table, MonomialBasis(inst.n, gram_degree))
+    table, standard, ids = _gram_orbits(inst, gram_degree)
     try:
         orbits = _constraint_orbits(inst)
     except InvalidSystem:
@@ -233,17 +271,18 @@ def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
     else:  # one scalar per monomial orbit of each multiplier
         free = sum(len(enumerate_monomial_orbits(
             inst.group, _multiplier_degree(p, gram_degree))) for p in inst.equalities)
-    return _accounting(inst, table, 1 + max(map(max, ids)), orbits, free)
+    return _accounting(inst, table, standard, 1 + max(map(max, ids)), orbits, free)
 
 
 @dataclass
 class _SearchSpec:
     """One certificate search: goal == sigma + sum of equality terms + ideal.
 
-    sigma has one unknown per merged pair orbit of the Gram basis of degree
-    gram_degree.  free_columns holds the reduced equality term of each free
-    scalar, and multipliers turns the scalars' exact values into
-    the certificate's (constraint, multiplier) pairs.
+    sigma is a Gram matrix over the standard monomials of degree <=
+    gram_degree, with one unknown per merged pair orbit.  free_columns
+    holds the reduced equality term of each free scalar, and multipliers
+    turns the scalars' exact values into the certificate's (constraint,
+    multiplier) pairs.
     """
 
     goal: Polynomial
@@ -258,11 +297,9 @@ class _SearchSpec:
 
 def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     gb = inst.groebner
-    table = enumerate_pair_orbits(inst.group, spec.gram_degree)
-    basis = MonomialBasis(inst.n, spec.gram_degree)
-    ids = orbit_indicator_matrices(table, basis)
+    table, standard, ids = _gram_orbits(inst, spec.gram_degree)
     k2 = 1 + max(map(max, ids))
-    accounting = _accounting(inst, table, k2, spec.constraint_orbits,
+    accounting = _accounting(inst, table, standard, k2, spec.constraint_orbits,
                              len(spec.free_columns))
 
     def no_certificate(reason: str, outcome: SolveOutcome) -> PipelineResult:
@@ -272,24 +309,27 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
 
     # Id r's column sums x^(a + b) over the entries (a, b) that hold r.
     a_terms: list[Counter] = [Counter() for _ in range(k2)]
-    for a, row in zip(basis, ids):
-        for b, r in zip(basis, row):
+    for a, row in zip(standard, ids):
+        for b, r in zip(standard, row):
             a_terms[r][tuple(x + y for x, y in zip(a, b))] += 1
     a_cols = [_reduced(Polynomial(inst.n, t), gb) for t in a_terms]
     amat, rhs = _match_columns(a_cols + spec.free_columns, _reduced(spec.goal, gb))
     unit = [{r: Fraction(1)} for r in range(k2)]
-    system = FeasibilitySystem(basis=basis, gram=[[unit[r] for r in row] for row in ids],
+    system = FeasibilitySystem(basis=standard,
+                               gram=[[unit[r] for r in row] for row in ids],
                                linear_map=amat, rhs=rhs)
     outcome = solve_feasibility(system)
     if not outcome.feasible:
         return no_certificate("dual-witness" if outcome.dual_witness
                               else "solver-stopped", outcome)
     # verify is the one exact check; a sigma that is not PSD tries a finer window.
+    # The certificate's sigma is over the whole basis, zero off the standard rows.
+    basis = MonomialBasis(inst.n, spec.gram_degree)
     for window in RATIONALIZE_WINDOWS:
         rat = rationalize(outcome.solution, system, window=window)
         if not rat.ok:
             continue
-        sigma = combination(system, rat.values[:k2])
+        sigma = combination(system, rat.values[:k2], basis)
         eq_pairs = spec.multipliers(rat.values[k2:])
         gb_pairs = []
         if gb is not None:
@@ -389,13 +429,10 @@ def _pseudoexpectation_degree(inst: ProblemInstance, degree: Optional[int]) -> i
 
 
 def _moment_representatives(inst: ProblemInstance, deg: int) -> list[Monomial]:
-    """The orbit representatives of the monomials of degree <= deg that no
-    generator's leading monomial divides: one moment unknown each."""
-    reps = enumerate_monomial_orbits(inst.group, deg).representatives
-    if inst.groebner is None:
-        return reps
-    leads = [g.leading_monomial() for g in inst.groebner.generators]
-    return [m for m in reps if not any(mono_divides(lm, m) for lm in leads)]
+    """The standard orbit representatives of degree <= deg: one moment
+    unknown each."""
+    return _standard(enumerate_monomial_orbits(inst.group, deg).representatives,
+                     inst.groebner)
 
 
 def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polynomial]
@@ -403,10 +440,12 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
     """The moment system of a symmetric degree-deg functional L.
 
     L's unknowns are its values L_r on the representatives.  gram is the
-    moment matrix over the degree deg/2 basis, entry (a, b) the sparse form
-    L(x^(a + b)) over the unknowns; the rows are the distinct equations
-    L(1) = 1 and L(m p) = 0 for every monomial m of degree <= deg - deg p
-    and each p in constraints.  Each product monomial is reduced modulo the
+    moment matrix over the standard monomials of degree <= deg/2, entry
+    (a, b) the sparse form L(x^(a + b)) over the unknowns.  That loses
+    nothing: L is defined through reduction, so L(q^2) = L(NF(q)^2) for
+    every q, and NF(q) lies in their span.  The rows are the distinct
+    equations L(1) = 1 and L(m p) = 0 for every monomial m of degree
+    <= deg - deg p and each p in constraints.  Each product monomial is reduced modulo the
     ring and mapped onto the representatives once.
     """
     n, gb = inst.n, inst.groebner
@@ -424,7 +463,7 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
             cache[mono] = row
         return cache[mono]
 
-    half = MonomialBasis(n, deg // 2)
+    half = _standard(MonomialBasis(n, deg // 2), gb)
     gram = [[moment_of(tuple(x + y for x, y in zip(a, b))) for b in half] for a in half]
 
     def moment_row(shift: Monomial, p: Polynomial) -> list[Fraction]:

@@ -79,6 +79,17 @@ class Polynomial:
         self._terms = clean
         self._key = None
 
+    @classmethod
+    def _of_clean(cls, n: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """A polynomial that takes ownership of terms, whose monomials are
+        already n-tuples of nonnegative ints and whose coefficients are
+        already nonzero Fractions; nothing is checked or copied."""
+        out = cls.__new__(cls)
+        out.n = n
+        out._terms = terms
+        out._key = None
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -160,12 +171,12 @@ class Polynomial:
                 out[mono] = acc
             else:
                 out.pop(mono, None)
-        return Polynomial(self.n, out)
+        return Polynomial._of_clean(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {m: -c for m, c in self._terms.items()})
+        return Polynomial._of_clean(self.n, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -182,7 +193,7 @@ class Polynomial:
             c = Fraction(other)
             if c == 0:
                 return Polynomial.zero(self.n)
-            return Polynomial(self.n, {m: co * c for m, co in self._terms.items()})
+            return Polynomial._of_clean(self.n, {m: co * c for m, co in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_n(other)
@@ -195,7 +206,7 @@ class Polynomial:
                     out[mono] = acc
                 else:
                     out.pop(mono, None)
-        return Polynomial(self.n, out)
+        return Polynomial._of_clean(self.n, out)
 
     __rmul__ = __mul__
 

@@ -148,20 +148,27 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
             result = result * atom()
         return result
 
-    sign = 1
+    def add_term(sign: int) -> None:
+        """Add sign * term() into total in place."""
+        for mono, coeff in term().terms.items():
+            acc = total.get(mono, 0) + sign * coeff
+            if acc:
+                total[mono] = acc
+            else:
+                total.pop(mono, None)
+
+    total: dict = {}
     tok = peek("op")
     if tok and tok[1] in "+-":
-        sign = -1 if tok[1] == "-" else 1
         pos += 1
-    total = term() * sign
+    add_term(-1 if tok and tok[1] == "-" else 1)
     while pos < len(toks):
         tok = peek("op")
         if tok is None or tok[1] not in "+-":
             fail("expected '+' or '-' between terms")
-        sign = -1 if tok[1] == "-" else 1
         pos += 1
-        total = total + term() * sign
-    return total
+        add_term(-1 if tok[1] == "-" else 1)
+    return Polynomial(n, total)
 
 
 def _parse_group(value: str, line: int, column: int) -> tuple[int, ...]:

@@ -12,8 +12,13 @@ smallest eigenvalue clears MARGIN, so that rationalize's coarse windows
 still land inside the cone; or when its primal iterate is a dual witness
 that max t < 0; or at the step cap or a failed factorisation, when it keeps
 the best point seen if that passes the tolerance test.  It is one
-deterministic attempt with no settings: its constants are below.  Floats
-live only in this file; rationalize() rounds a numeric solution back to
+deterministic attempt with no settings: its constants are below.
+WITNESS_RADIUS is 1e5, not 1e6, because the primal residual can stall
+near 1e-6: on the feasible sum x_i = n/2 over {0,1}^n at d = 2 (n = 6, 8,
+10) the Schur complement's condition number reaches 1e15 to 1e17 and a
+witness takes 16, 20 and 15 steps, against 8 to 11 at d = 1, even over
+standard monomials, where no PSD direction reduces to zero.  Floats live
+only in this file; rationalize() rounds a numeric solution back to
 exact rationals and re-closes the linear system exactly; the one exact PSD
 check of the result is certificates.verify, run by the caller on the
 finished certificate.
@@ -30,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, ResourceLimit
-from .poly import MonomialBasis
+from .poly import Monomial, MonomialBasis
 from .symmetry import GramMatrix
 
 MAX_VARIABLES = 512
@@ -46,15 +51,16 @@ DENOMINATOR_BOUND = 2 ** 32  # largest denominator rationalize keeps
 class FeasibilitySystem:
     """Find (a, b) with S(a) PSD and A (a, b) = rhs.
 
-    gram is S, a symmetric W x W grid over basis whose entry (i, j) is a
-    sparse form {r: c}, so S(a)[i][j] = sum c * a[r]; k2, the number of
-    PSD unknowns a, is read off it.  b holds the k3 free scalars, the
-    columns of linear_map past the first k2.  linear_map is a dense
-    rational k1 x (k2 + k3) matrix, one row per distinct coefficient
-    equation (one per monomial orbit for invariant data).
+    gram is S, a symmetric W x W grid over basis, the W monomials that
+    index its rows, whose entry (i, j) is a sparse form {r: c}, so
+    S(a)[i][j] = sum c * a[r]; k2, the number of PSD unknowns a, is read
+    off it.  b holds the k3 free scalars, the columns of linear_map past
+    the first k2.  linear_map is a dense rational k1 x (k2 + k3) matrix,
+    one row per distinct coefficient equation (one per monomial orbit for
+    invariant data).
     """
 
-    basis: MonomialBasis
+    basis: Sequence[Monomial]
     gram: list[list[dict[int, Fraction]]]
     linear_map: list[list[Fraction]]
     rhs: list[Fraction]
@@ -352,7 +358,13 @@ def rationalize(solution: NumericSolution | Sequence[float],
     return RationalizeOutcome(ok=True, values=y)
 
 
-def combination(system: FeasibilitySystem, a_values: Sequence[Fraction]) -> GramMatrix:
-    """S(a) as an exact GramMatrix."""
-    return GramMatrix(system.basis, [[sum(c * a_values[r] for r, c in form.items())
-                                      for form in row] for row in system.gram])
+def combination(system: FeasibilitySystem, a_values: Sequence[Fraction],
+                basis: MonomialBasis) -> GramMatrix:
+    """S(a) as an exact GramMatrix over basis, which holds system.basis:
+    zero on every row and column of a monomial that system.basis leaves out."""
+    entries = [[Fraction(0)] * len(basis) for _ in basis]
+    at = [basis.index(m) for m in system.basis]
+    for i, row in zip(at, system.gram):
+        for j, form in zip(at, row):
+            entries[i][j] = sum(c * a_values[r] for r, c in form.items())
+    return GramMatrix(basis, entries)

@@ -107,7 +107,7 @@ def act_on_monomial(g: Permutation, mono: Monomial) -> Monomial:
 def act_on_polynomial(g: Permutation, p: Polynomial) -> Polynomial:
     if g.n != p.n:
         raise DimensionMismatch("permutation size does not match polynomial arity")
-    return Polynomial(p.n, {act_on_monomial(g, m): c for m, c in p.terms.items()})
+    return Polynomial._of_clean(p.n, {act_on_monomial(g, m): c for m, c in p.terms.items()})
 
 
 # -- canonical forms and orbit enumeration ---------------------------------
@@ -283,7 +283,7 @@ class GramMatrix:
                         out[mono] = acc
                     else:
                         out.pop(mono, None)
-        return Polynomial(self.basis.n, out)
+        return Polynomial._of_clean(self.basis.n, out)
 
     def __repr__(self) -> str:
         return f"GramMatrix(basis={self.basis!r})"
@@ -332,22 +332,27 @@ def reynolds_gram(group: GroupSpec, q: GramMatrix) -> GramMatrix:
     return GramMatrix(q.basis, out)
 
 
-def orbit_indicator_matrices(table: OrbitTable, basis: MonomialBasis) -> list[list[int]]:
-    """One symmetric grid of ids 0..k-1 over this basis: indicator r is the
+def orbit_indicator_matrices(table: OrbitTable,
+                             monomials: Sequence[Monomial]) -> list[list[int]]:
+    """One symmetric grid of ids 0..k-1 over these monomials of degree <=
+    table.degree (a MonomialBasis, or any part of one): indicator r is the
     0/1 matrix that is 1 exactly where the grid holds r.
 
     Each pair orbit is merged with its transpose orbit, so the indicators
-    are symmetric, have disjoint supports and sum to the all-ones matrix.
-    Every G-invariant Gram matrix is a unique rational combination of them.
+    are symmetric, have disjoint supports and sum to the all-ones matrix;
+    the ids number the merged orbits that the grid meets.  Over a
+    group-invariant set of monomials, every G-invariant Gram matrix is a
+    unique rational combination of them.
     """
     if table.kind != "pair":
         raise ValueError("need a pair orbit table")
-    if table.degree != basis.d or table.group.n != basis.n:
+    if any(len(m) != table.group.n or sum(m) > table.degree for m in monomials):
         raise DimensionMismatch("orbit table and basis disagree")
     merged = [min(idx, table.orbit_of[canonical_pair(table.group, (b, a))])
               for idx, (a, b) in enumerate(table.representatives)]
-    slot = {m: i for i, m in enumerate(sorted(set(merged)))}
-    return [[slot[merged[table.orbit_of[(a, b)]]] for b in basis] for a in basis]
+    grid = [[merged[table.orbit_of[(a, b)]] for b in monomials] for a in monomials]
+    slot = {m: i for i, m in enumerate(sorted({m for row in grid for m in row}))}
+    return [[slot[m] for m in row] for row in grid]
 
 
 def is_invariant(group: GroupSpec, p: Polynomial) -> bool:

@@ -139,6 +139,20 @@ def test_orbits_json(tmp_path, capsys):
     assert payload["after_variables"] <= payload["before_variables"]
 
 
+def test_orbits_json_counts_the_multilinear_basis(tmp_path, capsys):
+    # d=2 on {0,1}^4: 1 + 4 + 6 multilinear monomials; their 14 ordered pair
+    # orbits merge into 10 indicators, plus one scalar for the constraint
+    problem = write(tmp_path, "k4.sos",
+                    "vars: 4\ngroup: S(4)\ndomain: {0,1}\n"
+                    "eq: x1 + x2 + x3 + x4 - 9/2\ntarget: refute\ndegree: 2\n")
+    assert cli.main(["orbits", problem, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"n": 4, "gram_degree": 2, "w_size": 11, "pair_orbit_count": 14,
+                       "indicator_count": 10, "constraint_orbit_count": 1,
+                       "before_variables": 11 * 12 // 2 + math.comb(4 + 3, 3),
+                       "after_variables": 11}
+
+
 def test_verify_of_a_1500_variable_certificate_exits_0(tmp_path, capsys):
     # 1 = sigma with sigma = [[1]] over the degree-0 basis: nothing in
     # verify may recurse once per variable

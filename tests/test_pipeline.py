@@ -8,6 +8,7 @@ import pytest
 from symsos import linalg, pipeline
 from symsos.certificates import NORMAL_FORM, verify
 from symsos.errors import InvalidInstance, InvalidSystem
+from symsos.groebner import GroebnerBasis
 from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              Pseudoexpectation, _distinct_rows, _match_columns,
                              check_pseudoexpectation, find_pseudoexpectation,
@@ -567,3 +568,69 @@ def test_accounting_attached_to_results():
     assert result.accounting.after_variables == \
         result.accounting.indicator_count + 1
     assert result.solver is not None and result.solver.feasible
+
+
+def multilinear(mono):
+    return all(e <= 1 for e in mono)
+
+
+def test_refute_searches_the_multilinear_basis(monkeypatch):
+    # sum x_i = 9/2 on S(4) at d=3: the solver sees the 15 multilinear
+    # monomials of degree <= 3, not all 35, and sigma is zero elsewhere
+    seen = []
+
+    def recorded(system):
+        seen.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(pipeline, "solve_feasibility", recorded)
+    result = refute_invariant_system(replace(half_integral_knapsack(4), degree=3))
+    assert [system.gram_dim for system in seen] == [15]
+    assert result.certified
+    sigma = result.certificate.sigma
+    assert sigma.basis == MonomialBasis(4, 3)
+    for mono, row in zip(sigma.basis, sigma.entries):
+        if not multilinear(mono):
+            assert not any(row)
+            assert not any(r[sigma.basis.index(mono)] for r in sigma.entries)
+
+
+def test_variable_count_report_counts_the_multilinear_basis():
+    afters = set()
+    for n in range(4, 9):
+        report = variable_count_report(replace(half_integral_knapsack(n), degree=2))
+        assert report.w_size == 1 + n + math.comb(n, 2)
+        assert report.y_size == report.w_size ** 2
+        afters.add(report.after_variables)
+    assert len(afters) == 1
+
+
+def test_dual_boolean_control_certifies():
+    n = 3
+    inst = ProblemInstance(group=GroupSpec.symmetric(n),
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, frac(3, 2))],
+                           domain_roots=BOOL, degree=2)
+    result = refute_invariant_system(inst)
+    assert result.certified
+    assert verify(result.certificate).accepted
+
+
+def test_pseudoexpectation_over_the_multilinear_half_basis():
+    n = 8
+    inst = ProblemInstance(group=GroupSpec.symmetric(n),
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, 4)],
+                           domain_roots=BOOL, degree=2)
+    reps, system = pipeline._moment_system(inst, 4, inst.equalities)
+    assert system.gram_dim == 1 + n + math.comb(n, 2)
+    assert all(multilinear(m) for m in reps)
+    pe = find_pseudoexpectation(inst)
+    assert pe is not None
+    assert check_pseudoexpectation(inst, pe)
+
+
+def test_constant_groebner_generator_rejected():
+    x1 = Polynomial.variable(1, 0)
+    with pytest.raises(InvalidInstance, match="constant groebner generator"):
+        ProblemInstance(group=GroupSpec.trivial(1), equalities=[],
+                        groebner=GroebnerBasis((x1 * x1 - x1, Polynomial.constant(1, 2))),
+                        target=x1)

@@ -187,10 +187,22 @@ def test_combination_exact():
     sys_ = FeasibilitySystem(basis=MonomialBasis(1, 1),
                              gram=[[{0: frac(1)}, off], [off, {0: frac(2), 1: frac(-1)}]],
                              linear_map=[[frac(1), frac(1)]], rhs=[frac(1)])
-    combo = combination(sys_, [frac(1, 3), frac(2, 5)])
+    combo = combination(sys_, [frac(1, 3), frac(2, 5)], MonomialBasis(1, 1))
     assert isinstance(combo, GramMatrix) and combo.basis == MonomialBasis(1, 1)
     assert combo.entries == [[frac(1, 3), frac(2, 5)], [frac(2, 5), frac(4, 15)]]
-    assert combination(sys_, [frac(0), frac(0)]).entries == [[0, 0], [0, 0]]
+    zero = combination(sys_, [frac(0), frac(0)], MonomialBasis(1, 1))
+    assert zero.entries == [[0, 0], [0, 0]]
+
+
+def test_combination_is_zero_off_the_system_basis():
+    # S(a) over (1, x^2) inside the basis (1, x, x^2): the x row and column are 0
+    sys_ = FeasibilitySystem(basis=[(0,), (2,)],
+                             gram=[[{0: frac(1)}, {1: frac(1)}],
+                                   [{1: frac(1)}, {0: frac(3)}]],
+                             linear_map=[[frac(1), frac(1)]], rhs=[frac(1)])
+    assert sys_.gram_dim == 2
+    combo = combination(sys_, [frac(1, 2), frac(-1)], MonomialBasis(1, 2))
+    assert combo.entries == [[frac(1, 2), 0, -1], [0, 0, 0], [-1, 0, frac(3, 2)]]
 
 
 def test_end_to_end_solve_then_rationalize():

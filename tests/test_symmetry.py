@@ -259,6 +259,12 @@ def test_orbit_indicator_matrices():
     for r in used:
         q = GramMatrix(basis, [[Fraction(int(x == r)) for x in row] for row in ids])
         assert is_invariant(group, q.to_polynomial())
+    # over the multilinear part of a basis the ids number only the merged
+    # orbits it meets: (|A|, |B|, |A n B|) up to order, with (2, 2, 0)
+    # impossible in three variables
+    multilinear = [m for m in MonomialBasis(3, 2) if max(m) <= 1]
+    ids = orbit_indicator_matrices(enumerate_pair_orbits(group, 2), multilinear)
+    assert {r for row in ids for r in row} == set(range(9))
 
 
 def test_is_invariant():
