@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidWitness, ParseError
-from .poly import (Monomial, MonomialBasis, Polynomial, coefficient_norm,
+from .poly import (Monomial, MonomialBasis, Polynomial, linear_combination,
                    mono_mul)
 from .symmetry import GramMatrix
 
@@ -69,7 +69,6 @@ class BitSizeReport:
     max_denominator_bits: int
     total_bits: int
     coefficient_count: int
-    sigma_expansion_norm: Fraction
 
 
 def _equality_term(constraint: Polynomial, mult: MultiplierLike, mode: str) -> Polynomial:
@@ -94,8 +93,7 @@ def _terms(cert: SosCertificate) -> list[Polynomial]:
 
 def expand(cert: SosCertificate) -> Polynomial:
     """The polynomial the certificate claims to equal its target."""
-    terms = _terms(cert)
-    return sum(terms[1:], terms[0])
+    return linear_combination(cert.n, ((1, term) for term in _terms(cert)))
 
 
 def verify(cert: SosCertificate) -> VerificationOutcome:
@@ -110,11 +108,12 @@ def verify(cert: SosCertificate) -> VerificationOutcome:
                                    "multipliers on equality constraints")
     try:
         terms = _terms(cert)
-        residual = cert.target - sum(terms[1:], terms[0])
+        total = linear_combination(cert.n, ((1, term) for term in terms))
     except DimensionMismatch as exc:
         return VerificationOutcome(False, failure=str(exc))
-    if not residual.is_zero():
-        return VerificationOutcome(False, failure="identity", residual=residual)
+    if total != cert.target:
+        return VerificationOutcome(False, failure="identity",
+                                   residual=cert.target - total)
 
     kinds = (["sigma"] + ["equality term"] * len(cert.equality_multipliers)
              + ["basis term"] * len(cert.groebner_multipliers))
@@ -131,7 +130,8 @@ def verify(cert: SosCertificate) -> VerificationOutcome:
 
 
 def bit_size(cert: SosCertificate) -> BitSizeReport:
-    """Exact bit counts over every stored rational coefficient."""
+    """Exact bit counts over every stored rational coefficient; sigma is
+    read entry by entry, never expanded."""
     max_num = 0
     max_den = 0
     total = 0
@@ -167,8 +167,7 @@ def bit_size(cert: SosCertificate) -> BitSizeReport:
         max_numerator_bits=max_num,
         max_denominator_bits=max_den,
         total_bits=total,
-        coefficient_count=count,
-        sigma_expansion_norm=coefficient_norm(cert.sigma.to_polynomial()))
+        coefficient_count=count)
 
 
 # -- order unit construction ------------------------------------------------

@@ -29,7 +29,7 @@ from .groebner import reduce_polynomial
 from .pipeline import (ProblemInstance, check_pseudoexpectation,
                        find_pseudoexpectation, prove_invariant,
                        refute_invariant_system, variable_count_report)
-from .poly import Polynomial
+from .poly import Polynomial, coefficient_norm
 from .problem import parse_problem, parse_rational
 from .symmetry import reynolds_polynomial
 
@@ -201,13 +201,14 @@ def _cmd_bitsize(args) -> int:
     payload = {k: getattr(report, k) for k in (
         "max_numerator_bits", "max_denominator_bits", "total_bits",
         "coefficient_count")}
-    payload["sigma_expansion_norm"] = str(report.sigma_expansion_norm)
+    norm = coefficient_norm(cert.sigma.to_polynomial())
+    payload["sigma_expansion_norm"] = str(norm)
     _emit(args, payload, [
         f"max numerator bits: {report.max_numerator_bits}",
         f"max denominator bits: {report.max_denominator_bits}",
         f"total bits: {report.total_bits}",
         f"coefficients: {report.coefficient_count}",
-        f"sigma expansion norm: {report.sigma_expansion_norm}",
+        f"sigma expansion norm: {norm}",
     ])
     return EXIT_OK
 

@@ -22,10 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidDomain, ReconstructionError
-from .poly import Polynomial, grlex_key, mono_divides, mono_quotient
+from .poly import (Polynomial, accumulate_term, grlex_key, mono_divides,
+                   mono_quotient)
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,13 @@ class DivisionResult:
     remainder: Polynomial
 
     def __post_init__(self):
-        acc = self.remainder
+        # remainder + sum q_i f_i, each product term added into one dict.
+        acc = dict(self.remainder.terms)
         for q, g in zip(self.quotients, self.basis.generators):
-            acc = acc + q * g
-        if acc != self.dividend:
+            for mq, cq in q.terms.items():
+                for mg, cg in g.terms.items():
+                    accumulate_term(acc, tuple(map(add, mq, mg)), cq * cg)
+        if acc != self.dividend.terms:
             raise ValueError("division bookkeeping violated: identity does not close")
         leads = [g.leading_monomial() for g in self.basis.generators]
         for mono in self.remainder.terms:
@@ -155,16 +160,10 @@ def divide(dividend: Polynomial, basis: GroebnerBasis) -> DivisionResult:
             if mono_divides(lm, mono):
                 qmono = mono_quotient(mono, lm)
                 qcoeff = coeff / lc
-                quotients[gi][qmono] = quotients[gi].get(qmono, Fraction(0)) + qcoeff
+                accumulate_term(quotients[gi], qmono, qcoeff)
                 for gm, gc in basis.generators[gi].terms.items():
-                    if gm == lm:
-                        continue
-                    tm = tuple(a + b for a, b in zip(qmono, gm))
-                    acc = work.get(tm, Fraction(0)) - qcoeff * gc
-                    if acc:
-                        work[tm] = acc
-                    else:
-                        work.pop(tm, None)
+                    if gm != lm:
+                        accumulate_term(work, tuple(map(add, qmono, gm)), -qcoeff * gc)
                 break
         else:
             remainder[mono] = coeff

@@ -4,6 +4,12 @@ Two jobs: certify positive semidefiniteness of symmetric rational matrices
 (with an exact counterexample vector on rejection), and solve rational
 linear systems for the rounding stage of the numeric solver.
 
+The rounding stage's minimum-norm correction takes its rows sparse, as
+{column: coefficient}, and scales each row and its right hand side to
+integers first, which changes neither the solution set nor its
+minimum-norm point; A A^T is then built from sparse integer dot products,
+so its cost follows the rows' nonzeros, not their width.
+
 The PSD check is one fraction-free (Bareiss) symmetric elimination of the
 integer matrix den * A, den the lcm of A's denominators.  After k steps a
 trailing entry is the rational Schur complement entry times den * p_{k-1}
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -177,23 +183,40 @@ def rref_solve(a: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     return x
 
 
-def min_norm_correction(a: Sequence[Sequence], residual: Sequence) -> Optional[Vector]:
+def min_norm_correction(rows: Sequence[Mapping[int, Fraction]],
+                        residual: Sequence) -> Optional[dict[int, Fraction]]:
     """Minimum-norm delta with A delta = residual, or None when residual is
-    outside the row space of A.  Computed as A^T w with (A A^T) w = residual."""
-    m = len(a)
-    if m == 0:
-        return []
-    rows = _as_fraction_matrix(a)
-    ncols = len(rows[0])
-    gram = [[sum((rows[i][t] * rows[j][t] for t in range(ncols)), Fraction(0))
-             for j in range(m)] for i in range(m)]
-    w = rref_solve(gram, residual)
+    outside the row space of A.
+
+    Row t of A is the sparse form rows[t] = {column: coefficient}; delta is
+    returned the same way, without zeros, and vanishes on every column no
+    row touches.  Each row and its residual entry are first scaled to
+    integers, which leaves the solution set, and so its unique
+    minimum-norm point, unchanged.  delta = A^T w with (A A^T) w = residual,
+    A A^T built from sparse integer dot products.
+    """
+    scaled: list[dict[int, int]] = []
+    rhs: list[int] = []
+    for row, value in zip(rows, residual):
+        value = Fraction(value)
+        den = math.lcm(value.denominator, *(Fraction(c).denominator
+                                            for c in row.values()))
+        scaled.append({j: int(c * den) for j, c in row.items() if c})
+        rhs.append(int(value * den))
+    gram = [[sum(c * other.get(j, 0) for j, c in row.items()) for other in scaled]
+            for row in scaled]
+    w = rref_solve(gram, rhs)
     if w is None:
         return None
-    # Verify consistency: with w solving the normal equations, A^T w solves
-    # A delta = residual iff residual lies in range(A) = range(A A^T).
-    delta = [sum((rows[i][t] * w[i] for i in range(m)), Fraction(0)) for t in range(ncols)]
-    check = mat_vec(rows, delta)
-    if any(x != Fraction(y) for x, y in zip(check, residual)):
+    delta: dict[int, Fraction] = {}
+    for row, wt in zip(scaled, w):
+        if wt:
+            for j, c in row.items():
+                delta[j] = delta.get(j, 0) + c * wt
+    delta = {j: v for j, v in delta.items() if v}
+    # With w solving the normal equations, A^T w solves A delta = residual
+    # iff residual lies in range(A) = range(A A^T).
+    if any(sum(c * delta.get(j, 0) for j, c in row.items()) != value
+           for row, value in zip(scaled, rhs)):
         return None
     return delta

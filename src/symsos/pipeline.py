@@ -12,7 +12,12 @@ equation (one per monomial orbit for invariant data), hand the tiny
 symmetry-reduced SDP to the numeric solver, then per rounding window round
 back to rationals, reconstruct the Groebner cofactors exactly, and verify,
 the one exact check (a sigma that is not PSD moves on to the next, finer
-window).  When the solver finds no point, the result says why:
+window).  The search keeps each unknown's unreduced column (the pair
+monomials of a sigma id, or a free scalar's equality term), so sigma plus
+the equality terms is one linear combination of them: the cofactors come
+from dividing the goal minus that combination, with no expansion of sigma
+and no multiplier times its constraint, and verify is the one place sigma
+is expanded.  When the solver finds no point, the result says why:
 "dual-witness" when its primal iterate is numeric evidence that no
 certificate exists at this degree, "solver-stopped" when it stopped at its
 step cap or a failed factorisation without deciding.  The variable-count
@@ -27,10 +32,10 @@ is congruent to its normal form, of no higher degree, so q^2 and NF(q)^2
 agree modulo the ring and the other monomials add unknowns but no
 proving power.  The solver sees only the standard block; the
 certificate's sigma is still a GramMatrix over the whole MonomialBasis,
-zero on every other row and column.  When a groebner: file's generators
-are not permuted among themselves by the group, the standard monomials
-need not be closed under it, and the invariant search over them may miss
-a certificate that exists; a certificate it returns is still verified.
+zero on every other row and column.  That needs the standard monomials
+closed under the group, so ProblemInstance rejects a Groebner basis whose
+leading monomials' ideal the group does not map onto itself (every
+domain: basis passes).
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
@@ -52,7 +57,8 @@ from .certificates import (GENERAL, NORMAL_FORM, BitSizeReport, MultiplierLike,
 from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
-from .poly import Monomial, MonomialBasis, Polynomial, mono_divides, monomials_up_to
+from .poly import (Monomial, MonomialBasis, Polynomial, linear_combination,
+                   mono_divides, monomials_up_to)
 from .sdp import (FeasibilitySystem, SolveOutcome, combination, psd_stack,
                   rationalize, solve_feasibility)
 from .symmetry import (GroupSpec, OrbitTable, canonical_monomial,
@@ -96,6 +102,11 @@ class ProblemInstance:
                 g.degree() == 0 for g in self.groebner.generators):
             raise InvalidInstance("a constant groebner generator leaves no "
                                   "standard monomial: the ring is zero")
+        if self.groebner is not None and not _leads_permuted(self.group, self.groebner):
+            raise InvalidInstance(
+                "the group does not permute the ideal of the groebner generators' "
+                "leading monomials, so the standard monomials are not closed "
+                "under it")
 
     @property
     def n(self) -> int:
@@ -107,6 +118,24 @@ class ProblemInstance:
         if self.domain_roots is None:
             raise InvalidInstance("instance has no finite product domain")
         return len(self.domain_roots) // 2
+
+
+def _leads_permuted(group: GroupSpec, gb: GroebnerBasis) -> bool:
+    """Whether the group maps the ideal of gb's leading monomials onto
+    itself: for each generating transposition of a block, the image of
+    each leading monomial is divisible by some leading monomial.  Then
+    every group element maps standard monomials to standard monomials."""
+    leads = [g.leading_monomial() for g in gb.generators]
+    known = set(leads)
+    swaps = {i for block in group.blocks() for i in block[:-1]}
+    for lm in leads:
+        # Only a transposition next to the support can move lm.
+        for i in swaps.intersection(j - s for j, e in enumerate(lm) if e for s in (0, 1)):
+            if lm[i] != lm[i + 1]:
+                image = lm[:i] + (lm[i + 1], lm[i]) + lm[i + 2:]
+                if image not in known and not any(mono_divides(m, image) for m in leads):
+                    return False
+    return True
 
 
 @dataclass
@@ -279,15 +308,15 @@ class _SearchSpec:
     """One certificate search: goal == sigma + sum of equality terms + ideal.
 
     sigma is a Gram matrix over the standard monomials of degree <=
-    gram_degree, with one unknown per merged pair orbit.  free_columns
-    holds the reduced equality term of each free scalar, and multipliers
-    turns the scalars' exact values into the certificate's (constraint,
-    multiplier) pairs.
+    gram_degree, with one unknown per merged pair orbit.  free_terms
+    holds the unreduced equality term of each free scalar (the term the
+    scalar 1 stands for), and multipliers turns the scalars' exact values
+    into the certificate's (constraint, multiplier) pairs.
     """
 
     goal: Polynomial
     gram_degree: int
-    free_columns: list[Polynomial]
+    free_terms: list[Polynomial]
     multipliers: Callable[[Sequence[Fraction]], list[tuple[Polynomial, MultiplierLike]]]
     constraint_orbits: list[list[int]]
     degree_bound: int
@@ -300,7 +329,7 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     table, standard, ids = _gram_orbits(inst, spec.gram_degree)
     k2 = 1 + max(map(max, ids))
     accounting = _accounting(inst, table, standard, k2, spec.constraint_orbits,
-                             len(spec.free_columns))
+                             len(spec.free_terms))
 
     def no_certificate(reason: str, outcome: SolveOutcome) -> PipelineResult:
         return PipelineResult("no-certificate-at-degree", reason=reason,
@@ -312,8 +341,10 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     for a, row in zip(standard, ids):
         for b, r in zip(standard, row):
             a_terms[r][tuple(x + y for x, y in zip(a, b))] += 1
-    a_cols = [_reduced(Polynomial(inst.n, t), gb) for t in a_terms]
-    amat, rhs = _match_columns(a_cols + spec.free_columns, _reduced(spec.goal, gb))
+    # Each unknown's unreduced column: what its value 1 adds to the identity.
+    columns = [Polynomial(inst.n, t) for t in a_terms] + spec.free_terms
+    amat, rhs = _match_columns([_reduced(c, gb) for c in columns],
+                               _reduced(spec.goal, gb))
     unit = [{r: Fraction(1)} for r in range(k2)]
     system = FeasibilitySystem(basis=standard,
                                gram=[[unit[r] for r in row] for row in ids],
@@ -333,10 +364,10 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
         eq_pairs = spec.multipliers(rat.values[k2:])
         gb_pairs = []
         if gb is not None:
-            # In normal form a scalar c stands for the term (c p) * p.
-            products = [(p * m if spec.mode == NORMAL_FORM else m, p)
-                        for p, m in eq_pairs]
-            cofactors = reconstruct_proof(spec.goal, sigma.to_polynomial(), products, gb)
+            # sigma plus every equality term is this one combination of the
+            # unreduced columns; dividing goal minus it gives the cofactors.
+            combo = linear_combination(inst.n, zip(rat.values, columns))
+            cofactors = reconstruct_proof(spec.goal, combo, [], gb)
             gb_pairs = [(g, c) for g, c in zip(gb.generators, cofactors)
                         if not c.is_zero()]
         cert = SosCertificate(target=spec.goal, sigma=sigma,
@@ -366,14 +397,14 @@ def prove_invariant(inst: ProblemInstance) -> PipelineResult:
             raise InvalidInstance(
                 "prove mode requires each equality constraint to be invariant")
     n, d = inst.n, inst.degree
-    free_columns: list[Polynomial] = []
+    free_terms: list[Polynomial] = []
     owners: list[tuple[int, Polynomial]] = []  # (constraint index, orbit-sum poly)
     for j, p in enumerate(inst.equalities):
         table = enumerate_monomial_orbits(inst.group, _multiplier_degree(p, d))
         for rep in table.representatives:
             gen = Polynomial(n, {m: Fraction(1)
                                  for m in monomial_orbit_elements(inst.group, rep)})
-            free_columns.append(_reduced(gen * p, inst.groebner))
+            free_terms.append(gen * p)
             owners.append((j, gen))
 
     def multipliers(values: Sequence[Fraction]):
@@ -385,7 +416,7 @@ def prove_invariant(inst: ProblemInstance) -> PipelineResult:
 
     return _search(inst, _SearchSpec(
         goal=inst.target + Polynomial.constant(n, inst.epsilon), gram_degree=d,
-        free_columns=free_columns, multipliers=multipliers,
+        free_terms=free_terms, multipliers=multipliers,
         constraint_orbits=_constraint_orbits(inst), degree_bound=2 * d,
         mode=GENERAL, epsilon=inst.epsilon))
 
@@ -402,15 +433,15 @@ def refute_invariant_system(inst: ProblemInstance) -> PipelineResult:
     orbits = _constraint_orbits(inst)
     n, eqs = inst.n, inst.equalities
     gram_degree = _gram_degree(inst)
-    free_columns = [_reduced(sum((eqs[i] * eqs[i] for i in orbit), Polynomial.zero(n)),
-                             inst.groebner) for orbit in orbits]
+    free_terms = [sum((eqs[i] * eqs[i] for i in orbit), Polynomial.zero(n))
+                  for orbit in orbits]
 
     def multipliers(values: Sequence[Fraction]):
         return [(eqs[i], c) for orbit, c in zip(orbits, values) for i in orbit]
 
     return _search(inst, _SearchSpec(
         goal=Polynomial.constant(n, -1), gram_degree=gram_degree,
-        free_columns=free_columns, multipliers=multipliers,
+        free_terms=free_terms, multipliers=multipliers,
         constraint_orbits=orbits,
         degree_bound=max(2 * gram_degree, max(2 * p.degree() for p in eqs)),
         mode=NORMAL_FORM))

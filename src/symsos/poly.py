@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch
 
@@ -40,6 +41,19 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 def mono_quotient(b: Monomial, a: Monomial) -> Monomial:
     """b / a, assuming a divides b."""
     return tuple(y - x for x, y in zip(a, b))
+
+
+def accumulate_term(out: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
+    """out[mono] += coeff for a nonzero coeff, dropping the entry at zero."""
+    prev = out.get(mono)
+    if prev is None:
+        out[mono] = coeff
+    else:
+        acc = prev + coeff
+        if acc:
+            out[mono] = acc
+        else:
+            del out[mono]
 
 
 def grlex_key(m: Monomial):
@@ -166,11 +180,7 @@ class Polynomial:
         self._check_same_n(other)
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+            accumulate_term(out, mono, coeff)
         return Polynomial._of_clean(self.n, out)
 
     __radd__ = __add__
@@ -200,12 +210,7 @@ class Polynomial:
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
-                mono = mono_mul(ma, mb)
-                acc = out.get(mono, Fraction(0)) + ca * cb
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
+                accumulate_term(out, tuple(map(add, ma, mb)), ca * cb)
         return Polynomial._of_clean(self.n, out)
 
     __rmul__ = __mul__
@@ -277,6 +282,21 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n}, {self._terms!r})"
+
+
+def linear_combination(n: int, terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial:
+    """sum c * p over the (c, p) pairs, added up in one dict.
+
+    Raises DimensionMismatch when some p is not over n variables.
+    """
+    out: dict[Monomial, Fraction] = {}
+    for c, p in terms:
+        if p.n != n:
+            raise DimensionMismatch(f"polynomials over {n} and {p.n} variables")
+        if c:
+            for mono, coeff in p.terms.items():
+                accumulate_term(out, mono, coeff if c == 1 else c * coeff)
+    return Polynomial._of_clean(n, out)
 
 
 def monomials_up_to(n: int, d: int) -> list[Monomial]:

@@ -19,9 +19,11 @@ near 1e-6: on the feasible sum x_i = n/2 over {0,1}^n at d = 2 (n = 6, 8,
 witness takes 16, 20 and 15 steps, against 8 to 11 at d = 1, even over
 standard monomials, where no PSD direction reduces to zero.  Floats live
 only in this file; rationalize() rounds a numeric solution back to
-exact rationals and re-closes the linear system exactly; the one exact PSD
-check of the result is certificates.verify, run by the caller on the
-finished certificate.
+exact rationals and re-closes the linear system exactly (the rounding and
+projection of Peyrl and Parrilo, TCS 2008), working over each row's
+nonzeros: the residual, linalg's sparse integer minimum-norm correction
+and the exact re-check; the one exact PSD check of the result is
+certificates.verify, run by the caller on the finished certificate.
 """
 
 from __future__ import annotations
@@ -329,32 +331,26 @@ def rationalize(solution: NumericSolution | Sequence[float],
             cand = exact.limit_denominator(DENOMINATOR_BOUND)
         y.append(cand)
 
-    k1, k2 = system.k1, system.k2
-    if k1:
-        residual = [system.rhs[t] - sum(
-            (system.linear_map[t][i] * y[i] for i in range(system.variables)),
-            Fraction(0)) for t in range(k1)]
-        if any(residual):
-            b_cols = [[row[i] for i in range(k2, system.variables)]
-                      for row in system.linear_map]
-            delta_b = linalg.min_norm_correction(b_cols, residual) \
-                if system.k3 else None
-            if delta_b is not None:
-                for i, dv in enumerate(delta_b):
-                    y[k2 + i] += dv
-            else:
-                delta = linalg.min_norm_correction(system.linear_map, residual)
-                if delta is None:
-                    return RationalizeOutcome(
-                        ok=False, failure="linear system has no exact solution "
-                                          "near the rounded point")
-                for i, dv in enumerate(delta):
-                    y[i] += dv
-        check = [sum((system.linear_map[t][i] * y[i]
-                      for i in range(system.variables)), Fraction(0))
-                 for t in range(k1)]
-        if check != list(system.rhs):
-            return RationalizeOutcome(ok=False, failure="exact linear re-check failed")
+    # Residuals and checks run over each row's nonzeros only.
+    rows = [{i: c for i, c in enumerate(row) if c} for row in system.linear_map]
+    residual = [value - sum(c * y[i] for i, c in row.items())
+                for row, value in zip(rows, system.rhs)]
+    if any(residual):
+        k2 = system.k2
+        delta = linalg.min_norm_correction(
+            [{i: c for i, c in row.items() if i >= k2} for row in rows],
+            residual) if system.k3 else None
+        if delta is None:
+            delta = linalg.min_norm_correction(rows, residual)
+            if delta is None:
+                return RationalizeOutcome(
+                    ok=False, failure="linear system has no exact solution "
+                                      "near the rounded point")
+        for i, dv in delta.items():
+            y[i] += dv
+    if any(sum(c * y[i] for i, c in row.items()) != value
+           for row, value in zip(rows, system.rhs)):
+        return RationalizeOutcome(ok=False, failure="exact linear re-check failed")
     return RationalizeOutcome(ok=True, values=y)
 
 

@@ -17,10 +17,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch
-from .poly import Monomial, MonomialBasis, Polynomial, grlex_key
+from .poly import Monomial, MonomialBasis, Polynomial, accumulate_term, grlex_key
 
 
 @dataclass(frozen=True)
@@ -277,12 +278,7 @@ class GramMatrix:
             for j, b in enumerate(ents):
                 c = row[j]
                 if c:
-                    mono = tuple(x + y for x, y in zip(a, b))
-                    acc = out.get(mono, Fraction(0)) + c
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        out.pop(mono, None)
+                    accumulate_term(out, tuple(map(add, a, b)), c)
         return Polynomial._of_clean(self.basis.n, out)
 
     def __repr__(self) -> str:

@@ -161,7 +161,6 @@ def test_bit_size_report():
     assert report.max_denominator_bits == 2  # the 1/2
     assert report.coefficient_count > 0
     assert report.total_bits >= report.coefficient_count
-    assert report.sigma_expansion_norm == 0
 
 
 def test_order_unit_smallest_case():

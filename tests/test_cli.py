@@ -177,6 +177,18 @@ def one_is_one(**changes):
     return json.dumps(doc)
 
 
+@pytest.mark.parametrize("changes,norm", [
+    ({}, "1"),
+    # 6 x1 x2 over (1, x1, x2): its multinomial weight is 2
+    ({"variables": 2, "sigma_basis_degree": 1, "target": [],
+      "sigma": [["0/1"] * 3, ["0/1", "0/1", "3/1"], ["0/1", "3/1", "0/1"]]}, "3"),
+], ids=["one", "cross-term"])
+def test_bitsize_reports_the_sigma_expansion_norm(tmp_path, capsys, changes, norm):
+    path = write(tmp_path, "c.cert.json", one_is_one(**changes))
+    assert cli.main(["bitsize", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma_expansion_norm"] == norm
+
+
 @pytest.mark.parametrize("field,value", [
     ("target", [[[0.5], "1/1"]]),
     ("target", [[[True], "1/1"]]),
@@ -329,3 +341,15 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, command, fl
         cli.main([command, problem] + flags)
     assert info.value.code == cli.EXIT_USAGE
     assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["prove", "orbits", "pseudoexpect"])
+def test_groebner_leads_the_group_moves_exit_2(tmp_path, capsys, command):
+    # S(2) maps the leading monomial x1^2 to x2^2, which it does not divide
+    problem = write(tmp_path, "lead.sos",
+                    "vars: 2\ngroup: S(2)\ngroebner: x1^2 - x1\n"
+                    "target: x1^4 + x2^4\ndegree: 2\n")
+    assert cli.main([command, problem]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the group does not permute")

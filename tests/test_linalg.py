@@ -93,6 +93,11 @@ def test_rref_solve():
     assert sol == [Fraction(2), Fraction(3)]
 
 
+def sparse(row):
+    """A dense row as the {column: coefficient} form min_norm_correction takes."""
+    return {j: c for j, c in enumerate(row) if c}
+
+
 def test_min_norm_correction():
     rng = random.Random(17)
     for _ in range(25):
@@ -103,16 +108,46 @@ def test_min_norm_correction():
              for _ in range(cols)]
         residual = [sum(a[i][j] * w[j] for j in range(cols))
                     for i in range(rows)]
-        delta = min_norm_correction(a, residual)
+        delta = min_norm_correction([sparse(row) for row in a], residual)
         assert delta is not None
-        back = [sum(a[i][j] * delta[j] for j in range(cols))
+        back = [sum(a[i][j] * delta.get(j, 0) for j in range(cols))
                 for i in range(rows)]
         assert back == residual
 
 
 def test_min_norm_correction_inconsistent():
     a = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert min_norm_correction(a, [Fraction(1), Fraction(2)]) is None
+    assert min_norm_correction([sparse(row) for row in a],
+                               [Fraction(1), Fraction(2)]) is None
+
+
+def reference_min_norm(a, residual):
+    """The minimum-norm solution of A delta = residual from the dense
+    normal equations: Gauss-Jordan on (A A^T) w = residual over Fractions,
+    free unknowns zero, then delta = A^T w.  None when the normal equations
+    are inconsistent, which is exactly when residual is outside range(A)."""
+    m = len(a)
+    cols = len(a[0]) if m else 0
+    aug = [[sum((x * y for x, y in zip(a[i], a[j])), Fraction(0)) for j in range(m)]
+           + [Fraction(residual[i])] for i in range(m)]
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        sel = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                aug[i] = [x - aug[i][c] * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(row[m] != 0 for row in aug[len(pivots):]):
+        return None
+    w = [Fraction(0)] * m
+    for r, c in enumerate(pivots):
+        w[c] = aug[r][m]
+    return [sum((a[i][t] * w[i] for i in range(m)), Fraction(0)) for t in range(cols)]
 
 
 def reference_elimination(matrix):
@@ -251,3 +286,40 @@ def test_fraction_free_elimination_matches_rational(a):
     assert psd_certificate(a) == expected
     if not expected.is_psd:
         assert expected.witness_value < 0
+
+
+# Mostly zeros, so rows are sparse and some columns are touched by no row.
+SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), SMALL)
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, residual): full-rank, rank-deficient (a row that is a
+    combination of two others, or repeats one), inconsistent (the same with
+    a perturbed right hand side) or with an arbitrary right hand side."""
+    cols = draw(st.integers(1, 7))
+    rows = [[draw(SPARSE) for _ in range(cols)] for _ in range(draw(st.integers(0, 5)))]
+    kind = draw(st.sampled_from(["solvable", "rank-deficient", "inconsistent", "any"]))
+    if kind != "solvable" and rows:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c1, c2 = draw(SMALL), draw(SMALL)
+        rows.append([c1 * x + c2 * y for x, y in zip(rows[i], rows[j])])
+    if kind == "any":
+        return rows, [draw(SMALL) for _ in rows]
+    w = [draw(SMALL) for _ in range(cols)]
+    residual = [sum((x * y for x, y in zip(row, w)), Fraction(0)) for row in rows]
+    if kind == "inconsistent" and rows:
+        residual[-1] += draw(SMALL.filter(bool))
+    return rows, residual
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(linear_systems())
+def test_min_norm_correction_matches_normal_equations(system):
+    rows, residual = system
+    expected = reference_min_norm(rows, residual)
+    delta = min_norm_correction([sparse(row) for row in rows], residual)
+    if expected is None:
+        assert delta is None
+    else:
+        assert delta == sparse(expected)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from symsos import linalg, pipeline
-from symsos.certificates import NORMAL_FORM, verify
+from symsos.certificates import NORMAL_FORM, bit_size, verify
 from symsos.errors import InvalidInstance, InvalidSystem
-from symsos.groebner import GroebnerBasis
+from symsos.groebner import GroebnerBasis, reconstruct_proof
 from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              Pseudoexpectation, _distinct_rows, _match_columns,
                              check_pseudoexpectation, find_pseudoexpectation,
@@ -634,3 +634,77 @@ def test_constant_groebner_generator_rejected():
         ProblemInstance(group=GroupSpec.trivial(1), equalities=[],
                         groebner=GroebnerBasis((x1 * x1 - x1, Polynomial.constant(1, 2))),
                         target=x1)
+
+
+def test_groebner_leads_the_group_moves_are_rejected():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    target = x1 ** 4 + x2 ** 4
+
+    def instance(group, *generators):
+        return ProblemInstance(group=group, equalities=[], target=target, degree=2,
+                               groebner=GroebnerBasis(generators))
+
+    # S(2) maps x1^2 to x2^2, which no leading monomial divides
+    with pytest.raises(InvalidInstance, match="not closed under it"):
+        instance(GroupSpec.symmetric(2), x1 * x1 - x1)
+    with pytest.raises(InvalidInstance, match="not closed under it"):
+        instance(GroupSpec.symmetric(2), x1 * x1, x2)
+    # the trivial group moves nothing; x1, x2, x1^2 span an ideal S(2)
+    # preserves though x1^2's image x2^2 is no leading monomial itself
+    instance(GroupSpec.trivial(2), x1 * x1 - x1)
+    instance(GroupSpec.symmetric(2), x1, x2, x1 * x1)
+    assert prove_invariant(instance(GroupSpec.symmetric(2), x1 * x1 - x1,
+                                    x2 * x2 - x2)).certified
+
+
+def e2_proof(n):
+    """e2(x) >= C(n/2, 2) - 1 given sum x_i = n/2 over {0,1}^n, S(n), d=1."""
+    e2 = Polynomial.zero(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e2 = e2 + Polynomial.variable(n, i) * Polynomial.variable(n, j)
+    return ProblemInstance(group=GroupSpec.symmetric(n),
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, n // 2)],
+                           domain_roots=BOOL,
+                           target=e2 - Polynomial.constant(n, math.comb(n // 2, 2) - 1),
+                           degree=1)
+
+
+@pytest.mark.parametrize("search,inst", [
+    (refute_invariant_system, replace(half_integral_knapsack(4), degree=2)),
+    (prove_invariant, e2_proof(8)),
+], ids=["refute", "prove"])
+def test_certified_search_expands_sigma_once_per_window(monkeypatch, search, inst):
+    expansions = []
+    original = GramMatrix.to_polynomial
+
+    def counted(self):
+        expansions.append(self)
+        return original(self)
+
+    windows = []
+    rationalize = pipeline.rationalize
+
+    def recorded(*args, **kwargs):
+        windows.append(kwargs["window"])
+        return rationalize(*args, **kwargs)
+
+    monkeypatch.setattr(GramMatrix, "to_polynomial", counted)
+    monkeypatch.setattr(pipeline, "rationalize", recorded)
+    result = search(inst)
+    assert result.certified and windows
+    assert len(expansions) == len(windows)
+    cert = result.certificate
+    expansions.clear()
+    bit_size(cert)
+    assert expansions == []
+    # The cofactors are the ones the product path finds: sigma expanded,
+    # each multiplier times its constraint (in normal form the scalar c
+    # stands for (c p) * p).
+    monkeypatch.undo()
+    products = [(p * m if cert.mode == NORMAL_FORM else m, p)
+                for p, m in cert.equality_multipliers]
+    cofactors = reconstruct_proof(cert.target, cert.sigma.to_polynomial(), products,
+                                  inst.groebner)
+    assert cert.groebner_multipliers == [
+        (g, c) for g, c in zip(inst.groebner.generators, cofactors) if not c.is_zero()]
