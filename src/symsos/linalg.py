@@ -4,11 +4,8 @@ Two jobs: certify positive semidefiniteness of symmetric rational matrices
 (with an exact counterexample vector on rejection), and solve rational
 linear systems for the rounding stage of the numeric solver.
 
-The rounding stage's minimum-norm correction takes its rows sparse, as
-{column: coefficient}, and scales each row and its right hand side to
-integers first, which changes neither the solution set nor its
-minimum-norm point; A A^T is then built from sparse integer dot products,
-so its cost follows the rows' nonzeros, not their width.
+The rounding stage's minimum-norm correction works on sparse rows scaled
+to integers, so its cost follows the rows' nonzeros, not their width.
 
 The PSD check is one fraction-free (Bareiss) symmetric elimination of the
 integer matrix den * A, den the lcm of A's denominators.  After k steps a
