@@ -19,10 +19,11 @@ and for every other basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, ge
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidDomain, ReconstructionError
@@ -55,6 +56,29 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.generators)
+
+    def is_standard(self, mono) -> bool:
+        """Whether no generator's leading monomial divides mono, so that
+        reduction leaves it as it is."""
+        bound, others = self._leads
+        return not (any(map(ge, mono, bound))
+                    or any(all(mono[i] >= e for i, e in lead) for lead in others))
+
+    @cached_property
+    def _leads(self) -> tuple[list, list]:
+        """The leading monomials as (bound, others): bound[i] is the least
+        exponent of a leading pure power of x_i (inf when none), others
+        holds each other leading monomial as (index, exponent) pairs."""
+        bound: list = [math.inf] * self.n
+        others = []
+        for g in self.generators:
+            lead = [(i, e) for i, e in enumerate(g.leading_monomial()) if e]
+            if len(lead) == 1:
+                (i, e), = lead
+                bound[i] = min(bound[i], e)
+            else:
+                others.append(lead)
+        return bound, others
 
     @cached_property
     def _power_tables(self) -> list[_PowerTable] | None:

@@ -4,14 +4,20 @@ prove_invariant and refute_invariant_system look for the same object,
 goal == sigma + sum(multiplier * constraint) + ideal with sigma and the
 multipliers invariant; they differ in the goal, the free columns and the
 certificate mode.  Each validates its instance, describes its search in a
-_SearchSpec, and hands it to the one search core, _search: enumerate the
-pair orbits once as a grid of merged-orbit ids over the Gram basis (one
-unknown of sigma per id), reduce modulo the coordinate ring, match
-coefficients into a linear system with one row per distinct coefficient
-equation (one per monomial orbit for invariant data), hand the tiny
-symmetry-reduced SDP to the numeric solver, then per rounding window round
-back to rationals, reconstruct the Groebner cofactors exactly, and verify,
-the one exact check (a sigma that is not PSD moves on to the next, finer
+_SearchSpec, and hands it to the one search core, _search.  Its setup
+works on orbits and sparse terms: key each pair of standard monomials by
+its support, so that the pair orbits and their grid of merged-orbit ids
+(one unknown of sigma per id) are enumerated once over the Gram basis
+alone; reduce each distinct monomial modulo the coordinate ring once,
+through one normal-form map per call that feeds the columns, the free
+terms and the goal (a standard monomial is its own normal form); fill
+each coefficient-matching row from the columns' own terms, drop repeats
+by a sparse key, and make only the remaining rows dense, one per distinct
+coefficient equation (one per monomial orbit for invariant data).
+Invariance is checked one monomial orbit at a time.  It hands the tiny
+symmetry-reduced SDP to the numeric solver, then per rounding window rounds
+back to rationals, reconstructs the Groebner cofactors exactly, and
+verifies, the one exact check (a sigma that is not PSD moves on to the next, finer
 window).  The search keeps each unknown's unreduced column (the pair
 monomials of a sigma id, or a free scalar's equality term), so sigma plus
 the equality terms is one linear combination of them: the cofactors come
@@ -39,16 +45,18 @@ domain: basis passes).
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
-It solves the same moment system, built by _moment_system, that
-check_pseudoexpectation evaluates.
+It solves the moment system, built by _moment_system, that
+check_pseudoexpectation evaluates; the result carries that system, so
+checking it on its own instance builds none.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from operator import add
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -57,14 +65,15 @@ from .certificates import (GENERAL, NORMAL_FORM, BitSizeReport, MultiplierLike,
 from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
-from .poly import (Monomial, MonomialBasis, Polynomial, linear_combination,
-                   mono_divides, monomials_up_to)
+from .poly import (Monomial, MonomialBasis, Polynomial, accumulate_term,
+                   linear_combination, mono_divides, monomials_up_to)
 from .sdp import (FeasibilitySystem, SolveOutcome, combination, psd_stack,
                   rationalize, solve_feasibility)
-from .symmetry import (GroupSpec, OrbitTable, canonical_monomial,
+from .symmetry import (GroupSpec, OrbitTable, act_on_polynomial, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system,
-                       monomial_orbit_elements, orbit_indicator_matrices)
+                       monomial_orbit_elements, moving_swaps,
+                       orbit_indicator_matrices)
 
 DEFAULT_EPSILON = Fraction(1, 2 ** 20)
 
@@ -127,10 +136,8 @@ def _leads_permuted(group: GroupSpec, gb: GroebnerBasis) -> bool:
     every group element maps standard monomials to standard monomials."""
     leads = [g.leading_monomial() for g in gb.generators]
     known = set(leads)
-    swaps = {i for block in group.blocks() for i in block[:-1]}
     for lm in leads:
-        # Only a transposition next to the support can move lm.
-        for i in swaps.intersection(j - s for j, e in enumerate(lm) if e for s in (0, 1)):
+        for i in moving_swaps(group, [lm]):
             if lm[i] != lm[i + 1]:
                 image = lm[:i] + (lm[i + 1], lm[i]) + lm[i + 2:]
                 if image not in known and not any(mono_divides(m, image) for m in leads):
@@ -181,42 +188,82 @@ class Pseudoexpectation:
     degree: int
     moments: dict
     numeric: bool
+    # (instance, degree, representatives, moment system) when
+    # find_pseudoexpectation solved a system that check_pseudoexpectation
+    # can evaluate as it is.
+    solved_system: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
-def _reduced(p: Polynomial, basis: Optional[GroebnerBasis]) -> Polynomial:
-    return p if basis is None else reduce_polynomial(p, basis)
+class _NormalForms(dict):
+    """Monomial -> its normal form modulo the ring, as {monomial: coefficient}.
+
+    One map per call: each monomial is reduced once, on its first lookup,
+    and a standard monomial is its own normal form.  Reduction is linear,
+    so reduce() adds up the normal forms of a polynomial's terms.
+    """
+
+    def __init__(self, n: int, gb: Optional[GroebnerBasis]):
+        super().__init__()
+        self.n, self.gb = n, gb
+
+    def __missing__(self, mono: Monomial) -> Mapping[Monomial, Fraction]:
+        if self.gb is None or self.gb.is_standard(mono):
+            form = {mono: Fraction(1)}
+        else:
+            form = reduce_polynomial(Polynomial._of_clean(self.n, {mono: Fraction(1)}),
+                                     self.gb).terms
+        self[mono] = form
+        return form
+
+    def reduce(self, terms: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """The normal form of sum c x^m over these terms, nonzero terms only."""
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in terms.items():
+            for m, a in self[mono].items():
+                accumulate_term(out, m, c * a)
+        return out
 
 
-def _distinct_rows(rows: Sequence[list[Fraction]], rhs: Sequence[Fraction]):
-    """The equations rows[t] . y = rhs[t] without repeats and without 0 = 0.
+def _distinct_rows(rows: Iterable[tuple[Sequence[tuple[int, Fraction]], Fraction]],
+                   width: int):
+    """The equations row . y = value without repeats and without 0 = 0, as
+    dense rows of this width and their right hand sides.
 
-    First occurrences keep their order.  The affine solution set is
-    unchanged.  Equal coefficients with a different right hand side is a
+    Each row comes as its nonzero (column, coefficient) pairs in column
+    order, and only the rows that remain are made dense.  First
+    occurrences keep their order.  The affine solution set is unchanged.
+    Equal coefficients with a different right hand side is a
     contradiction, so both rows stay for the solver to report.
     """
     seen = set()
     out_rows: list[list[Fraction]] = []
     out_rhs: list[Fraction] = []
-    for row, value in zip(rows, rhs):
-        key = (tuple(row), value)
-        if key in seen or not (value or any(row)):
+    for entries, value in rows:
+        key = (tuple(entries), value)
+        if key in seen or not (value or entries):
             continue
         seen.add(key)
-        out_rows.append(row)
+        dense = [Fraction(0)] * width
+        for j, c in entries:
+            dense[j] = c
+        out_rows.append(dense)
         out_rhs.append(value)
     return out_rows, out_rhs
 
 
-def _match_columns(columns: Sequence[Polynomial], target: Polynomial):
+def _match_columns(columns: Sequence[Mapping[Monomial, Fraction]],
+                   target: Mapping[Monomial, Fraction]):
     """Coefficient-matching rows, one per distinct equation over the sorted
-    monomials of all supports (one per monomial orbit for invariant data)."""
-    monos = set(target.terms)
-    for col in columns:
-        monos.update(col.terms)
-    rows = sorted(monos)
-    amat = [[col.coefficient(m) for col in columns] for m in rows]
-    rhs = [target.coefficient(m) for m in rows]
-    return _distinct_rows(amat, rhs)
+    monomials of all supports (one per monomial orbit for invariant data).
+
+    columns and target are nonzero terms; each row is filled from the
+    columns' own terms."""
+    rows: dict[Monomial, list[tuple[int, Fraction]]] = {m: [] for m in target}
+    for j, col in enumerate(columns):
+        for m, c in col.items():
+            rows.setdefault(m, []).append((j, c))
+    return _distinct_rows(((rows[m], target.get(m, Fraction(0))) for m in sorted(rows)),
+                          len(columns))
 
 
 def _gram_degree(inst: ProblemInstance) -> int:
@@ -250,16 +297,15 @@ def _standard(monomials: Iterable[Monomial],
     congruent to one over them of no higher degree."""
     if gb is None:
         return list(monomials)
-    leads = [g.leading_monomial() for g in gb.generators]
-    return [m for m in monomials if not any(mono_divides(lm, m) for lm in leads)]
+    return [m for m in monomials if gb.is_standard(m)]
 
 
 def _gram_orbits(inst: ProblemInstance, gram_degree: int):
-    """The Gram side of a search: the pair orbits of the degree-gram_degree
-    basis, its standard monomials, and the grid of merged-orbit ids over
-    them (one unknown of sigma per id)."""
-    table = enumerate_pair_orbits(inst.group, gram_degree)
+    """The Gram side of a search: the pair orbits of the standard monomials
+    of degree <= gram_degree, those monomials, and the grid of merged-orbit
+    ids over them (one unknown of sigma per id)."""
     standard = _standard(MonomialBasis(inst.n, gram_degree), inst.groebner)
+    table = enumerate_pair_orbits(inst.group, gram_degree, standard)
     return table, standard, orbit_indicator_matrices(table, standard)
 
 
@@ -267,17 +313,17 @@ def _accounting(inst: ProblemInstance, table: OrbitTable, standard: list[Monomia
                 indicators: int, orbits: Optional[list[list[int]]],
                 free: int) -> VariableCountReport:
     """Unknown counts of a search whose sigma is a Gram matrix over the
-    standard monomials, with their pair orbits merged into `indicators`
-    ids, and `free` free scalars.  orbits partitions the equality
-    constraints, or is None when they are not closed under the group."""
+    standard monomials, with their pair orbits (table) merged into
+    `indicators` ids, and `free` free scalars.  orbits partitions the
+    equality constraints, or is None when they are not closed under the
+    group."""
     n, gram_degree = inst.n, table.degree
     w = len(standard)
     mult_dims = [math.comb(n + e, e) for e in
                  (_multiplier_degree(p, gram_degree) for p in inst.equalities)]
     return VariableCountReport(
         n=n, gram_degree=gram_degree, w_size=w, y_size=w * w,
-        pair_orbit_count=len({table.orbit_of[(a, b)] for a in standard
-                              for b in standard}),
+        pair_orbit_count=len(table),
         indicator_count=indicators,
         constraint_orbit_count=len(inst.equalities) if orbits is None
         else len(orbits),
@@ -336,15 +382,19 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
                               accounting=accounting, solver=outcome,
                               epsilon=spec.epsilon)
 
-    # Id r's column sums x^(a + b) over the entries (a, b) that hold r.
+    # Id r's column sums x^(a + b) over the entries (a, b) that hold r; the
+    # grid is symmetric, so each entry off the diagonal counts twice.
     a_terms: list[Counter] = [Counter() for _ in range(k2)]
-    for a, row in zip(standard, ids):
-        for b, r in zip(standard, row):
-            a_terms[r][tuple(x + y for x, y in zip(a, b))] += 1
+    for i, (a, row) in enumerate(zip(standard, ids)):
+        a_terms[row[i]][tuple(map(add, a, a))] += 1
+        for b, r in zip(standard[i + 1:], row[i + 1:]):
+            a_terms[r][tuple(map(add, a, b))] += 2
     # Each unknown's unreduced column: what its value 1 adds to the identity.
-    columns = [Polynomial(inst.n, t) for t in a_terms] + spec.free_terms
-    amat, rhs = _match_columns([_reduced(c, gb) for c in columns],
-                               _reduced(spec.goal, gb))
+    columns = [Polynomial._of_clean(inst.n, {m: Fraction(c) for m, c in t.items()})
+               for t in a_terms] + spec.free_terms
+    normal = _NormalForms(inst.n, gb)
+    amat, rhs = _match_columns([normal.reduce(c.terms) for c in columns],
+                               normal.reduce(spec.goal.terms))
     unit = [{r: Fraction(1)} for r in range(k2)]
     system = FeasibilitySystem(basis=standard,
                                gram=[[unit[r] for r in row] for row in ids],
@@ -476,40 +526,56 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
     nothing: L is defined through reduction, so L(q^2) = L(NF(q)^2) for
     every q, and NF(q) lies in their span.  The rows are the distinct
     equations L(1) = 1 and L(m p) = 0 for every monomial m of degree
-    <= deg - deg p and each p in constraints.  Each product monomial is reduced modulo the
-    ring and mapped onto the representatives once.
+    <= deg - deg p and each p in constraints, each filled sparse.  Each
+    product monomial is reduced modulo the ring and mapped onto the
+    representatives once.
     """
-    n, gb = inst.n, inst.groebner
+    n = inst.n
     reps = _moment_representatives(inst, deg)
     slot = {r: i for i, r in enumerate(reps)}
-    cache: dict[Monomial, dict[int, Fraction]] = {}
+    normal = _NormalForms(n, inst.groebner)
+    forms: dict[Monomial, dict[int, Fraction]] = {}
 
     def moment_of(mono: Monomial) -> dict[int, Fraction]:
         """L(mono) as coefficients on the unknowns."""
-        if mono not in cache:
-            row: dict[int, Fraction] = {}
-            for m, coeff in _reduced(Polynomial.monomial(n, mono), gb).terms.items():
+        form = forms.get(mono)
+        if form is None:
+            form = forms[mono] = {}
+            for m, coeff in normal[mono].items():
                 r = slot[canonical_monomial(inst.group, m)]
-                row[r] = row.get(r, 0) + coeff
-            cache[mono] = row
-        return cache[mono]
+                form[r] = form.get(r, 0) + coeff
+        return form
 
-    half = _standard(MonomialBasis(n, deg // 2), gb)
-    gram = [[moment_of(tuple(x + y for x, y in zip(a, b))) for b in half] for a in half]
+    half = _standard(MonomialBasis(n, deg // 2), inst.groebner)
+    gram: list[list] = [[None] * len(half) for _ in half]
+    for i, a in enumerate(half):
+        for j in range(i, len(half)):
+            gram[i][j] = gram[j][i] = moment_of(tuple(map(add, a, half[j])))
 
-    def moment_row(shift: Monomial, p: Polynomial) -> list[Fraction]:
-        """L(x^shift * p) as a row over the unknowns."""
-        row = [Fraction(0)] * len(reps)
+    def moment_row(shift: Monomial, p: Polynomial) -> list[tuple[int, Fraction]]:
+        """L(x^shift * p) as its nonzero (unknown, coefficient) pairs."""
+        row: dict[int, Fraction] = {}
         for mono, coeff in p.terms.items():
-            for r, c in moment_of(tuple(x + y for x, y in zip(shift, mono))).items():
-                row[r] += coeff * c
-        return row
+            for r, c in moment_of(tuple(map(add, shift, mono))).items():
+                row[r] = row.get(r, 0) + coeff * c
+        return sorted((r, c) for r, c in row.items() if c)
 
-    rows = [moment_row((0,) * n, Polynomial.constant(n, 1))]
+    rows = [(moment_row((0,) * n, Polynomial.constant(n, 1)), Fraction(1))]
     for p in constraints:
-        rows += [moment_row(m, p) for m in monomials_up_to(n, max(deg - p.degree(), 0))]
-    rows, rhs = _distinct_rows(rows, [Fraction(1)] + [Fraction(0)] * (len(rows) - 1))
+        rows += [(moment_row(m, p), Fraction(0))
+                 for m in monomials_up_to(n, max(deg - p.degree(), 0))]
+    rows, rhs = _distinct_rows(rows, len(reps))
     return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs)
+
+
+def _ring_commutes(inst: ProblemInstance) -> bool:
+    """Whether the group maps the ideal onto itself, so that reduction
+    commutes with it: each generator's image under each transposition that
+    can move it reduces to zero."""
+    gb = inst.groebner
+    return gb is None or all(
+        reduce_polynomial(act_on_polynomial(inst.group.transposition(i), g), gb).is_zero()
+        for g in gb.generators for i in moving_swaps(inst.group, g.terms))
 
 
 def find_pseudoexpectation(inst: ProblemInstance,
@@ -528,9 +594,17 @@ def find_pseudoexpectation(inst: ProblemInstance,
     if not outcome.feasible:
         return None
     values = outcome.solution.values
+    # check_pseudoexpectation takes the rows of every equality.  When the
+    # ring commutes with the group, those of p' = g p are L(m g p) =
+    # L(g (g^-1 m) p) = L((g^-1 m) p) for the symmetric L, the rows of p at
+    # the monomial g^-1 m of the same degree: so past the rows of the first
+    # member of each orbit, which come first, every member adds only
+    # repeats, and the distinct rows are this system's, in the same order.
+    same = len(orbits) == len(inst.equalities) or _ring_commutes(inst)
     return Pseudoexpectation(group=inst.group, degree=deg,
                              moments={r: values[i] for i, r in enumerate(reps)},
-                             numeric=True)
+                             numeric=True,
+                             solved_system=(inst, deg, reps, system) if same else None)
 
 
 def point_pseudoexpectation(inst: ProblemInstance, points: Sequence[Sequence],
@@ -570,7 +644,11 @@ def check_pseudoexpectation(inst: ProblemInstance, pe: Pseudoexpectation,
     """Numeric validity of pe's moments on inst's representatives: every
     moment row (L(1) = 1 and L vanishing on each constraint's multiples up
     to pe.degree) holds, and the moment matrix is PSD, within tolerance."""
-    reps, system = _moment_system(inst, pe.degree, inst.equalities)
+    held = pe.solved_system
+    if held is not None and held[0] is inst and held[1] == pe.degree:
+        _, _, reps, system = held
+    else:
+        reps, system = _moment_system(inst, pe.degree, inst.equalities)
     values = np.array([float(pe.moments[r]) for r in reps])
     residual = (np.array(system.linear_map, dtype=float) @ values
                 - np.array(system.rhs, dtype=float))

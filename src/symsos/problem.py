@@ -16,7 +16,7 @@ from typing import Optional
 from .errors import ParseError
 from .groebner import GroebnerBasis
 from .pipeline import ProblemInstance
-from .poly import Polynomial
+from .poly import Polynomial, accumulate_term
 from .symmetry import GroupSpec
 
 _SCALAR_KEYS = {"vars", "group", "domain", "target", "degree", "epsilon"}
@@ -50,11 +50,9 @@ class ProblemFile:
 
 def _tokens(text: str, line: int, offset: int):
     """Tokenize a polynomial body into (kind, lexeme, column) triples."""
-    pos = 0
+    pos, end = 0, len(text.rstrip())
     out = []
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if m is None:
             col = offset + pos + len(text[pos:]) - len(text[pos:].lstrip()) + 1
@@ -85,6 +83,8 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
 
     A polynomial is signed terms; a term is atoms joined by `*`; an atom is
     a coefficient (integer, decimal, or a/b) or a variable power `xi^e`.
+    Each term is a coefficient and a sparse exponent map, added straight
+    into one dict.
     """
     toks = _tokens(text, line, offset)
     if not toks:
@@ -105,7 +105,9 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
             col = toks[-1][2] + len(toks[-1][1])
         raise ParseError(message, line, col)
 
-    def atom() -> Polynomial:
+    def atom(exponents: dict[int, int]) -> Optional[Fraction]:
+        """Parse one atom: return a coefficient, or add a variable power
+        into exponents and return None."""
         nonlocal pos
         tok = peek()
         if tok is None:
@@ -123,7 +125,7 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
                     raise ParseError("zero denominator", line, den[2])
                 value /= Fraction(den[1])
                 pos += 1
-            return Polynomial.constant(n, value)
+            return value
         if kind == "var":
             index = int(lex[1:])
             if not 1 <= index <= n:
@@ -137,25 +139,27 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
                     fail("expected integer exponent after '^'")
                 exponent = int(etok[1])
                 pos += 1
-            return Polynomial.variable(n, index - 1) ** exponent
+            exponents[index - 1] = exponents.get(index - 1, 0) + exponent
+            return None
         fail(f"expected a coefficient or variable, got {lex!r}", pos - 1)
 
-    def term() -> Polynomial:
-        nonlocal pos
-        result = atom()
-        while peek("op") and toks[pos][1] == "*":
-            pos += 1
-            result = result * atom()
-        return result
-
     def add_term(sign: int) -> None:
-        """Add sign * term() into total in place."""
-        for mono, coeff in term().terms.items():
-            acc = total.get(mono, 0) + sign * coeff
-            if acc:
-                total[mono] = acc
-            else:
-                total.pop(mono, None)
+        """Parse a term and add sign times it into total."""
+        nonlocal pos
+        exponents: dict[int, int] = {}
+        coeff = Fraction(sign)
+        while True:
+            value = atom(exponents)
+            if value is not None:
+                coeff *= value
+            if not (peek("op") and toks[pos][1] == "*"):
+                break
+            pos += 1
+        if coeff:
+            mono = [0] * n
+            for i, e in exponents.items():
+                mono[i] = e
+            accumulate_term(total, tuple(mono), coeff)
 
     total: dict = {}
     tok = peek("op")
@@ -168,7 +172,7 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
             fail("expected '+' or '-' between terms")
         pos += 1
         add_term(-1 if tok[1] == "-" else 1)
-    return Polynomial(n, total)
+    return Polynomial._of_clean(n, total)
 
 
 def _parse_group(value: str, line: int, column: int) -> tuple[int, ...]:

@@ -5,9 +5,12 @@ factor per contiguous block of variables.  Orbits of monomials (and of
 pairs of monomials, under the diagonal action) are represented by
 canonical forms: within each block the exponents (or exponent pairs) are
 sorted descending, so two elements are in the same orbit iff their
-canonical forms are equal.  All averaging is done orbit by orbit with
-exact orbit sizes; nothing here ever enumerates the group itself unless
-a caller explicitly walks elements().
+canonical forms are equal.  Pair orbits are enumerated by a key the size
+of the pair's support, the multiset of nonzero exponent pairs per block,
+and only each orbit's canonical form is built.  All averaging and the
+invariance test go orbit by orbit with exact orbit sizes; nothing here
+ever enumerates the group itself unless a caller explicitly walks
+elements().
 """
 
 from __future__ import annotations
@@ -53,15 +56,15 @@ class GroupSpec:
             start += b
         return out
 
-    def generators(self) -> list["Permutation"]:
-        """Adjacent transpositions within each block."""
-        gens = []
-        for blk in self.blocks():
-            for i in blk[:-1]:
-                images = list(range(self.n))
-                images[i], images[i + 1] = images[i + 1], images[i]
-                gens.append(Permutation(tuple(images)))
-        return gens
+    def swaps(self) -> list[int]:
+        """i for each transposition (i, i + 1) of two variables in one block."""
+        return [i for blk in self.blocks() for i in blk[:-1]]
+
+    def transposition(self, i: int) -> "Permutation":
+        """The permutation exchanging variables i and i + 1."""
+        images = list(range(self.n))
+        images[i], images[i + 1] = images[i + 1], images[i]
+        return Permutation(tuple(images))
 
     def elements(self) -> Iterator["Permutation"]:
         """Every group element; the cost, the group order, is on the caller."""
@@ -186,9 +189,12 @@ class OrbitTable:
     """Orbits of monomials (or monomial pairs) of degree <= d.
 
     representatives are canonical forms in a deterministic order; orbit_of
-    maps every element of the underlying set to its orbit index; sizes[i]
-    counts the elements of orbit i.  The sizes always sum to the size of
-    the underlying set.
+    maps every element of the underlying set (monomials) or each orbit's
+    key (pairs, see _pair_keys) to its orbit index; sizes[i] counts the
+    elements of orbit i.  The sizes always sum to the size of the
+    underlying set.  A pair table also keeps the monomials its pairs are
+    drawn from, as elements, and the orbit index of each ordered pair of
+    them, as grid.
     """
 
     group: GroupSpec
@@ -197,6 +203,8 @@ class OrbitTable:
     representatives: list
     orbit_of: dict
     sizes: list[int]
+    elements: Optional[list] = None
+    grid: Optional[list[list[int]]] = None
 
     def __len__(self) -> int:
         return len(self.representatives)
@@ -220,23 +228,65 @@ def enumerate_monomial_orbits(group: GroupSpec, degree: int) -> OrbitTable:
         sizes=[buckets[r] for r in reps])
 
 
-def enumerate_pair_orbits(group: GroupSpec, degree: int) -> OrbitTable:
-    """Orbits of ordered pairs of degree-<=d monomials under the diagonal action."""
-    basis = MonomialBasis(group.n, degree)
-    buckets: dict[tuple[Monomial, Monomial], int] = {}
-    assign: dict[tuple[Monomial, Monomial], tuple[Monomial, Monomial]] = {}
-    for a in basis:
-        for b in basis:
-            canon = canonical_pair(group, (a, b))
-            buckets[canon] = buckets.get(canon, 0) + 1
-            assign[(a, b)] = canon
-    reps = sorted(buckets, key=lambda ab: (grlex_key(ab[0]), grlex_key(ab[1])))
-    index = {rep: i for i, rep in enumerate(reps)}
+def _pair_keys(group: GroupSpec, monomials: Sequence[Monomial]) -> list[list[tuple]]:
+    """The orbit key of every ordered pair of these monomials, row by row.
+
+    A pair (a, b)'s key is the sorted tuple of cells (block, a_i, b_i) over
+    the variables i where a or b is nonzero: per block, the multiset of its
+    nonzero cells.  Two pairs are in one orbit iff their keys are equal,
+    and a key is the size of the pair's support, not n.
+    """
+    if any(len(m) != group.n for m in monomials):
+        raise DimensionMismatch("group and monomial arity differ")
+    block = [k for k, size in enumerate(group.block_sizes) for _ in range(size)]
+    sparse = [{i: e for i, e in enumerate(m) if e} for m in monomials]
+    keys = []
+    for sa in sparse:
+        row = []
+        for sb in sparse:
+            cells = [(block[i], e, sb.get(i, 0)) for i, e in sa.items()]
+            cells += [(block[i], 0, e) for i, e in sb.items() if i not in sa]
+            cells.sort()
+            row.append(tuple(cells))
+        keys.append(row)
+    return keys
+
+
+def _transposed(key: tuple) -> tuple:
+    """The key of the transposed pairs (b, a)."""
+    return tuple(sorted((blk, y, x) for blk, x, y in key))
+
+
+def _pair_representative(group: GroupSpec, key: tuple) -> tuple[Monomial, Monomial]:
+    """canonical_pair of the pairs with this key: in each block the nonzero
+    cells sorted descending, then the zero cells."""
+    a, b = [0] * group.n, [0] * group.n
+    free = [blk.start for blk in group.blocks()]  # next position in each block
+    for blk, x, y in sorted(key, key=lambda cell: (cell[0], -cell[1], -cell[2])):
+        a[free[blk]], b[free[blk]] = x, y
+        free[blk] += 1
+    return tuple(a), tuple(b)
+
+
+def enumerate_pair_orbits(group: GroupSpec, degree: int,
+                          monomials: Optional[Sequence[Monomial]] = None) -> OrbitTable:
+    """Orbits of ordered pairs of monomials under the diagonal action: pairs
+    of these monomials (a group-invariant set of degree <= degree, such as
+    a Gram basis's standard monomials), or of all monomials of degree <=
+    degree.  orbit_of maps each orbit's key (see _pair_keys) to its index;
+    no pair is built as a whole n-tuple, only each orbit's representative."""
+    if monomials is None:
+        monomials = MonomialBasis(group.n, degree).entries
+    keys = _pair_keys(group, monomials)
+    sizes = Counter(key for row in keys for key in row)
+    canon = {key: _pair_representative(group, key) for key in sizes}
+    order = sorted(sizes, key=lambda k: (grlex_key(canon[k][0]), grlex_key(canon[k][1])))
+    index = {k: i for i, k in enumerate(order)}
     return OrbitTable(
         group=group, degree=degree, kind="pair",
-        representatives=reps,
-        orbit_of={p: index[c] for p, c in assign.items()},
-        sizes=[buckets[r] for r in reps])
+        representatives=[canon[k] for k in order], orbit_of=index,
+        sizes=[sizes[k] for k in order], elements=list(monomials),
+        grid=[[index[k] for k in row] for row in keys])
 
 
 # -- Gram matrices ----------------------------------------------------------
@@ -330,30 +380,53 @@ def reynolds_gram(group: GroupSpec, q: GramMatrix) -> GramMatrix:
 
 def orbit_indicator_matrices(table: OrbitTable,
                              monomials: Sequence[Monomial]) -> list[list[int]]:
-    """One symmetric grid of ids 0..k-1 over these monomials of degree <=
-    table.degree (a MonomialBasis, or any part of one): indicator r is the
-    0/1 matrix that is 1 exactly where the grid holds r.
+    """One symmetric grid of ids 0..k-1 over these monomials (any
+    group-invariant part of the pair table's elements):
+    indicator r is the 0/1 matrix that is 1 exactly where the grid holds r.
 
     Each pair orbit is merged with its transpose orbit, so the indicators
     are symmetric, have disjoint supports and sum to the all-ones matrix;
-    the ids number the merged orbits that the grid meets.  Over a
-    group-invariant set of monomials, every G-invariant Gram matrix is a
-    unique rational combination of them.
+    the ids number the merged orbits that the grid meets, in the order of
+    their first orbit.  Over a group-invariant set of monomials, every
+    G-invariant Gram matrix is a unique rational combination of them.
     """
     if table.kind != "pair":
         raise ValueError("need a pair orbit table")
-    if any(len(m) != table.group.n or sum(m) > table.degree for m in monomials):
-        raise DimensionMismatch("orbit table and basis disagree")
-    merged = [min(idx, table.orbit_of[canonical_pair(table.group, (b, a))])
-              for idx, (a, b) in enumerate(table.representatives)]
-    grid = [[merged[table.orbit_of[(a, b)]] for b in monomials] for a in monomials]
-    slot = {m: i for i, m in enumerate(sorted({m for row in grid for m in row}))}
-    return [[slot[m] for m in row] for row in grid]
+    position = {m: i for i, m in enumerate(table.elements)}
+    try:
+        at = [position[m] for m in monomials]
+    except KeyError:
+        raise DimensionMismatch("orbit table and basis disagree") from None
+    merged = [0] * len(table)
+    for key, i in table.orbit_of.items():
+        merged[i] = min(i, table.orbit_of[_transposed(key)])
+    grid = [[merged[row[j]] for j in at] for row in (table.grid[i] for i in at)]
+    slot = {m: i for i, m in enumerate(sorted({x for row in grid for x in row}))}
+    return [[slot[x] for x in row] for row in grid]
+
+
+def moving_swaps(group: GroupSpec, monomials: Iterable[Monomial]) -> list[int]:
+    """The transpositions (i, i + 1) of group.swaps() next to the support of
+    these monomials, the only ones that can move any of them."""
+    support = {j for m in monomials for j, e in enumerate(m) if e}
+    near = {j - s for j in support for s in (0, 1)}
+    return [i for i in group.swaps() if i in near]
 
 
 def is_invariant(group: GroupSpec, p: Polynomial) -> bool:
-    """True iff p is fixed by the whole group (checked on generators)."""
-    return all(act_on_polynomial(g, p) == p for g in group.generators())
+    """True iff p is fixed by the whole group, checked one monomial orbit at
+    a time: the terms in each orbit must be all of its members, with one
+    coefficient."""
+    if group.n != p.n:
+        raise DimensionMismatch("group and polynomial arity differ")
+    orbits: dict[Monomial, list] = {}  # canonical form -> [coefficient, terms]
+    for mono, coeff in p.terms.items():
+        seen = orbits.setdefault(canonical_monomial(group, mono), [coeff, 0])
+        if seen[0] != coeff:
+            return False
+        seen[1] += 1
+    return all(count == monomial_orbit_size(group, canon)
+               for canon, (_, count) in orbits.items())
 
 
 def is_invariant_system(group: GroupSpec,
@@ -361,7 +434,10 @@ def is_invariant_system(group: GroupSpec,
     """Whether the polynomial list is closed under the group action.
 
     On success also returns the orbit partition as lists of indices into
-    the system (deterministic: orbits ordered by smallest member).
+    the system (deterministic: orbits ordered by smallest member).  An
+    invariant member, checked one monomial orbit at a time, is its own
+    image; another member's images are taken under the transpositions
+    next to its support, the only generators that move it.
     """
     index: dict = {}
     for i, p in enumerate(system):
@@ -374,9 +450,14 @@ def is_invariant_system(group: GroupSpec,
             i = parent[i]
         return i
 
+    has_generators = bool(group.swaps())
     for i, p in enumerate(system):
-        for g in group.generators():
-            image = act_on_polynomial(g, p)
+        if is_invariant(group, p):  # each generator maps p to its first copy
+            images = [p] if has_generators else []
+        else:
+            images = [act_on_polynomial(group.transposition(s), p)
+                      for s in moving_swaps(group, p.terms)]
+        for image in images:
             j = index.get(image.key())
             if j is None:
                 return False, None

@@ -25,3 +25,37 @@ def test_every_traced_entry_point_resolves(monkeypatch):
         tracer.uninstall()
     for (path, name, _, _), original in zip(ENTRY_POINTS, originals):
         assert getattr(_owner(path), name) is original, (path, name)
+
+
+def test_traced_commands_keep_their_answers(monkeypatch, tmp_path, capsys):
+    # the wrappers and their counter hooks see real calls: a changed return
+    # shape of a wrapped function fails here, not in the traced benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+    from symsos import cli
+
+    refute = tmp_path / "k2.sos"
+    refute.write_text("vars: 2\ngroup: S(2)\ndomain: {0,1}\neq: x1 + x2 - 5/2\n"
+                      "target: refute\n")
+    dual = tmp_path / "k3.sos"
+    dual.write_text("vars: 3\ngroup: S(3)\ndomain: {0,1}\neq: x1 + x2 + x3 - 3/2\n"
+                    "target: refute\n")
+    tracer = Tracer()
+    tracer.begin_pass()
+    tracer.install()
+    try:
+        assert cli.main(["refute", str(refute), "--json"]) == 0
+        assert cli.main(["pseudoexpect", str(dual), "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert '"status": "certified"' in out
+    assert '"valid_within_tolerance": true' in out
+    metrics = tracer.pass_metrics()
+    for name in ("symmetry.pair_orbits", "groebner.reduce_calls", "sdp.solve_calls",
+                 "sdp.rows", "linalg.psd_calls", "certificates.total_bits"):
+        assert metrics[name] > 0, name
+    assert metrics["sdp.solve_calls"] == 2
+    labels = {span[0] for span in tracer.spans}
+    assert {"pipeline.find_pseudoexpectation", "pipeline.check_pseudoexpectation",
+            "pipeline.refute_invariant_system"} <= labels

@@ -353,3 +353,7 @@ def test_groebner_leads_the_group_moves_exit_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the group does not permute")
+
+
+def test_main_builds_its_parser_once():
+    assert cli._parser() is cli._parser()

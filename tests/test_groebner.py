@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -267,3 +268,14 @@ def test_other_bases_reduce_by_division(monkeypatch, index):
 def test_reduce_rejects_arity_mismatch(gb):
     with pytest.raises(DimensionMismatch):
         reduce_polynomial(x(3, 0, 2), gb)
+
+
+@pytest.mark.parametrize("gb", fallback_bases() + [finite_domain_basis(2, (0, 1, 2, 3))])
+def test_is_standard_means_no_leading_monomial_divides(gb):
+    leads = [g.leading_monomial() for g in gb.generators]
+    for mono in itertools.product(range(6), repeat=2):
+        standard = not any(mono_divides(lm, mono) for lm in leads)
+        assert gb.is_standard(mono) == standard
+        if standard:
+            assert reduce_polynomial(Polynomial.monomial(2, mono), gb) == \
+                Polynomial.monomial(2, mono)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsos import linalg, pipeline
 from symsos.certificates import NORMAL_FORM, bit_size, verify
@@ -282,12 +284,13 @@ def test_accounting_matches_the_solved_system(monkeypatch, case):
 
 
 def test_conflicting_rows_survive_matching():
-    assert _distinct_rows([[frac(1)], [frac(1)], [frac(0)], [frac(1)]],
-                          [frac(1), frac(1), frac(0), frac(-1)]) == \
+    one = [(0, frac(1))]
+    assert _distinct_rows([(one, frac(1)), (one, frac(1)), ([], frac(0)),
+                           (one, frac(-1))], 1) == \
         ([[frac(1)], [frac(1)]], [frac(1), frac(-1)])
     # x1 + x2 against x1 - x2: a = 1 and a = -1 must both reach the solver.
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    amat, rhs = _match_columns([x1 + x2], x1 - x2)
+    amat, rhs = _match_columns([(x1 + x2).terms], (x1 - x2).terms)
     assert amat == [[frac(1)], [frac(1)]] and sorted(rhs) == [-1, 1]
     system = FeasibilitySystem(
         basis=MonomialBasis(2, 0), gram=[[{0: frac(1)}]], linear_map=amat, rhs=rhs)
@@ -708,3 +711,146 @@ def test_certified_search_expands_sigma_once_per_window(monkeypatch, search, ins
                                   inst.groebner)
     assert cert.groebner_multipliers == [
         (g, c) for g, c in zip(inst.groebner.generators, cofactors) if not c.is_zero()]
+
+
+# -- the orbit-native setup against its earlier dense form --------------------
+
+
+def dense_match_columns(columns, target):
+    """The earlier _match_columns: one dense row per monomial of any
+    support, by coefficient lookup, then the distinct ones."""
+    monos = set(target.terms)
+    for col in columns:
+        monos.update(col.terms)
+    rows, rhs, seen = [], [], set()
+    for m in sorted(monos):
+        row = [col.coefficient(m) for col in columns]
+        key = (tuple(row), target.coefficient(m))
+        if key in seen or not (key[1] or any(row)):
+            continue
+        seen.add(key)
+        rows.append(row)
+        rhs.append(key[1])
+    return rows, rhs
+
+
+@st.composite
+def column_sets(draw):
+    """A few polynomials in two or three variables with small exponents
+    and coefficients, some repeated so that rows repeat."""
+    n = draw(st.integers(2, 3))
+    monos = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.integers(-2, 2).map(Fraction)
+    polys = st.dictionaries(monos, coeffs, max_size=5).map(lambda t: Polynomial(n, t))
+    columns = draw(st.lists(polys, min_size=1, max_size=4))
+    columns += draw(st.lists(st.sampled_from(columns), max_size=2))
+    return columns, draw(polys)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(column_sets())
+def test_sparse_rows_match_the_dense_rows(case):
+    columns, target = case
+    assert _match_columns([c.terms for c in columns], target.terms) == \
+        dense_match_columns(columns, target)
+
+
+FOUR = tuple(frac(v) for v in range(4))
+
+
+def knapsack_on(roots, n, degree, group=None):
+    """sum x_i = n * max(roots) + 1/2: no point of the domain satisfies it."""
+    return ProblemInstance(group=group or GroupSpec.symmetric(n),
+                           equalities=[sum_of_vars(n) - Polynomial.constant(
+                               n, n * max(roots) + frac(1, 2))],
+                           domain_roots=roots, degree=degree)
+
+
+def reduced_monomials(monkeypatch):
+    """The polynomial of every reduce_polynomial call the pipeline makes."""
+    seen = []
+    original = pipeline.reduce_polynomial
+
+    def recorded(p, gb):
+        seen.append(p)
+        return original(p, gb)
+
+    monkeypatch.setattr(pipeline, "reduce_polynomial", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("search,inst", [
+    (refute_invariant_system, replace(half_integral_knapsack(4), degree=2)),
+    (refute_invariant_system, knapsack_on(FOUR, 2, 2)),
+    (refute_invariant_system, knapsack_on(BOOL, 4, 2, GroupSpec((2, 2)))),
+    (prove_invariant, e2_proof(6)),
+], ids=["bool-S4-d2", "four-S2-d2", "bool-S2xS2-d2", "prove-e2-S6"])
+def test_search_reduces_each_distinct_monomial_once(monkeypatch, search, inst):
+    seen = reduced_monomials(monkeypatch)
+    result = search(inst)
+    assert result.certified
+    monos = [p.leading_monomial() for p in seen]
+    assert all(len(p.terms) == 1 and p.terms[m] == 1 for p, m in zip(seen, monos))
+    assert len(monos) == len(set(monos))
+    # only the monomials that reduction changes: none is standard
+    assert not any(inst.groebner.is_standard(m) for m in monos)
+
+
+def test_pseudoexpect_builds_one_moment_system(monkeypatch, tmp_path, capsys):
+    from symsos import cli
+    builds = []
+    original = pipeline._moment_system
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "_moment_system", counted)
+    path = tmp_path / "k3.sos"
+    path.write_text("vars: 3\ngroup: S(3)\ndomain: {0,1}\neq: x1 + x2 + x3 - 3/2\n"
+                    "target: refute\n")
+    assert cli.main(["pseudoexpect", str(path)]) == 0
+    assert "validity within tolerance: True" in capsys.readouterr().out
+    assert len(builds) == 1
+
+
+def differences(n):
+    """x_i - x_j for every ordered pair i != j: one orbit under S(n)."""
+    return [Polynomial.variable(n, i) - Polynomial.variable(n, j)
+            for i in range(n) for j in range(n) if i != j]
+
+
+@pytest.mark.parametrize("inst", [
+    ProblemInstance(group=GroupSpec.symmetric(3), equalities=differences(3),
+                    domain_roots=BOOL, degree=2),
+    ProblemInstance(group=GroupSpec.symmetric(2),
+                    equalities=[Polynomial.variable(2, i) - 2 for i in range(2)],
+                    domain_roots=FOUR, degree=2),
+    ProblemInstance(group=GroupSpec((2, 1)),
+                    equalities=differences(3)[:1] + [sum_of_vars(3) - 2]
+                    + differences(3)[2:3], domain_roots=BOOL, degree=1),
+], ids=["differences-S3", "pins-S2-four", "mixed-S2xS1"])
+def test_rows_of_every_equality_are_the_rows_per_orbit(inst):
+    # what lets check_pseudoexpectation evaluate find's moment system
+    pe = find_pseudoexpectation(inst)
+    assert pe is not None and pe.solved_system is not None
+    _, deg, reps, system = pe.solved_system
+    all_reps, every = pipeline._moment_system(inst, deg, inst.equalities)
+    assert all_reps == reps
+    assert (every.linear_map, every.rhs, every.gram) == \
+        (system.linear_map, system.rhs, system.gram)
+    assert check_pseudoexpectation(inst, pe)
+    assert check_pseudoexpectation(inst, replace(pe, solved_system=None))
+
+
+def test_a_ring_the_group_moves_gets_its_own_check():
+    # x2's generator has other roots: S(2) maps the ideal elsewhere, so the
+    # rows of x2 - x1 are not those of x1 - x2 and check builds its own
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    inst = ProblemInstance(group=GroupSpec.symmetric(2),
+                           equalities=[x1 - x2, x2 - x1], degree=1,
+                           groebner=GroebnerBasis((x1 * x1 - x1, x2 * x2 - 2 * x2)))
+    assert not pipeline._ring_commutes(inst)
+    assert pipeline._ring_commutes(replace(inst, groebner=None))
+    pe = find_pseudoexpectation(inst)
+    assert pe is not None and pe.solved_system is None

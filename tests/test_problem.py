@@ -164,3 +164,61 @@ def test_groebner_section():
     assert inst.groebner is not None
     assert len(inst.groebner) == 1
     assert inst.domain_roots is None
+
+
+# Each message and position as the parser built one Polynomial per atom
+# gave them, at line 7 with the body starting after column 5.
+PARSE_ERRORS = [
+    ("x1 + x9", 11, "variable x9 out of range for vars: 2"),
+    ("x1 +", 10, "expected a coefficient or variable"),
+    ("3 & x1", 8, "unexpected character '&'"),
+    ("x1 ^ x2", 11, "expected integer exponent after '^'"),
+    ("", 6, "empty polynomial"),
+    ("  ", 6, "empty polynomial"),
+    ("1/0", 8, "zero denominator"),
+    ("2*", 8, "expected a coefficient or variable"),
+    ("x1*x2^", 12, "expected integer exponent after '^'"),
+    ("x1^1.5", 9, "expected integer exponent after '^'"),
+    ("3/x1", 8, "expected denominator after '/'"),
+    ("x1 x2", 9, "expected '+' or '-' between terms"),
+    ("+ - x1", 8, "expected a coefficient or variable, got '-'"),
+    ("x1 + 2/0*x2", 13, "zero denominator"),
+    ("*x1", 6, "expected a coefficient or variable, got '*'"),
+    ("x0", 6, "variable x0 out of range for vars: 2"),
+    ("x1**2", 9, "expected a coefficient or variable, got '*'"),
+    ("x1 +   ", 10, "expected a coefficient or variable"),
+    ("1.5/", 10, "expected denominator after '/'"),
+    ("x2 - 3 4", 13, "expected '+' or '-' between terms"),
+]
+
+
+@pytest.mark.parametrize("text,column,message", PARSE_ERRORS)
+def test_parse_errors_keep_line_and_column(text, column, message):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, 2, line=7, offset=5)
+    assert (info.value.line, info.value.column) == (7, column)
+    assert str(info.value) == f"{message} (line 7, column {column})"
+
+
+def test_terms_add_up_like_polynomial_arithmetic():
+    # repeated variables, zero and one exponents, coefficients anywhere in a
+    # term and cancelling terms: the oracle multiplies one Polynomial per atom
+    rng = random.Random(131)
+    n = 3
+    for _ in range(200):
+        text, expected = [], Polynomial.zero(n)
+        for t in range(rng.randint(1, 5)):
+            atoms, value = [], Polynomial.constant(n, 1)
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.3:
+                    c = frac(rng.randint(0, 5), rng.randint(1, 3))
+                    atoms.append(f"{c.numerator}/{c.denominator}")
+                    value = value * c
+                else:
+                    i, e = rng.randint(1, n), rng.randint(0, 3)
+                    atoms.append(f"x{i}^{e}")
+                    value = value * Polynomial.variable(n, i - 1) ** e
+            sign = rng.choice(["+", "-"])
+            text.append(("" if t == 0 and sign == "+" else sign + " ") + "*".join(atoms))
+            expected = expected + value if sign == "+" else expected - value
+        assert parse_polynomial(" ".join(text), n) == expected

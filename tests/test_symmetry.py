@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsos.linalg import psd_certificate
-from symsos.poly import MonomialBasis, Polynomial, monomials_up_to
+from symsos.pipeline import ProblemInstance, _gram_orbits
+from symsos.poly import MonomialBasis, Polynomial, grlex_key, monomials_up_to
 from symsos.symmetry import (GramMatrix, GroupSpec, Permutation,
                              act_on_monomial, act_on_polynomial,
                              canonical_monomial, canonical_pair,
@@ -314,3 +317,152 @@ def test_orbit_elements_of_1200_variables():
     elements = list(monomial_orbit_elements(GroupSpec.symmetric(n), x1))
     assert len(elements) == n
     assert len(set(elements)) == n and all(sum(m) == 1 for m in elements)
+
+
+# -- orbit-at-a-time invariance against the generator walk -------------------
+
+
+def generators(group):
+    """The adjacent transpositions within each block."""
+    gens = []
+    for blk in group.blocks():
+        for i in blk[:-1]:
+            images = list(range(group.n))
+            images[i], images[i + 1] = images[i + 1], images[i]
+            gens.append(Permutation(tuple(images)))
+    return gens
+
+
+def generator_is_invariant(group, p):
+    """The earlier is_invariant: apply every adjacent transposition of a
+    block to the whole polynomial."""
+    return all(act_on_polynomial(g, p) == p for g in generators(group))
+
+
+def generator_is_invariant_system(group, system):
+    """The earlier is_invariant_system: union the images of every member
+    under every generator."""
+    index = {}
+    for i, p in enumerate(system):
+        index.setdefault(p.key(), i)
+    parent = list(range(len(system)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, p in enumerate(system):
+        for g in generators(group):
+            j = index.get(act_on_polynomial(g, p).key())
+            if j is None:
+                return False, None
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(system)):
+        groups.setdefault(find(i), []).append(i)
+    return True, [groups[r] for r in sorted(groups)]
+
+
+GROUPS = [GroupSpec.symmetric(3), GroupSpec.symmetric(4), GroupSpec((2, 2)),
+          GroupSpec((3, 1)), GroupSpec((1, 2, 2)), GroupSpec.trivial(2)]
+
+
+@st.composite
+def invariant_or_nearly(draw):
+    """A group and a polynomial: an orbit sum combination (invariant), then
+    maybe one term dropped, one coefficient changed or one term added."""
+    group = draw(st.sampled_from(GROUPS))
+    n = group.n
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        for member in monomial_orbit_elements(group, mono):
+            terms[member] = coeff
+    edit = draw(st.sampled_from(["none", "drop", "change", "add"]))
+    present = sorted(m for m, c in terms.items() if c)
+    if edit in ("drop", "change") and present:
+        mono = draw(st.sampled_from(present))
+        terms[mono] = 0 if edit == "drop" else terms[mono] + 1
+    elif edit == "add":
+        mono = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        terms[mono] = terms.get(mono, 0) + Fraction(1, 2)
+    return group, Polynomial(n, terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(invariant_or_nearly())
+def test_is_invariant_matches_the_generator_walk(case):
+    group, p = case
+    assert is_invariant(group, p) == generator_is_invariant(group, p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_is_invariant_system_matches_the_generator_walk(data):
+    group, p = data.draw(invariant_or_nearly())
+    # p's images under a few random elements, maybe with one of them left out
+    elements = list(group.elements())
+    picks = data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=6))
+    system = [p] + [act_on_polynomial(g, p) for g in picks]
+    if data.draw(st.booleans()) and len(system) > 1:
+        del system[data.draw(st.integers(1, len(system) - 1))]
+    system = [q for q in system if not q.is_zero()]
+    assert is_invariant_system(group, system) == \
+        generator_is_invariant_system(group, system)
+
+
+def test_is_invariant_on_96_variables():
+    # one orbit at a time: e2 on S(96) has 4,560 terms
+    n = 96
+    group = GroupSpec.symmetric(n)
+    e2 = Polynomial(n, {tuple(int(k in (i, j)) for k in range(n)): 1
+                        for i in range(n) for j in range(i + 1, n)})
+    assert is_invariant(group, e2)
+    assert not is_invariant(GroupSpec((48, 48)), e2 + Polynomial.variable(n, 0))
+    assert is_invariant_system(group, [e2, e2 + 1]) == (True, [[0], [1]])
+
+
+# -- pair orbit keys against canonical_pair -----------------------------------
+
+
+def brute_pair_ids(group, monomials):
+    """Merged pair-orbit ids over these monomials from canonical_pair: each
+    orbit merged with its transpose, numbered in the order of the sorted
+    canonical pairs."""
+    canon = [[canonical_pair(group, (a, b)) for b in monomials] for a in monomials]
+    order = sorted({c for row in canon for c in row},
+                   key=lambda ab: (grlex_key(ab[0]), grlex_key(ab[1])))
+    index = {c: i for i, c in enumerate(order)}
+    merged = {c: min(index[c], index[canonical_pair(group, (c[1], c[0]))])
+              for c in order}
+    slot = {m: i for i, m in enumerate(sorted(set(merged.values())))}
+    return [[slot[merged[c]] for c in row] for row in canon]
+
+
+@pytest.mark.parametrize("blocks", [(4,), (2, 2), (3, 1)])
+@pytest.mark.parametrize("roots", [(0, 1), (0, 1, 2, 3)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gram_grid_matches_canonical_pairs(blocks, roots, d):
+    # the search's grid over the standard monomials: multilinear on {0,1},
+    # every exponent <= 3 on {0,1,2,3}
+    inst = ProblemInstance(group=GroupSpec(blocks), equalities=[],
+                           domain_roots=tuple(map(Fraction, roots)), degree=d)
+    table, standard, ids = _gram_orbits(inst, d)
+    assert standard == [m for m in MonomialBasis(inst.n, d) if max(m) < len(roots)]
+    assert ids == brute_pair_ids(inst.group, standard)
+    assert len(table) == len({canonical_pair(inst.group, (a, b))
+                              for a in standard for b in standard})
+    assert sum(table.sizes) == len(standard) ** 2
+    for a, b in table.representatives:
+        assert canonical_pair(inst.group, (a, b)) == (a, b)
+
+
+def test_pair_orbits_of_300_variables():
+    # keys are the size of the support: 301 x 301 pairs, five orbits
+    group = GroupSpec.symmetric(300)
+    table = enumerate_pair_orbits(group, 1)
+    assert len(table) == 5 and sum(table.sizes) == 301 ** 2
