@@ -39,21 +39,21 @@ agree modulo the ring and the other monomials add unknowns but no
 proving power.  The solver sees only the standard block; the
 certificate's sigma is still a GramMatrix over the whole MonomialBasis,
 zero on every other row and column.  That needs the standard monomials
-closed under the group, so ProblemInstance rejects a Groebner basis whose
-leading monomials' ideal the group does not map onto itself (every
-domain: basis passes).
+closed under the group, and the dual side needs reduction to commute with
+it, so ProblemInstance rejects a caller's Groebner basis when the group
+does not map its ideal, or the ideal of its leading monomials, onto
+itself (a domain: basis is invariant by construction).
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
-It solves the moment system, built by _moment_system, that
-check_pseudoexpectation evaluates; the result carries that system, so
-checking it on its own instance builds none.
+It solves the moment system that check_pseudoexpectation evaluates, both
+built by _moment_system one orbit at a time.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -65,11 +65,11 @@ from .certificates import (GENERAL, NORMAL_FORM, BitSizeReport, MultiplierLike,
 from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
-from .poly import (Monomial, MonomialBasis, Polynomial, accumulate_term,
+from .poly import (Monomial, MonomialBasis, Polynomial, accumulate_term, grlex_key,
                    linear_combination, mono_divides, monomials_up_to)
 from .sdp import (FeasibilitySystem, SolveOutcome, combination, psd_stack,
                   rationalize, solve_feasibility)
-from .symmetry import (GroupSpec, OrbitTable, act_on_polynomial, canonical_monomial,
+from .symmetry import (GroupSpec, OrbitTable, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system,
                        monomial_orbit_elements, moving_swaps,
@@ -105,17 +105,10 @@ class ProblemInstance:
             raise InvalidInstance("degree must be at least 1")
         if self.epsilon < 0:
             raise InvalidInstance("epsilon must be nonnegative")
-        if self.domain_roots is not None and self.groebner is None:
+        if self.groebner is not None:
+            _check_ring(self.group, self.groebner)
+        elif self.domain_roots is not None:  # invariant by construction
             self.groebner = finite_domain_basis(n, self.domain_roots)
-        if self.groebner is not None and any(
-                g.degree() == 0 for g in self.groebner.generators):
-            raise InvalidInstance("a constant groebner generator leaves no "
-                                  "standard monomial: the ring is zero")
-        if self.groebner is not None and not _leads_permuted(self.group, self.groebner):
-            raise InvalidInstance(
-                "the group does not permute the ideal of the groebner generators' "
-                "leading monomials, so the standard monomials are not closed "
-                "under it")
 
     @property
     def n(self) -> int:
@@ -129,20 +122,32 @@ class ProblemInstance:
         return len(self.domain_roots) // 2
 
 
-def _leads_permuted(group: GroupSpec, gb: GroebnerBasis) -> bool:
-    """Whether the group maps the ideal of gb's leading monomials onto
-    itself: for each generating transposition of a block, the image of
-    each leading monomial is divisible by some leading monomial.  Then
-    every group element maps standard monomials to standard monomials."""
+def _check_ring(group: GroupSpec, gb: GroebnerBasis) -> None:
+    """Raise InvalidInstance unless the group maps the ideal of gb's leading
+    monomials, and the ideal itself, onto itself: under each transposition
+    that can move it, each leading monomial's image has a leading monomial
+    dividing it, and each generator's image reduces to zero.  Then standard
+    monomials map to standard ones and reduction commutes with the group."""
+    if any(g.degree() == 0 for g in gb.generators):
+        raise InvalidInstance("a constant groebner generator leaves no "
+                              "standard monomial: the ring is zero")
+    def swapped(m: Monomial, i: int) -> Monomial:
+        return m[:i] + (m[i + 1], m[i]) + m[i + 2:]
+
     leads = [g.leading_monomial() for g in gb.generators]
-    known = set(leads)
-    for lm in leads:
-        for i in moving_swaps(group, [lm]):
-            if lm[i] != lm[i + 1]:
-                image = lm[:i] + (lm[i + 1], lm[i]) + lm[i + 2:]
-                if image not in known and not any(mono_divides(m, image) for m in leads):
-                    return False
-    return True
+    known, members = set(leads), {g.key() for g in gb.generators}
+    for g, lm in zip(gb.generators, leads):
+        for i in moving_swaps(group, g.terms):
+            image = swapped(lm, i)
+            if image not in known and not any(mono_divides(m, image) for m in leads):
+                raise InvalidInstance(
+                    "the group does not permute the ideal of the groebner "
+                    "generators' leading monomials, so the standard monomials "
+                    "are not closed under it")
+            moved = Polynomial._of_clean(g.n, {swapped(m, i): c for m, c in g.terms.items()})
+            if moved.key() not in members and not reduce_polynomial(moved, gb).is_zero():
+                raise InvalidInstance("the group does not map the ideal of the "
+                                      "groebner generators onto itself")
 
 
 @dataclass
@@ -188,10 +193,6 @@ class Pseudoexpectation:
     degree: int
     moments: dict
     numeric: bool
-    # (instance, degree, representatives, moment system) when
-    # find_pseudoexpectation solved a system that check_pseudoexpectation
-    # can evaluate as it is.
-    solved_system: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 class _NormalForms(dict):
@@ -516,7 +517,16 @@ def _moment_representatives(inst: ProblemInstance, deg: int) -> list[Monomial]:
                      inst.groebner)
 
 
-def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polynomial]
+def _first_members(group: GroupSpec, degree: int) -> list[Monomial]:
+    """The first monomial in grlex order of each orbit of degree <= degree
+    (each block's exponents ascending), in grlex order."""
+    blocks = group.blocks()
+    return sorted((tuple(e for blk in blocks for e in reversed(rep[blk.start:blk.stop]))
+                   for rep in enumerate_monomial_orbits(group, degree).representatives),
+                  key=grlex_key)
+
+
+def _moment_system(inst: ProblemInstance, deg: int
                    ) -> tuple[list[Monomial], FeasibilitySystem]:
     """The moment system of a symmetric degree-deg functional L.
 
@@ -525,12 +535,14 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
     (a, b) the sparse form L(x^(a + b)) over the unknowns.  That loses
     nothing: L is defined through reduction, so L(q^2) = L(NF(q)^2) for
     every q, and NF(q) lies in their span.  The rows are the distinct
-    equations L(1) = 1 and L(m p) = 0 for every monomial m of degree
-    <= deg - deg p and each p in constraints, each filled sparse.  Each
-    product monomial is reduced modulo the ring and mapped onto the
-    representatives once.
+    equations L(1) = 1 and L(m p) = 0 for every monomial m of degree <=
+    deg - deg p and each constraint p, each filled sparse.  The group maps
+    the ring onto itself, so L(x^m) depends only on the orbit of m: each
+    orbit is reduced once, the rows of g p at m are those of p at g^-1 m
+    (one constraint per orbit gives them all), and an invariant p takes
+    one shift per monomial orbit, the first of the walk over every shift.
     """
-    n = inst.n
+    n, group = inst.n, inst.group
     reps = _moment_representatives(inst, deg)
     slot = {r: i for i, r in enumerate(reps)}
     normal = _NormalForms(n, inst.groebner)
@@ -538,11 +550,12 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
 
     def moment_of(mono: Monomial) -> dict[int, Fraction]:
         """L(mono) as coefficients on the unknowns."""
-        form = forms.get(mono)
+        canon = canonical_monomial(group, mono)
+        form = forms.get(canon)
         if form is None:
-            form = forms[mono] = {}
-            for m, coeff in normal[mono].items():
-                r = slot[canonical_monomial(inst.group, m)]
+            form = forms[canon] = {}
+            for m, coeff in normal[canon].items():
+                r = slot[canonical_monomial(group, m)]
                 form[r] = form.get(r, 0) + coeff
         return form
 
@@ -561,21 +574,14 @@ def _moment_system(inst: ProblemInstance, deg: int, constraints: Sequence[Polyno
         return sorted((r, c) for r, c in row.items() if c)
 
     rows = [(moment_row((0,) * n, Polynomial.constant(n, 1)), Fraction(1))]
-    for p in constraints:
-        rows += [(moment_row(m, p), Fraction(0))
-                 for m in monomials_up_to(n, max(deg - p.degree(), 0))]
+    for orbit in _constraint_orbits(inst):
+        p = inst.equalities[orbit[0]]
+        shift_degree = max(deg - p.degree(), 0)
+        shifts = (_first_members(group, shift_degree) if is_invariant(group, p)
+                  else monomials_up_to(n, shift_degree))
+        rows += [(moment_row(m, p), Fraction(0)) for m in shifts]
     rows, rhs = _distinct_rows(rows, len(reps))
     return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs)
-
-
-def _ring_commutes(inst: ProblemInstance) -> bool:
-    """Whether the group maps the ideal onto itself, so that reduction
-    commutes with it: each generator's image under each transposition that
-    can move it reduces to zero."""
-    gb = inst.groebner
-    return gb is None or all(
-        reduce_polynomial(act_on_polynomial(inst.group.transposition(i), g), gb).is_zero()
-        for g in gb.generators for i in moving_swaps(inst.group, g.terms))
 
 
 def find_pseudoexpectation(inst: ProblemInstance,
@@ -583,28 +589,17 @@ def find_pseudoexpectation(inst: ProblemInstance,
     """Numeric search for a symmetric degree-2d pseudoexpectation.
 
     Returns floating point moment values (evidence, not a theorem), or None
-    when the solver finds no point within tolerance.  One
-    constraint per orbit is enough: L is symmetric.
+    when the solver finds no point within tolerance.
     """
     deg = _pseudoexpectation_degree(inst, degree)
-    orbits = _constraint_orbits(inst)
-    reps, system = _moment_system(inst, deg,
-                                  [inst.equalities[orbit[0]] for orbit in orbits])
+    reps, system = _moment_system(inst, deg)
     outcome = solve_feasibility(system)
     if not outcome.feasible:
         return None
     values = outcome.solution.values
-    # check_pseudoexpectation takes the rows of every equality.  When the
-    # ring commutes with the group, those of p' = g p are L(m g p) =
-    # L(g (g^-1 m) p) = L((g^-1 m) p) for the symmetric L, the rows of p at
-    # the monomial g^-1 m of the same degree: so past the rows of the first
-    # member of each orbit, which come first, every member adds only
-    # repeats, and the distinct rows are this system's, in the same order.
-    same = len(orbits) == len(inst.equalities) or _ring_commutes(inst)
     return Pseudoexpectation(group=inst.group, degree=deg,
                              moments={r: values[i] for i, r in enumerate(reps)},
-                             numeric=True,
-                             solved_system=(inst, deg, reps, system) if same else None)
+                             numeric=True)
 
 
 def point_pseudoexpectation(inst: ProblemInstance, points: Sequence[Sequence],
@@ -644,11 +639,7 @@ def check_pseudoexpectation(inst: ProblemInstance, pe: Pseudoexpectation,
     """Numeric validity of pe's moments on inst's representatives: every
     moment row (L(1) = 1 and L vanishing on each constraint's multiples up
     to pe.degree) holds, and the moment matrix is PSD, within tolerance."""
-    held = pe.solved_system
-    if held is not None and held[0] is inst and held[1] == pe.degree:
-        _, _, reps, system = held
-    else:
-        reps, system = _moment_system(inst, pe.degree, inst.equalities)
+    reps, system = _moment_system(inst, pe.degree)
     values = np.array([float(pe.moments[r]) for r in reps])
     residual = (np.array(system.linear_map, dtype=float) @ values
                 - np.array(system.rhs, dtype=float))

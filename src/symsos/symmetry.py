@@ -5,12 +5,12 @@ factor per contiguous block of variables.  Orbits of monomials (and of
 pairs of monomials, under the diagonal action) are represented by
 canonical forms: within each block the exponents (or exponent pairs) are
 sorted descending, so two elements are in the same orbit iff their
-canonical forms are equal.  Pair orbits are enumerated by a key the size
-of the pair's support, the multiset of nonzero exponent pairs per block,
-and only each orbit's canonical form is built.  All averaging and the
-invariance test go orbit by orbit with exact orbit sizes; nothing here
-ever enumerates the group itself unless a caller explicitly walks
-elements().
+canonical forms are equal.  Monomial orbits are built from each block's
+descending exponent tuples, pair orbits from a key the size of the pair's
+support (per block, the multiset of nonzero exponent pairs): only each
+orbit's canonical form is built.  All averaging and the invariance test
+go orbit by orbit with exact orbit sizes; nothing here ever enumerates
+the group itself unless a caller explicitly walks elements().
 """
 
 from __future__ import annotations
@@ -189,12 +189,11 @@ class OrbitTable:
     """Orbits of monomials (or monomial pairs) of degree <= d.
 
     representatives are canonical forms in a deterministic order; orbit_of
-    maps every element of the underlying set (monomials) or each orbit's
-    key (pairs, see _pair_keys) to its orbit index; sizes[i] counts the
-    elements of orbit i.  The sizes always sum to the size of the
-    underlying set.  A pair table also keeps the monomials its pairs are
-    drawn from, as elements, and the orbit index of each ordered pair of
-    them, as grid.
+    maps each orbit's key to its index: its canonical form (monomials) or
+    its support key (pairs, see _pair_keys); sizes[i] counts the elements
+    of orbit i.  The sizes always sum to the size of the underlying set.
+    A pair table also keeps the monomials its pairs are drawn from, as
+    elements, and the orbit index of each ordered pair of them, as grid.
     """
 
     group: GroupSpec
@@ -211,21 +210,30 @@ class OrbitTable:
 
 
 def enumerate_monomial_orbits(group: GroupSpec, degree: int) -> OrbitTable:
-    """Orbits of all monomials of degree <= degree under the block action."""
-    basis = MonomialBasis(group.n, degree)
-    buckets: dict[Monomial, int] = {}
-    assign: dict[Monomial, Monomial] = {}
-    for mono in basis:
-        canon = canonical_monomial(group, mono)
-        buckets[canon] = buckets.get(canon, 0) + 1
-        assign[mono] = canon
-    reps = sorted(buckets, key=grlex_key)
-    index = {rep: i for i, rep in enumerate(reps)}
+    """Orbits of all monomials of degree <= degree under the block action.
+
+    A representative puts one nonincreasing tuple of positive exponents at
+    the start of each of at most degree blocks, so the work follows the
+    orbits, not the monomials."""
+    joined: list[tuple[tuple, int]] = [((), 0)]  # ((block, exponents), ...), degree
+    for b, size in enumerate(group.block_sizes):
+        parts = [(c, sum(c)) for k in range(1, min(size, degree) + 1)
+                 for c in itertools.combinations_with_replacement(range(degree, 0, -1), k)]
+        joined += [(r + ((b, c),), d + e) for r, d in joined for c, e in parts
+                   if d + e <= degree]
+    starts = [blk.start for blk in group.blocks()]
+    sizes: dict[Monomial, int] = {}
+    for placed, _ in joined:
+        mono, size = [0] * group.n, 1
+        for b, c in placed:
+            mono[starts[b]:starts[b] + len(c)] = c
+            size *= math.comb(group.block_sizes[b], len(c)) * _multiset_orbit_size(c)
+        sizes[tuple(mono)] = size
+    reps = sorted(sizes, key=grlex_key)
     return OrbitTable(
         group=group, degree=degree, kind="monomial",
-        representatives=reps,
-        orbit_of={m: index[c] for m, c in assign.items()},
-        sizes=[buckets[r] for r in reps])
+        representatives=reps, orbit_of={r: i for i, r in enumerate(reps)},
+        sizes=[sizes[r] for r in reps])
 
 
 def _pair_keys(group: GroupSpec, monomials: Sequence[Monomial]) -> list[list[tuple]]:

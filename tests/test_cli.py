@@ -355,5 +355,24 @@ def test_groebner_leads_the_group_moves_exit_2(tmp_path, capsys, command):
     assert captured.err.startswith("error: the group does not permute")
 
 
+MOVED_RING = "vars: 2\ngroebner: x1^2 - x1\ngroebner: x2^2 - 2*x2\ntarget: x1 + x2\n"
+
+
+@pytest.mark.parametrize("command", ["prove", "orbits", "pseudoexpect"])
+def test_a_ring_the_group_moves_exit_2(tmp_path, capsys, command):
+    # S(2) maps x1^2 - x1 to x2^2 - x2, which is not in the ideal
+    problem = write(tmp_path, "moved.sos", "group: S(2)\n" + MOVED_RING)
+    assert cli.main([command, problem]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the group does not map the ideal")
+
+
+def test_the_moved_ring_certifies_without_the_group(tmp_path, capsys):
+    problem = write(tmp_path, "moved.sos", MOVED_RING)
+    assert cli.main(["prove", problem]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("certified")
+
+
 def test_main_builds_its_parser_once():
     assert cli._parser() is cli._parser()

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 from symsos import linalg, pipeline
 from symsos.certificates import NORMAL_FORM, bit_size, verify
 from symsos.errors import InvalidInstance, InvalidSystem
-from symsos.groebner import GroebnerBasis, reconstruct_proof
+from symsos.groebner import GroebnerBasis, reconstruct_proof, reduce_polynomial
 from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              Pseudoexpectation, _distinct_rows, _match_columns,
                              check_pseudoexpectation, find_pseudoexpectation,
                              point_pseudoexpectation, prove_invariant,
                              refute_invariant_system, variable_count_report)
-from symsos.poly import MonomialBasis, Polynomial
+from symsos.poly import MonomialBasis, Polynomial, grlex_key, monomials_up_to
 from symsos.sdp import (FeasibilitySystem, NumericSolution, SolveOutcome,
                         solve_feasibility)
-from symsos.symmetry import GramMatrix, GroupSpec, is_invariant
+from symsos.symmetry import (GramMatrix, GroupSpec, canonical_monomial,
+                             enumerate_monomial_orbits, is_invariant)
 
 BOOL = (Fraction(0), Fraction(1))
 
@@ -511,7 +512,7 @@ def two_plus_one():
 
 def test_moment_matrix_entries_with_several_representatives():
     inst = two_plus_one()
-    reps, system = pipeline._moment_system(inst, 6, inst.equalities)
+    reps, system = pipeline._moment_system(inst, 6)
     assert system.gram_dim == 10 and system.k2 == len(reps)
     assert sum(len(form) > 1 for row in system.gram for form in row) == 30
     point = point_pseudoexpectation(inst, [[2, 1]])
@@ -623,7 +624,7 @@ def test_pseudoexpectation_over_the_multilinear_half_basis():
     inst = ProblemInstance(group=GroupSpec.symmetric(n),
                            equalities=[sum_of_vars(n) - Polynomial.constant(n, 4)],
                            domain_roots=BOOL, degree=2)
-    reps, system = pipeline._moment_system(inst, 4, inst.equalities)
+    reps, system = pipeline._moment_system(inst, 4)
     assert system.gram_dim == 1 + n + math.comb(n, 2)
     assert all(multilinear(m) for m in reps)
     pe = find_pseudoexpectation(inst)
@@ -796,28 +797,73 @@ def test_search_reduces_each_distinct_monomial_once(monkeypatch, search, inst):
     assert not any(inst.groebner.is_standard(m) for m in monos)
 
 
-def test_pseudoexpect_builds_one_moment_system(monkeypatch, tmp_path, capsys):
-    from symsos import cli
-    builds = []
-    original = pipeline._moment_system
+def reference_moment_system(inst, deg, constraints):
+    """The earlier _moment_system: the representatives from a walk over
+    every monomial of degree <= deg, one normal form per monomial, and the
+    rows L(m p) for every shift m of every constraint p."""
+    n, gb = inst.n, inst.groebner
+    canon = {canonical_monomial(inst.group, m) for m in monomials_up_to(n, deg)}
+    reps = sorted((r for r in canon if gb is None or gb.is_standard(r)), key=grlex_key)
+    slot = {r: i for i, r in enumerate(reps)}
 
-    def counted(*args):
-        builds.append(args)
-        return original(*args)
+    def moment_of(mono):
+        if gb is None:
+            normal = {mono: Fraction(1)}
+        else:
+            normal = reduce_polynomial(Polynomial.monomial(n, mono), gb).terms
+        form = {}
+        for m, coeff in normal.items():
+            r = slot[canonical_monomial(inst.group, m)]
+            form[r] = form.get(r, 0) + coeff
+        return form
 
-    monkeypatch.setattr(pipeline, "_moment_system", counted)
-    path = tmp_path / "k3.sos"
-    path.write_text("vars: 3\ngroup: S(3)\ndomain: {0,1}\neq: x1 + x2 + x3 - 3/2\n"
-                    "target: refute\n")
-    assert cli.main(["pseudoexpect", str(path)]) == 0
-    assert "validity within tolerance: True" in capsys.readouterr().out
-    assert len(builds) == 1
+    half = [m for m in MonomialBasis(n, deg // 2) if gb is None or gb.is_standard(m)]
+    gram = [[moment_of(tuple(x + y for x, y in zip(a, b))) for b in half] for a in half]
+
+    def moment_row(shift, p):
+        row = {}
+        for mono, coeff in p.terms.items():
+            for r, c in moment_of(tuple(x + y for x, y in zip(shift, mono))).items():
+                row[r] = row.get(r, 0) + coeff * c
+        return sorted((r, c) for r, c in row.items() if c)
+
+    rows = [(moment_row((0,) * n, Polynomial.constant(n, 1)), Fraction(1))]
+    for p in constraints:
+        rows += [(moment_row(m, p), Fraction(0))
+                 for m in monomials_up_to(n, max(deg - p.degree(), 0))]
+    rows, rhs = _distinct_rows(rows, len(reps))
+    return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs)
 
 
 def differences(n):
     """x_i - x_j for every ordered pair i != j: one orbit under S(n)."""
     return [Polynomial.variable(n, i) - Polynomial.variable(n, j)
             for i in range(n) for j in range(n) if i != j]
+
+
+def balanced(n, d):
+    """sum x_i = n/2 over {0,1}^n: feasible for even n."""
+    return ProblemInstance(group=GroupSpec.symmetric(n),
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, frac(n, 2))],
+                           domain_roots=BOOL, degree=d)
+
+
+def block_sums(group, roots, point, degree):
+    """One constraint per block: its sum equals the block's sum at point."""
+    n = group.n
+    return ProblemInstance(
+        group=group, degree=degree, domain_roots=roots,
+        equalities=[sum((Polynomial.variable(n, i) for i in blk), Polynomial.zero(n))
+                    - Polynomial.constant(n, sum(point[i] for i in blk))
+                    for blk in group.blocks()])
+
+
+def unit_or_empty_ring(n):
+    """x_i^2 = x_i and x_i x_j = 0: the points with at most one coordinate
+    1, a ring S(n) maps onto itself that no domain: line gives."""
+    xs = [Polynomial.variable(n, i) for i in range(n)]
+    return GroebnerBasis(tuple([x * x - x for x in xs]
+                               + [xs[i] * xs[j] for i in range(n) for j in range(i + 1, n)]))
 
 
 @pytest.mark.parametrize("inst", [
@@ -829,28 +875,81 @@ def differences(n):
     ProblemInstance(group=GroupSpec((2, 1)),
                     equalities=differences(3)[:1] + [sum_of_vars(3) - 2]
                     + differences(3)[2:3], domain_roots=BOOL, degree=1),
-], ids=["differences-S3", "pins-S2-four", "mixed-S2xS1"])
+    two_plus_one(),
+    balanced(8, 1),
+    balanced(6, 2),
+    block_sums(GroupSpec((2, 2)), FOUR, (3, 0, 1, 1), 2),
+    block_sums(GroupSpec((3, 3)), (frac(-1), frac(1)), (1, 1, -1, -1, -1, 1), 2),
+    ProblemInstance(group=GroupSpec.symmetric(3), equalities=[sum_of_vars(3) - 1],
+                    groebner=unit_or_empty_ring(3), degree=2),
+], ids=["differences-S3", "pins-S2-four", "mixed-S2xS1", "two-plus-one",
+        "balanced-n8-d1", "balanced-n6-d2", "four-S2xS2", "pm1-S3xS3",
+        "non-domain-ring"])
 def test_rows_of_every_equality_are_the_rows_per_orbit(inst):
-    # what lets check_pseudoexpectation evaluate find's moment system
+    # one constraint per orbit and one shift per monomial orbit give the
+    # earlier builder's system over every equality, in the same order
+    deg = 2 * inst.degree
+    reps, system = pipeline._moment_system(inst, deg)
+    old_reps, old = reference_moment_system(inst, deg, inst.equalities)
+    assert reps == old_reps
+    assert (system.gram, system.linear_map, system.rhs) == \
+        (old.gram, old.linear_map, old.rhs)
     pe = find_pseudoexpectation(inst)
-    assert pe is not None and pe.solved_system is not None
-    _, deg, reps, system = pe.solved_system
-    all_reps, every = pipeline._moment_system(inst, deg, inst.equalities)
-    assert all_reps == reps
-    assert (every.linear_map, every.rhs, every.gram) == \
-        (system.linear_map, system.rhs, system.gram)
-    assert check_pseudoexpectation(inst, pe)
-    assert check_pseudoexpectation(inst, replace(pe, solved_system=None))
+    assert pe is not None and check_pseudoexpectation(inst, pe)
 
 
-def test_a_ring_the_group_moves_gets_its_own_check():
-    # x2's generator has other roots: S(2) maps the ideal elsewhere, so the
-    # rows of x2 - x1 are not those of x1 - x2 and check builds its own
+def test_moment_system_reduces_once_per_monomial_orbit(monkeypatch):
+    inst = balanced(24, 2)
+    seen = reduced_monomials(monkeypatch)
+    pipeline._moment_system(inst, 4)
+    assert 0 < len(seen) <= len(enumerate_monomial_orbits(inst.group, 4))
+
+
+def test_a_ring_the_group_moves_is_rejected():
+    # x2's generator has other roots: S(2) maps the ideal elsewhere, though
+    # it maps the leading monomials x1^2, x2^2 onto each other
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    inst = ProblemInstance(group=GroupSpec.symmetric(2),
-                           equalities=[x1 - x2, x2 - x1], degree=1,
-                           groebner=GroebnerBasis((x1 * x1 - x1, x2 * x2 - 2 * x2)))
-    assert not pipeline._ring_commutes(inst)
-    assert pipeline._ring_commutes(replace(inst, groebner=None))
-    pe = find_pseudoexpectation(inst)
-    assert pe is not None and pe.solved_system is None
+    ring = GroebnerBasis((x1 * x1 - x1, x2 * x2 - 2 * x2))
+    with pytest.raises(InvalidInstance, match="does not map the ideal"):
+        ProblemInstance(group=GroupSpec.symmetric(2), equalities=[], groebner=ring,
+                        target=x1 + x2, degree=1)
+    # without the group, x1 + x2 = x1^2 + x2^2 / 2 modulo the ring
+    assert prove_invariant(ProblemInstance(group=GroupSpec.trivial(2), equalities=[],
+                                           groebner=ring, target=x1 + x2,
+                                           degree=1)).certified
+
+
+def test_check_needs_a_closed_constraint_list():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    inst = ProblemInstance(group=GroupSpec.symmetric(2), equalities=[x1 - x2],
+                           domain_roots=BOOL, degree=1)
+    pe = Pseudoexpectation(group=inst.group, degree=2, numeric=False,
+                           moments={(0, 0): frac(1), (1, 0): frac(0), (1, 1): frac(0)})
+    with pytest.raises(InvalidSystem):
+        check_pseudoexpectation(inst, pe)
+
+
+DUAL_GROUPS = [GroupSpec.symmetric(3), GroupSpec((2, 2)), GroupSpec((3, 1))]
+
+
+@st.composite
+def planted_points(draw):
+    """A group, a domain and a point of it; the constraints fix each
+    block's sum at the point."""
+    group = draw(st.sampled_from(DUAL_GROUPS))
+    roots = draw(st.sampled_from([BOOL, FOUR]))
+    point = draw(st.tuples(*[st.sampled_from(roots)] * group.n))
+    return block_sums(group, roots, point, 1), point
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(planted_points(), st.data())
+def test_point_functionals_pass_and_shifted_ones_fail(case, data):
+    inst, point = case
+    pe = point_pseudoexpectation(inst, [point])
+    assert check_pseudoexpectation(inst, pe)
+    # L(sum over a block - s) = size * L[x_block] - s: off by size/3
+    blk = data.draw(st.sampled_from(inst.group.blocks()))
+    first = tuple(int(i == blk.start) for i in range(inst.n))
+    shifted = replace(pe, moments={**pe.moments, first: pe.moments[first] + frac(1, 3)})
+    assert not check_pseudoexpectation(inst, shifted)

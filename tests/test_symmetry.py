@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -127,15 +128,32 @@ def test_orbit_sizes_against_brute_force():
         assert len(elements) == len(set(elements))
 
 
+def walked_monomial_orbits(group, d):
+    """The earlier enumeration: canonicalise every monomial of degree <= d
+    and count each canonical form; representatives in grlex order."""
+    counts = {}
+    for mono in monomials_up_to(group.n, d):
+        canon = canonical_monomial(group, mono)
+        counts[canon] = counts.get(canon, 0) + 1
+    reps = sorted(counts, key=grlex_key)
+    return reps, [counts[r] for r in reps]
+
+
 def test_enumerate_monomial_orbits_partitions():
-    for group in (GroupSpec.symmetric(3), GroupSpec((2, 1)), GroupSpec.trivial(2)):
-        for d in (1, 2, 3):
+    for group in (GroupSpec.symmetric(3), GroupSpec((2, 1)), GroupSpec.trivial(2),
+                  GroupSpec((1, 2, 2)), GroupSpec((3, 3)), GroupSpec.symmetric(5)):
+        for d in (0, 1, 2, 3, 4):
             table = enumerate_monomial_orbits(group, d)
-            everything = monomials_up_to(group.n, d)
-            assert sorted(table.orbit_of) == sorted(everything)
-            assert sum(table.sizes) == len(everything)
-            for rep in table.representatives:
-                assert canonical_monomial(group, rep) == rep
+            assert (table.representatives, table.sizes) == walked_monomial_orbits(group, d)
+            assert sum(table.sizes) == len(monomials_up_to(group.n, d))
+            assert table.orbit_of == {r: i for i, r in enumerate(table.representatives)}
+
+
+def test_monomial_orbits_of_1200_variables():
+    # one representative per partition of 0..4: 1 + 1 + 2 + 3 + 5
+    table = enumerate_monomial_orbits(GroupSpec.symmetric(1200), 4)
+    assert len(table) == 12
+    assert sum(table.sizes) == math.comb(1204, 4)
 
 
 def test_enumerate_pair_orbits_partitions():
