@@ -15,12 +15,20 @@ sigma >= 0 by exact LDL^T.  It is the one exact acceptance check of a
 search: acceptance is a theorem about the inputs, and every rejection
 carries an exact witness (a residual polynomial or a vector v with
 v^T sigma v < 0).
+
+A certificate file (format symsos.certificate/1) is one line of compact
+JSON with sorted keys, byte-identical across runs; every rational is a
+"num/den" string.  parse_certificate reads any JSON layout, parses each
+distinct rational string once and checks each exponent vector once; it
+rejects a rational that is not a string and a polynomial that repeats a
+monomial.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -409,14 +417,29 @@ def order_unit_certificate(witness: SosCertificate, mono: Monomial,
 
 FORMAT_TAG = "symsos.certificate/1"
 
+# The writer's own spelling of a rational: ASCII digits, no sign on the
+# denominator.  Fraction(s) accepts more (spaces, "+", "_", decimals,
+# exponents, other scripts' digits); those strings still go through it.
+_NUM_DEN = re.compile(r"-?[0-9]+/[0-9]+")
+_INT_TYPE = frozenset((int,))
+
 
 def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
-def _frac_parse(s: str) -> Fraction:
+def _frac_parse(s) -> Fraction:
+    """The rational a string denotes, exactly as Fraction(s) reads it.  A
+    JSON number, bool or null is malformed: a float would be read as its
+    binary value and true as 1."""
+    if type(s) is not str:
+        raise ParseError(f"rational {s!r} is not a 'num/den' string")
     try:
+        if _NUM_DEN.fullmatch(s):
+            num, _, den = s.partition("/")
+            return Fraction(int(num), int(den))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}")
@@ -433,17 +456,9 @@ def _poly_dump(p: Polynomial) -> list:
     return [[list(m), _frac_str(c)] for m, c in p.items_grlex()]
 
 
-def _poly_load(data, n: int) -> Polynomial:
-    terms = {}
-    for entry in data:
-        if len(entry) != 2:
-            raise ParseError("polynomial term must be [exponents, coefficient]")
-        mono, coeff = entry
-        terms[tuple(_int_load(e) for e in mono)] = _frac_parse(coeff)
-    return Polynomial(n, terms)
-
-
 def serialize_certificate(cert: SosCertificate) -> str:
+    """The certificate as one line of compact JSON with sorted keys;
+    `python -m json.tool` lays it out for reading."""
     eq = []
     for constraint, mult in cert.equality_multipliers:
         item = {"constraint": _poly_dump(constraint)}
@@ -465,7 +480,36 @@ def serialize_certificate(cert: SosCertificate) -> str:
             {"generator": _poly_dump(g), "multiplier": _poly_dump(m)}
             for g, m in cert.groebner_multipliers],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _frac_load(s, seen: dict) -> Fraction:
+    """_frac_parse(s), parsed once per distinct string of a document: equal
+    entries of sigma share one Fraction."""
+    out = seen.get(s) if type(s) is str else None
+    if out is None:
+        out = seen[s] = _frac_parse(s)
+    return out
+
+
+def _poly_load(data, n: int, seen: dict) -> Polynomial:
+    """A polynomial from its [exponents, coefficient] terms.  Each exponent
+    vector must be n nonnegative JSON integers and occur once: a repeated
+    monomial has no agreed meaning (summed, or the last one wins)."""
+    terms = {}
+    for entry in data:
+        if len(entry) != 2:
+            raise ParseError("polynomial term must be [exponents, coefficient]")
+        mono = tuple(entry[0])
+        if len(mono) != n:
+            raise ParseError(f"exponent vector {list(mono)} has {len(mono)} "
+                             f"entries, expected {n}")
+        if not _INT_TYPE.issuperset(map(type, mono)) or min(mono, default=0) < 0:
+            raise ParseError(f"exponent vector {list(mono)} is not nonnegative integers")
+        if mono in terms:
+            raise ParseError(f"monomial {list(mono)} repeated in a polynomial")
+        terms[mono] = _frac_load(entry[1], seen)
+    return Polynomial._of_clean(n, {m: c for m, c in terms.items() if c})
 
 
 def parse_certificate(text: str) -> SosCertificate:
@@ -477,23 +521,27 @@ def parse_certificate(text: str) -> SosCertificate:
         raise ParseError(f"missing or unsupported format tag (want {FORMAT_TAG})")
     try:
         n = _int_load(doc["variables"])
+        if n < 0:
+            raise ParseError(f"variables must be nonnegative, got {n}")
+        seen: dict[str, Fraction] = {}
         mode = doc["mode"]
         bound = _int_load(doc["degree_bound"])
-        target = _poly_load(doc["target"], n)
+        target = _poly_load(doc["target"], n, seen)
         d = _int_load(doc["sigma_basis_degree"])
         # Compare the grid with C(n + d, d) before building that many monomials.
         if d >= 0 and len(doc["sigma"]) != math.comb(n + d, d):
             raise DimensionMismatch("entry grid does not match basis size")
-        rows = [[_frac_parse(x) for x in row] for row in doc["sigma"]]
+        rows = [[_frac_load(x, seen) for x in row] for row in doc["sigma"]]
         sigma = GramMatrix(MonomialBasis(n, d), rows)
         eq = []
         for item in doc["equality_multipliers"]:
-            constraint = _poly_load(item["constraint"], n)
+            constraint = _poly_load(item["constraint"], n, seen)
             if "scalar" in item:
-                eq.append((constraint, _frac_parse(item["scalar"])))
+                eq.append((constraint, _frac_load(item["scalar"], seen)))
             else:
-                eq.append((constraint, _poly_load(item["multiplier"], n)))
-        gb = [(_poly_load(item["generator"], n), _poly_load(item["multiplier"], n))
+                eq.append((constraint, _poly_load(item["multiplier"], n, seen)))
+        gb = [(_poly_load(item["generator"], n, seen),
+               _poly_load(item["multiplier"], n, seen))
               for item in doc["groebner_multipliers"]]
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):

@@ -313,11 +313,13 @@ class GramMatrix:
         else:
             if len(entries) != dim or any(len(r) != dim for r in entries):
                 raise DimensionMismatch("entry grid does not match basis size")
-            self.entries = [[Fraction(x) for x in row] for row in entries]
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise ValueError(f"entries not symmetric at ({i}, {j})")
+            # Fractions are kept as given (they are immutable); ints convert.
+            self.entries = [[x if type(x) is Fraction else Fraction(x) for x in row]
+                            for row in entries]
+            for i, (row, col) in enumerate(zip(self.entries, zip(*self.entries))):
+                if row[i + 1:] != list(col[i + 1:]):
+                    j = next(j for j in range(i + 1, dim) if row[j] != col[j])
+                    raise ValueError(f"entries not symmetric at ({i}, {j})")
 
     @property
     def dim(self) -> int:

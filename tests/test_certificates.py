@@ -1,8 +1,11 @@
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from symsos import certificates
 from symsos.certificates import (GENERAL, NORMAL_FORM, SosCertificate,
@@ -223,6 +226,44 @@ def test_serialize_round_trip():
         assert verify(back).accepted == verify(cert).accepted
 
 
+def test_serialized_certificate_is_one_compact_line():
+    for cert in (linear_refutation(), quadratic_refutation(), boolean_witness(2)):
+        text = serialize_certificate(cert)
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert text.count("\n") == 1 and " " not in text
+
+
+def _fraction_or_none(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# An exponent of four or more digits would make Fraction(s) build 10^k.
+_HUGE_EXPONENT = re.compile(r"e[-+]?[\d_]{4,}")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="0123456789-+/._e \u0663", max_size=10))
+@example("1/0")
+@example("+1/2")
+@example(" 1/2")
+@example("1_0/3")
+@example("1/-2")
+@example("-0/07")
+def test_frac_parse_reads_what_fraction_reads(s):
+    assume(not _HUGE_EXPONENT.search(s))
+    want = _fraction_or_none(s)
+    try:
+        got = certificates._frac_parse(s)
+    except ParseError:
+        got = None
+    assert got == want
+    assert got is None or type(got) is Fraction
+
+
 def test_parse_certificate_errors():
     with pytest.raises(ParseError):
         parse_certificate("{not json")
@@ -231,6 +272,8 @@ def test_parse_certificate_errors():
     good = serialize_certificate(linear_refutation())
     with pytest.raises(ParseError):
         parse_certificate(good.replace("symsos.certificate/1", "something/9"))
+    with pytest.raises(ParseError, match="variables must be nonnegative"):
+        parse_certificate(good.replace('"variables":1', '"variables":-1'))
 
 
 def test_parse_checks_the_grid_before_building_a_basis(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from symsos import cli
 from symsos.certificates import parse_certificate, serialize_certificate
+from symsos.errors import ParseError
 
 KNAPSACK2 = "vars: 2\ngroup: S(2)\ndomain: {0,1}\neq: x1 + x2 - 5/2\ntarget: refute\n"
 SATISFIABLE = "vars: 2\ngroup: S(2)\ndomain: {0,1}\neq: x1 + x2 - 1\ntarget: refute\n"
@@ -16,14 +17,14 @@ KNAPSACK3 = "vars: 3\ngroup: S(3)\ndomain: {0,1}\neq: x1 + x2 + x3 - 3/2\n" \
             "target: refute\n"
 
 
-def tight_e2(n):
-    """e2(x) >= C(n/2, 2) given sum x_i = n/2 over {0,1}^n: holds with
-    equality on every feasible point."""
+def tight_e2(n, slack=0):
+    """e2(x) >= C(n/2, 2) - slack given sum x_i = n/2 over {0,1}^n: at slack
+    0 it holds with equality on every feasible point."""
     xs = [f"x{i}" for i in range(1, n + 1)]
     e2 = " + ".join(f"{a}*{b}" for a, b in itertools.combinations(xs, 2))
     return (f"vars: {n}\ngroup: S({n})\ndomain: {{0,1}}\n"
             f"eq: {' + '.join(xs)} - {n // 2}\n"
-            f"target: {e2} - {math.comb(n // 2, 2)}\n")
+            f"target: {e2} - {math.comb(n // 2, 2) - slack}\n")
 
 
 def write(tmp_path, name, text):
@@ -208,6 +209,69 @@ def test_non_integer_fields_exit_2(tmp_path, capsys, command, field, value):
     captured = capsys.readouterr()
     assert "certified" not in captured.out
     assert captured.err.startswith("error: ")
+
+
+# -1 = -4 (x1 - 1/2)^2 + 4 (x1^2 - x1), the README's example certificate.
+README_REFUTATION = {
+    "format": "symsos.certificate/1", "variables": 1, "mode": "normal-form",
+    "degree_bound": 2, "target": [[[0], "-1/1"]], "sigma_basis_degree": 0,
+    "sigma": [["0/1"]],
+    "equality_multipliers": [
+        {"constraint": [[[1], "1/1"], [[0], "-1/2"]], "scalar": "-4/1"}],
+    "groebner_multipliers": [
+        {"generator": [[[2], "1/1"], [[1], "-1/1"]], "multiplier": [[[0], "4/1"]]}],
+}
+
+
+def readme_refutation(**changes):
+    return json.dumps({**README_REFUTATION, **changes})
+
+
+@pytest.mark.parametrize("changes", [
+    {"equality_multipliers": [
+        {"constraint": [[[1], "1/1"], [[0], "-1/2"]], "scalar": -4.0}]},
+    {"target": [[[0], -1]]},
+    {"target": [[[0], 0.1]], "mode": "general"},
+    {"sigma": [[True]]},
+    {"sigma": [[None]]},
+    # two -1/2 terms: summed they are the target, the last alone is not
+    {"target": [[[0], "-1/2"], [[0], "-1/2"]]},
+], ids=["scalar-float", "coefficient-int", "coefficient-0.1", "sigma-true",
+        "sigma-null", "repeated-monomial"])
+def test_non_string_rationals_and_repeated_terms_exit_2(tmp_path, capsys, changes):
+    assert cli.main(["verify", write(tmp_path, "ok.cert.json", readme_refutation())]) == 0
+    capsys.readouterr()
+    text = readme_refutation(**changes)
+    with pytest.raises(ParseError):
+        parse_certificate(text)
+    assert cli.main(["verify", write(tmp_path, "bad.cert.json", text)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("problem", [None, tight_e2(8, slack=1)],
+                         ids=["readme-refutation", "prove-e2-S8-d1"])
+def test_indented_certificates_read_as_their_compact_rewrite(tmp_path, capsys, problem):
+    # files written before certificates became one compact line still read
+    if problem is None:
+        compact = serialize_certificate(parse_certificate(readme_refutation()))
+        assert compact == json.dumps(README_REFUTATION, sort_keys=True,
+                                     separators=(",", ":")) + "\n"
+    else:
+        cert = str(tmp_path / "e2.cert.json")
+        assert cli.main(["prove", write(tmp_path, "e2.sos", problem), "-o", cert]) == 0
+        compact = open(cert).read()
+    assert compact.count("\n") == 1 and compact.endswith("\n")
+    indented = json.dumps(json.loads(compact), indent=2, sort_keys=True) + "\n"
+    capsys.readouterr()
+    outputs = []
+    for name, text in (("compact.cert.json", compact), ("indented.cert.json", indented)):
+        path = write(tmp_path, name, text)
+        for command in ("verify", "bitsize"):
+            assert cli.main([command, path, "--json"]) == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
 
 
 def test_reduce_command(tmp_path, capsys):
