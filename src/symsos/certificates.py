@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -417,12 +416,6 @@ def order_unit_certificate(witness: SosCertificate, mono: Monomial,
 
 FORMAT_TAG = "symsos.certificate/1"
 
-# The writer's own spelling of a rational: ASCII digits, no sign on the
-# denominator.  Fraction(s) accepts more (spaces, "+", "_", decimals,
-# exponents, other scripts' digits); those strings still go through it.
-_NUM_DEN = re.compile(r"-?[0-9]+/[0-9]+")
-_INT_TYPE = frozenset((int,))
-
 
 def _frac_str(x: Fraction) -> str:
     if type(x) is not Fraction:
@@ -437,9 +430,6 @@ def _frac_parse(s) -> Fraction:
     if type(s) is not str:
         raise ParseError(f"rational {s!r} is not a 'num/den' string")
     try:
-        if _NUM_DEN.fullmatch(s):
-            num, _, den = s.partition("/")
-            return Fraction(int(num), int(den))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}")
@@ -504,7 +494,8 @@ def _poly_load(data, n: int, seen: dict) -> Polynomial:
         if len(mono) != n:
             raise ParseError(f"exponent vector {list(mono)} has {len(mono)} "
                              f"entries, expected {n}")
-        if not _INT_TYPE.issuperset(map(type, mono)) or min(mono, default=0) < 0:
+        # Exact ints, as _int_load requires: no float, bool or string.
+        if not all(type(e) is int for e in mono) or min(mono, default=0) < 0:
             raise ParseError(f"exponent vector {list(mono)} is not nonnegative integers")
         if mono in terms:
             raise ParseError(f"monomial {list(mono)} repeated in a polynomial")

@@ -245,6 +245,8 @@ def _fraction_or_none(s):
 _HUGE_EXPONENT = re.compile(r"e[-+]?[\d_]{4,}")
 
 
+# The reader accepts exactly the strings Fraction accepts, with its value,
+# and turns every rejection into a ParseError.
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(st.text(alphabet="0123456789-+/._e \u0663", max_size=10))
 @example("1/0")
