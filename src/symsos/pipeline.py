@@ -11,9 +11,9 @@ its support, so that the pair orbits and their grid of merged-orbit ids
 alone; reduce each distinct monomial modulo the coordinate ring once,
 through one normal-form map per call that feeds the columns, the free
 terms and the goal (a standard monomial is its own normal form); fill
-each coefficient-matching row from the columns' own terms, drop repeats
-by a sparse key, and make only the remaining rows dense, one per distinct
-coefficient equation (one per monomial orbit for invariant data).
+each coefficient-matching row from the columns' own terms and drop
+repeats, keeping each row sparse from matching to rationalization, one per
+distinct coefficient equation (one per monomial orbit for invariant data).
 Invariance is checked one monomial orbit at a time.  It hands the tiny
 symmetry-reduced SDP to the numeric solver, then per rounding window rounds
 back to rationals, reconstructs the Groebner cofactors exactly, and
@@ -67,7 +67,7 @@ from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
 from .poly import (Monomial, MonomialBasis, Polynomial, accumulate_term, grlex_key,
                    linear_combination, mono_divides, monomials_up_to)
-from .sdp import (FeasibilitySystem, SolveOutcome, combination, psd_stack,
+from .sdp import (FeasibilitySystem, SolveOutcome, combination, float_view,
                   rationalize, solve_feasibility)
 from .symmetry import (GroupSpec, OrbitTable, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
@@ -225,29 +225,24 @@ class _NormalForms(dict):
         return out
 
 
-def _distinct_rows(rows: Iterable[tuple[Sequence[tuple[int, Fraction]], Fraction]],
-                   width: int):
+def _distinct_rows(rows: Iterable[tuple[Sequence[tuple[int, Fraction]], Fraction]]):
     """The equations row . y = value without repeats and without 0 = 0, as
-    dense rows of this width and their right hand sides.
+    sparse rows {column: coefficient} and their right hand sides.
 
     Each row comes as its nonzero (column, coefficient) pairs in column
-    order, and only the rows that remain are made dense.  First
-    occurrences keep their order.  The affine solution set is unchanged.
-    Equal coefficients with a different right hand side is a
-    contradiction, so both rows stay for the solver to report.
+    order.  First occurrences keep their order.  The affine solution set
+    is unchanged.  Equal coefficients with a different right hand side is
+    a contradiction, so both rows stay for the solver to report.
     """
     seen = set()
-    out_rows: list[list[Fraction]] = []
+    out_rows: list[dict[int, Fraction]] = []
     out_rhs: list[Fraction] = []
     for entries, value in rows:
         key = (tuple(entries), value)
         if key in seen or not (value or entries):
             continue
         seen.add(key)
-        dense = [Fraction(0)] * width
-        for j, c in entries:
-            dense[j] = c
-        out_rows.append(dense)
+        out_rows.append(dict(entries))
         out_rhs.append(value)
     return out_rows, out_rhs
 
@@ -263,8 +258,7 @@ def _match_columns(columns: Sequence[Mapping[Monomial, Fraction]],
     for j, col in enumerate(columns):
         for m, c in col.items():
             rows.setdefault(m, []).append((j, c))
-    return _distinct_rows(((rows[m], target.get(m, Fraction(0))) for m in sorted(rows)),
-                          len(columns))
+    return _distinct_rows((rows[m], target.get(m, Fraction(0))) for m in sorted(rows))
 
 
 def _gram_degree(inst: ProblemInstance) -> int:
@@ -394,12 +388,12 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     columns = [Polynomial._of_clean(inst.n, {m: Fraction(c) for m, c in t.items()})
                for t in a_terms] + spec.free_terms
     normal = _NormalForms(inst.n, gb)
-    amat, rhs = _match_columns([normal.reduce(c.terms) for c in columns],
+    rows, rhs = _match_columns([normal.reduce(c.terms) for c in columns],
                                normal.reduce(spec.goal.terms))
     unit = [{r: Fraction(1)} for r in range(k2)]
     system = FeasibilitySystem(basis=standard,
                                gram=[[unit[r] for r in row] for row in ids],
-                               linear_map=amat, rhs=rhs)
+                               linear_map=rows, rhs=rhs, k3=len(spec.free_terms))
     outcome = solve_feasibility(system)
     if not outcome.feasible:
         return no_certificate("dual-witness" if outcome.dual_witness
@@ -580,8 +574,8 @@ def _moment_system(inst: ProblemInstance, deg: int
         shifts = (_first_members(group, shift_degree) if is_invariant(group, p)
                   else monomials_up_to(n, shift_degree))
         rows += [(moment_row(m, p), Fraction(0)) for m in shifts]
-    rows, rhs = _distinct_rows(rows, len(reps))
-    return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs)
+    rows, rhs = _distinct_rows(rows)
+    return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs, k3=0)
 
 
 def find_pseudoexpectation(inst: ProblemInstance,
@@ -640,10 +634,9 @@ def check_pseudoexpectation(inst: ProblemInstance, pe: Pseudoexpectation,
     moment row (L(1) = 1 and L vanishing on each constraint's multiples up
     to pe.degree) holds, and the moment matrix is PSD, within tolerance."""
     reps, system = _moment_system(inst, pe.degree)
+    stack, amat, rhs = float_view(system)
     values = np.array([float(pe.moments[r]) for r in reps])
-    residual = (np.array(system.linear_map, dtype=float) @ values
-                - np.array(system.rhs, dtype=float))
-    if float(np.abs(residual).max()) > tolerance:
+    if float(np.abs(amat @ values - rhs).max()) > tolerance:
         return False
-    mat = (values @ psd_stack(system)).reshape(system.gram_dim, -1)
+    mat = (values @ stack).reshape(system.gram_dim, -1)
     return float(np.linalg.eigvalsh(mat)[0]) >= -tolerance

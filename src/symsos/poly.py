@@ -147,9 +147,9 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.n, Fraction(0))
 
-    def items_grlex(self, reverse: bool = True) -> list[tuple[Monomial, Fraction]]:
-        """Terms sorted by grlex order, descending by default."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=reverse)
+    def items_grlex(self) -> list[tuple[Monomial, Fraction]]:
+        """Terms in descending grlex order."""
+        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def leading_monomial(self) -> Monomial:
         if not self._terms:

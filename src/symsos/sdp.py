@@ -18,12 +18,13 @@ near 1e-6: on the feasible sum x_i = n/2 over {0,1}^n at d = 2 (n = 6, 8,
 10) the Schur complement's condition number reaches 1e15 to 1e17 and a
 witness takes 16, 20 and 15 steps, against 8 to 11 at d = 1, even over
 standard monomials, where no PSD direction reduces to zero.  Floats live
-only in this file; rationalize() rounds a numeric solution back to
-exact rationals and re-closes the linear system exactly (the rounding and
-projection of Peyrl and Parrilo, TCS 2008), working over each row's
-nonzeros: the residual, linalg's sparse integer minimum-norm correction
-and the exact re-check; the one exact PSD check of the result is
-certificates.verify, run by the caller on the finished certificate.
+only in this file, and float_view is the one place a system becomes
+floats.  The linear rows stay sparse: rationalize() rounds a numeric
+solution back to exact rationals and re-closes the linear system exactly
+(the rounding and projection of Peyrl and Parrilo, TCS 2008) over the
+rows as given: the residual, linalg's sparse integer minimum-norm
+correction and the exact re-check; the one exact PSD check of the result
+is certificates.verify, run by the caller on the finished certificate.
 """
 
 from __future__ import annotations
@@ -56,16 +57,18 @@ class FeasibilitySystem:
     gram is S, a symmetric W x W grid over basis, the W monomials that
     index its rows, whose entry (i, j) is a sparse form {r: c}, so
     S(a)[i][j] = sum c * a[r]; k2, the number of PSD unknowns a, is read
-    off it.  b holds the k3 free scalars, the columns of linear_map past
-    the first k2.  linear_map is a dense rational k1 x (k2 + k3) matrix,
-    one row per distinct coefficient equation (one per monomial orbit for
-    invariant data).
+    off it.  b holds the k3 free scalars, columns k2 to k2 + k3 - 1; k3 is
+    given, not read off the rows, because a free scalar's column can be
+    all zero.  linear_map is A as its k1 sparse rows {column: c}, nonzero
+    coefficients only, one per distinct coefficient equation (one per
+    monomial orbit for invariant data).
     """
 
     basis: Sequence[Monomial]
     gram: list[list[dict[int, Fraction]]]
-    linear_map: list[list[Fraction]]
+    linear_map: list[dict[int, Fraction]]
     rhs: list[Fraction]
+    k3: int
     k2: int = field(init=False)
 
     def __post_init__(self):
@@ -79,21 +82,15 @@ class FeasibilitySystem:
         if not self.k2:
             raise ValueError("need at least one PSD unknown")
         if self.k3 < 0:
-            raise DimensionMismatch("linear map has fewer columns than PSD unknowns")
-        width = self.k2 + self.k3
-        for row in self.linear_map:
-            if len(row) != width:
-                raise DimensionMismatch("linear map row width != k2 + k3")
+            raise DimensionMismatch("negative number of free scalars")
+        if any(not 0 <= j < self.variables for row in self.linear_map for j in row):
+            raise DimensionMismatch("linear map column outside 0 .. k2 + k3 - 1")
         if len(self.rhs) != self.k1:
             raise DimensionMismatch("rhs length != number of linear rows")
 
     @property
     def k1(self) -> int:
         return len(self.linear_map)
-
-    @property
-    def k3(self) -> int:
-        return len(self.linear_map[0]) - self.k2 if self.linear_map else 0
 
     @property
     def gram_dim(self) -> int:
@@ -122,15 +119,20 @@ class SolveOutcome:
     dual_witness: bool = False  # not feasible, with numeric evidence why
 
 
-def psd_stack(system: FeasibilitySystem) -> np.ndarray:
-    """S in floating point, as one (k2, W * W) array whose row r holds
-    a[r]'s coefficient in each entry, row-major.  One pass over the terms;
+def float_view(system: FeasibilitySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The system in floating point: S as one (k2, W * W) array whose row r
+    holds a[r]'s coefficient in each entry, row-major; A as a dense
+    (k1, k2 + k3) array; and rhs.  One pass over the nonzeros;
     numerator / denominator is float(c)."""
     stack = np.zeros((system.k2, system.gram_dim ** 2))
     for ij, form in enumerate(form for row in system.gram for form in row):
         for r, c in form.items():
             stack[r, ij] = c.numerator / c.denominator
-    return stack
+    amat = np.zeros((system.k1, system.variables))
+    for i, row in enumerate(system.linear_map):
+        for j, c in row.items():
+            amat[i, j] = c.numerator / c.denominator
+    return stack, amat, np.array(system.rhs, dtype=float)
 
 
 def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
@@ -145,10 +147,8 @@ def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
     if system.variables > MAX_VARIABLES:
         raise ResourceLimit(
             f"{system.variables} variables exceed solver cap {MAX_VARIABLES}")
-    k1, k2, nvar, dim = system.k1, system.k2, system.variables, system.gram_dim
-    gmat = psd_stack(system)
-    amat = np.array(system.linear_map, dtype=float).reshape(k1, nvar)
-    rhs = np.array(system.rhs, dtype=float)
+    k2, dim = system.k2, system.gram_dim
+    gmat, amat, rhs = float_view(system)
     try:
         y0, null = _least_norm(amat, rhs)
         s0 = (y0[:k2] @ gmat).reshape(dim, dim)
@@ -304,9 +304,8 @@ class RationalizeOutcome:
     failure: Optional[str] = None
 
 
-def rationalize(solution: NumericSolution | Sequence[float],
-                system: FeasibilitySystem,
-                window: Fraction = Fraction(1, 10 ** 6)) -> RationalizeOutcome:
+def rationalize(solution: NumericSolution, system: FeasibilitySystem, *,
+                window: Fraction) -> RationalizeOutcome:
     """Round a numeric solution to exact rationals that solve the linear
     system exactly.
 
@@ -317,22 +316,19 @@ def rationalize(solution: NumericSolution | Sequence[float],
     step broke.  The PSD check of the combination is left to the caller's
     exact check of the finished certificate (certificates.verify).
     """
-    values = solution.values if isinstance(solution, NumericSolution) else list(solution)
-    if len(values) != system.variables:
+    if len(solution.values) != system.variables:
         raise DimensionMismatch("solution length != system variables")
-    window = Fraction(window)
     if window <= 0:
         raise ValueError("window must be positive")
     y: list[Fraction] = []
-    for v in values:
+    for v in solution.values:
         exact = Fraction(v)
         cand = simplest_in_interval(exact - window, exact + window)
         if cand.denominator > DENOMINATOR_BOUND:
             cand = exact.limit_denominator(DENOMINATOR_BOUND)
         y.append(cand)
 
-    # Residuals and checks run over each row's nonzeros only.
-    rows = [{i: c for i, c in enumerate(row) if c} for row in system.linear_map]
+    rows = system.linear_map
     residual = [value - sum(c * y[i] for i, c in row.items())
                 for row, value in zip(rows, system.rhs)]
     if any(residual):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsos import linalg, pipeline
-from symsos.certificates import NORMAL_FORM, bit_size, verify
+from symsos.certificates import (NORMAL_FORM, bit_size, serialize_certificate,
+                                 verify)
 from symsos.errors import InvalidInstance, InvalidSystem
 from symsos.groebner import GroebnerBasis, reconstruct_proof, reduce_polynomial
 from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
@@ -287,15 +289,38 @@ def test_accounting_matches_the_solved_system(monkeypatch, case):
 def test_conflicting_rows_survive_matching():
     one = [(0, frac(1))]
     assert _distinct_rows([(one, frac(1)), (one, frac(1)), ([], frac(0)),
-                           (one, frac(-1))], 1) == \
-        ([[frac(1)], [frac(1)]], [frac(1), frac(-1)])
+                           (one, frac(-1))]) == \
+        ([{0: frac(1)}, {0: frac(1)}], [frac(1), frac(-1)])
     # x1 + x2 against x1 - x2: a = 1 and a = -1 must both reach the solver.
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    amat, rhs = _match_columns([(x1 + x2).terms], (x1 - x2).terms)
-    assert amat == [[frac(1)], [frac(1)]] and sorted(rhs) == [-1, 1]
-    system = FeasibilitySystem(
-        basis=MonomialBasis(2, 0), gram=[[{0: frac(1)}]], linear_map=amat, rhs=rhs)
+    rows, rhs = _match_columns([(x1 + x2).terms], (x1 - x2).terms)
+    assert rows == [{0: frac(1)}, {0: frac(1)}] and sorted(rhs) == [-1, 1]
+    system = FeasibilitySystem(basis=MonomialBasis(2, 0), gram=[[{0: frac(1)}]],
+                               linear_map=rows, rhs=rhs, k3=0)
     assert not solve_feasibility(system).feasible
+
+
+def test_a_free_scalar_whose_column_reduces_to_zero_keeps_its_place(monkeypatch):
+    # x1^2 - x1 + x2^2 - x2 vanishes on {0,1}^2, so its squared term reduces
+    # to zero: the rows never touch its scalar, which only k3 keeps.
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    inst = ProblemInstance(group=GroupSpec.symmetric(2),
+                           equalities=[x1 * x1 - x1 + x2 * x2 - x2,
+                                       x1 + x2 - Polynomial.constant(2, frac(5, 2))],
+                           domain_roots=BOOL, degree=1)
+    systems = []
+
+    def recorded(system):
+        systems.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(pipeline, "solve_feasibility", recorded)
+    result = refute_invariant_system(inst)
+    assert result.certified
+    assert [system.k3 for system in systems] == [2]
+    assert [p for p, _ in result.certificate.equality_multipliers] == inst.equalities
+    doc = json.loads(serialize_certificate(result.certificate))
+    assert doc["equality_multipliers"][0]["scalar"] == "0/1"
 
 
 def test_refute_trivial_group():
@@ -752,8 +777,10 @@ def column_sets(draw):
 @given(column_sets())
 def test_sparse_rows_match_the_dense_rows(case):
     columns, target = case
-    assert _match_columns([c.terms for c in columns], target.terms) == \
-        dense_match_columns(columns, target)
+    rows, rhs = _match_columns([c.terms for c in columns], target.terms)
+    assert all(all(row.values()) for row in rows)  # nonzeros only
+    dense = [[row.get(j, Fraction(0)) for j in range(len(columns))] for row in rows]
+    assert (dense, rhs) == dense_match_columns(columns, target)
 
 
 FOUR = tuple(frac(v) for v in range(4))
@@ -831,8 +858,8 @@ def reference_moment_system(inst, deg, constraints):
     for p in constraints:
         rows += [(moment_row(m, p), Fraction(0))
                  for m in monomials_up_to(n, max(deg - p.degree(), 0))]
-    rows, rhs = _distinct_rows(rows, len(reps))
-    return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs)
+    rows, rhs = _distinct_rows(rows)
+    return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs, k3=0)
 
 
 def differences(n):

@@ -27,39 +27,47 @@ def gram(k2=1):
     return [[{r: frac(1) for r in range(k2)}]]
 
 
-def scalar_system(linear_map, rhs, k2=1):
+def scalar_system(linear_map, rhs, k2=1, k3=0):
+    """linear_map holds sparse rows {column: coefficient}."""
     return FeasibilitySystem(basis=basis1(), gram=gram(k2),
-                             linear_map=linear_map, rhs=rhs)
+                             linear_map=linear_map, rhs=rhs, k3=k3)
 
 
 def small_system():
     """S(a) = [[a]], one unknown a with a = 2."""
-    return scalar_system([[frac(1)]], [frac(2)])
+    return scalar_system([{0: frac(1)}], [frac(2)])
 
 
 def test_system_validation():
     with pytest.raises(ValueError, match="at least one"):
-        FeasibilitySystem(basis=basis1(), gram=[[{}]], linear_map=[], rhs=[])
+        FeasibilitySystem(basis=basis1(), gram=[[{}]], linear_map=[], rhs=[], k3=0)
     with pytest.raises(DimensionMismatch, match="basis size"):
         FeasibilitySystem(basis=MonomialBasis(1, 1), gram=gram(),
-                          linear_map=[[frac(1)]], rhs=[frac(1)])
+                          linear_map=[{0: frac(1)}], rhs=[frac(1)], k3=0)
     with pytest.raises(ValueError, match="not symmetric"):
         FeasibilitySystem(basis=MonomialBasis(1, 1),
                           gram=[[{0: frac(1)}, {0: frac(1)}], [{}, {0: frac(1)}]],
-                          linear_map=[[frac(1)]], rhs=[frac(1)])
+                          linear_map=[{0: frac(1)}], rhs=[frac(1)], k3=0)
     with pytest.raises(DimensionMismatch):
-        scalar_system([[frac(1), frac(2)]], [frac(0), frac(1)])
-    sys_ = scalar_system([[frac(1), frac(1)]], [frac(1)])
+        scalar_system([{0: frac(1), 1: frac(2)}], [frac(0), frac(1)], k3=1)
+    sys_ = scalar_system([{0: frac(1), 1: frac(1)}], [frac(1)], k3=1)
     assert sys_.k2 == 1 and sys_.k3 == 1 and sys_.k1 == 1
 
 
 def test_linear_map_narrower_than_psd_matrices_rejected():
-    with pytest.raises(DimensionMismatch, match="fewer columns"):
-        scalar_system([[frac(1)]], [frac(1)], k2=2)
+    # every column lies in 0 .. k2 + k3 - 1, and k3 is not negative
+    with pytest.raises(DimensionMismatch, match="negative"):
+        scalar_system([{0: frac(1)}], [frac(1)], k2=2, k3=-1)
+    for column in (-1, 1):
+        with pytest.raises(DimensionMismatch, match="outside"):
+            scalar_system([{column: frac(1)}], [frac(1)])
+    # a free scalar with an all-zero column still counts
+    assert scalar_system([{0: frac(1)}], [frac(1)], k3=1).variables == 2
 
 
 def test_variable_cap():
-    sys_ = scalar_system([[frac(1)] * (MAX_VARIABLES + 1)], [frac(0)])
+    sys_ = scalar_system([{j: frac(1) for j in range(MAX_VARIABLES + 1)}], [frac(0)],
+                         k3=MAX_VARIABLES)
     assert sys_.k3 == MAX_VARIABLES and sys_.variables == MAX_VARIABLES + 1
     with pytest.raises(ResourceLimit):
         solve_feasibility(sys_)
@@ -72,7 +80,7 @@ def test_solver_trivial_feasible():
 
 
 def test_solver_reports_infeasible_linear():
-    sys_ = scalar_system([[frac(1)], [frac(1)]], [frac(0), frac(1)])
+    sys_ = scalar_system([{0: frac(1)}, {0: frac(1)}], [frac(0), frac(1)])
     out = solve_feasibility(sys_)
     assert not out.feasible
     assert out.best_linear_residual > 1e-3
@@ -80,7 +88,7 @@ def test_solver_reports_infeasible_linear():
 
 def test_solver_reports_psd_conflict():
     # a = -1 forced, but block demands a >= 0
-    sys_ = scalar_system([[frac(1)]], [frac(-1)])
+    sys_ = scalar_system([{0: frac(1)}], [frac(-1)])
     out = solve_feasibility(sys_)
     assert not out.feasible
     assert out.best_psd_deficit > 1e-3
@@ -91,7 +99,7 @@ def psd_conflict_with_free_direction():
     the free direction sends the solver into its interior-point steps."""
     return FeasibilitySystem(basis=MonomialBasis(1, 1),
                              gram=[[{0: frac(1)}, {}], [{}, {1: frac(1)}]],
-                             linear_map=[[frac(0), frac(1)]], rhs=[frac(-1)])
+                             linear_map=[{1: frac(1)}], rhs=[frac(-1)], k3=0)
 
 
 def test_solver_survives_singular_polish_matrix(monkeypatch):
@@ -121,13 +129,22 @@ def test_psd_stack_is_float_of_each_entry():
                 r: frac(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
                 for r in rng.sample(range(k2), rng.randint(0, k2))}
     grid[0][0][k2 - 1] = frac(1, 3)  # the last unknown appears
+    k3 = 2
+    rows = [{j: frac(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+             for j in rng.sample(range(k2 + k3), rng.randint(1, k2 + k3))}
+            for _ in range(3)]
+    rhs = [frac(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+           for _ in rows]
     system = FeasibilitySystem(basis=MonomialBasis(2, 1), gram=grid,
-                               linear_map=[[frac(1)] * k2], rhs=[frac(0)])
+                               linear_map=rows, rhs=rhs, k3=k3)
     assert system.k2 == k2
     assert any(len(form) > 1 for row in grid for form in row)
-    expected = [[float(form.get(r, 0)) for row in grid for form in row]
-                for r in range(k2)]
-    assert sdp.psd_stack(system).tolist() == expected
+    stack, amat, floats = sdp.float_view(system)
+    assert stack.tolist() == [[float(form.get(r, 0)) for row in grid for form in row]
+                              for r in range(k2)]
+    assert amat.tolist() == [[float(row.get(j, 0)) for j in range(k2 + k3)]
+                             for row in rows]
+    assert floats.tolist() == [float(v) for v in rhs]
 
 
 def test_solver_deterministic():
@@ -167,18 +184,18 @@ def test_rationalize_recovers_planted_solution():
         planted = [frac(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
         # a * 1 with a = planted[0] forced nonneg for PSD; keep it positive
         planted[0] = abs(planted[0]) + 1
-        rows = [[frac(1), frac(0), frac(0)],
-                [frac(1), frac(2), frac(-1)]]
+        rows = [{0: frac(1)},
+                {0: frac(1), 1: frac(2), 2: frac(-1)}]
         rhs = [planted[0],
                planted[0] + 2 * planted[1] - planted[2]]
-        sys_ = scalar_system(rows, rhs)
+        sys_ = scalar_system(rows, rhs, k3=2)
         noisy = [float(v) + rng.uniform(-1e-9, 1e-9) for v in planted]
         sol = NumericSolution(values=noisy, psd_min_eigenvalue_estimate=0.0,
                               linear_residual_norm=0.0, iterations=1)
-        out = rationalize(sol, sys_)
+        out = rationalize(sol, sys_, window=frac(1, 10 ** 6))
         assert out.ok, out.failure
         for row, target in zip(rows, rhs):
-            assert sum(c * v for c, v in zip(row, out.values)) == target
+            assert sum(c * out.values[j] for j, c in row.items()) == target
         assert out.values[0] >= 0
 
 
@@ -186,7 +203,7 @@ def test_combination_exact():
     off = {1: frac(1)}
     sys_ = FeasibilitySystem(basis=MonomialBasis(1, 1),
                              gram=[[{0: frac(1)}, off], [off, {0: frac(2), 1: frac(-1)}]],
-                             linear_map=[[frac(1), frac(1)]], rhs=[frac(1)])
+                             linear_map=[{0: frac(1), 1: frac(1)}], rhs=[frac(1)], k3=0)
     combo = combination(sys_, [frac(1, 3), frac(2, 5)], MonomialBasis(1, 1))
     assert isinstance(combo, GramMatrix) and combo.basis == MonomialBasis(1, 1)
     assert combo.entries == [[frac(1, 3), frac(2, 5)], [frac(2, 5), frac(4, 15)]]
@@ -199,7 +216,7 @@ def test_combination_is_zero_off_the_system_basis():
     sys_ = FeasibilitySystem(basis=[(0,), (2,)],
                              gram=[[{0: frac(1)}, {1: frac(1)}],
                                    [{1: frac(1)}, {0: frac(3)}]],
-                             linear_map=[[frac(1), frac(1)]], rhs=[frac(1)])
+                             linear_map=[{0: frac(1), 1: frac(1)}], rhs=[frac(1)], k3=0)
     assert sys_.gram_dim == 2
     combo = combination(sys_, [frac(1, 2), frac(-1)], MonomialBasis(1, 2))
     assert combo.entries == [[frac(1, 2), 0, -1], [0, 0, 0], [-1, 0, frac(3, 2)]]
@@ -207,10 +224,10 @@ def test_combination_is_zero_off_the_system_basis():
 
 def test_end_to_end_solve_then_rationalize():
     # strictly feasible: a = 1 + b, b free; PSD needs a >= 0
-    sys_ = scalar_system([[frac(1), frac(-1)]], [frac(1)])
+    sys_ = scalar_system([{0: frac(1), 1: frac(-1)}], [frac(1)], k3=1)
     out = solve_feasibility(sys_)
     assert out.feasible
-    rat = rationalize(out.solution, sys_)
+    rat = rationalize(out.solution, sys_, window=frac(1, 10 ** 6))
     assert rat.ok
     assert rat.values[0] - rat.values[1] == 1
     assert rat.values[0] >= 0
