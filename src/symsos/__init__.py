@@ -20,8 +20,7 @@ from .problem import ProblemFile, parse_polynomial, parse_problem, serialize_pro
 from .sdp import (FeasibilitySystem, RationalizeOutcome, SolveOutcome,
                   combination, rationalize, simplest_in_interval,
                   solve_feasibility)
-from .symmetry import (GramMatrix, GroupSpec, OrbitTable, Permutation,
-                       canonical_monomial, canonical_pair,
+from .symmetry import (GramMatrix, GroupSpec, OrbitTable, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system, monomial_orbit_size,
                        orbit_indicator_matrices, reynolds_gram,

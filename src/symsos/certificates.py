@@ -333,14 +333,11 @@ def order_unit_certificate(witness: SosCertificate, mono: Monomial,
     def unit_vector(i: int) -> Monomial:
         return tuple(1 if t == i else 0 for t in range(n))
 
-    def claim(m: Monomial) -> tuple[Fraction, _Parts, _Parts]:
-        """(N, proof of N - m^2, proof of N + m^2) for deg(m) <= d."""
+    def claim(m: Monomial) -> tuple[Fraction, _Parts]:
+        """(N, proof of N - m^2) for deg(m) <= d."""
         deg = sum(m)
         if deg == 0:
-            minus = _Parts(n)
-            plus = _Parts(n)
-            plus.add_constant(Fraction(2))
-            return Fraction(1), minus, plus
+            return Fraction(1), _Parts(n)
         if deg == 1:
             i = m.index(1)
             minus = _Parts(n)
@@ -348,20 +345,17 @@ def order_unit_certificate(witness: SosCertificate, mono: Monomial,
             for j in range(n):
                 if j != i:
                     minus.add_rank_one(Fraction(1), Polynomial.variable(n, j))
-            plus = _Parts(n)
-            plus.add_constant(n_k)
-            plus.add_rank_one(Fraction(1), Polynomial.variable(n, i))
-            return n_k, minus, plus
+            return n_k, minus
         i = next(t for t, e in enumerate(m) if e > 0)
         rest = tuple(e - 1 if t == i else e for t, e in enumerate(m))
-        n_rest, minus_rest, _ = claim(rest)
+        n_rest, minus_rest = claim(rest)
         big = max(n_k, n_rest)
         # N - m2^2, padded up from the recursive bound.
         pad_rest = _Parts(n)
         pad_rest.add_scaled(minus_rest, Fraction(1))
         pad_rest.add_constant(big - n_rest)
         # N - x_i^2, padded up from the witness bound.
-        _, minus_xi, _ = claim(unit_vector(i))
+        _, minus_xi = claim(unit_vector(i))
         pad_xi = _Parts(n)
         pad_xi.add_scaled(minus_xi, Fraction(1))
         pad_xi.add_constant(big - n_k)
@@ -369,10 +363,7 @@ def order_unit_certificate(witness: SosCertificate, mono: Monomial,
         minus = _Parts(n)
         minus.add_scaled(pad_rest, Fraction(1), shift=unit_vector(i))
         minus.add_scaled(pad_xi, big)
-        plus = _Parts(n)
-        plus.add_constant(big * big)
-        plus.add_rank_one(Fraction(1), Polynomial.monomial(n, m))
-        return big * big, minus, plus
+        return big * big, minus
 
     # Split m = m1 * m2 with both factor degrees <= d.
     half = (sum(mono) + 1) // 2
@@ -387,8 +378,8 @@ def order_unit_certificate(witness: SosCertificate, mono: Monomial,
     m1 = tuple(m1)
     m2 = tuple(e - f for e, f in zip(mono, m1))
 
-    n1, minus1, _ = claim(m1)
-    n2, minus2, _ = claim(m2)
+    n1, minus1 = claim(m1)
+    n2, minus2 = claim(m2)
     big = max(n1, n2)
     parts = _Parts(n)
     parts.add_scaled(minus1, Fraction(1))

@@ -226,7 +226,8 @@ def reduce_polynomial(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
 
 
 def finite_domain_basis(n: int, roots: Sequence) -> GroebnerBasis:
-    """Generators (x_i - r_1)...(x_i - r_2k) for i = 1..n.
+    """Generators (x_i - r_1)...(x_i - r_2k) for i = 1..n: the product
+    is expanded once in one variable and placed on each.
 
     The root list must have even length >= 2 and no repeats; the Boolean
     hypercube is roots (0, 1).
@@ -236,14 +237,19 @@ def finite_domain_basis(n: int, roots: Sequence) -> GroebnerBasis:
         raise InvalidDomain("need an even number of roots, at least two")
     if len(set(root_fracs)) != len(root_fracs):
         raise InvalidDomain("domain roots must be distinct")
-    gens = []
-    for i in range(n):
-        g = Polynomial.constant(n, 1)
-        xi = Polynomial.variable(n, i)
-        for r in root_fracs:
-            g = g * (xi - Polynomial.constant(n, r))
-        gens.append(g)
-    return GroebnerBasis(tuple(gens))
+    coeffs = {0: Fraction(1)}  # the product so far, {exponent: coefficient}
+    for r in root_fracs:
+        times = {}
+        for e, c in coeffs.items():
+            accumulate_term(times, e + 1, c)
+            if r:
+                accumulate_term(times, e, -r * c)
+        coeffs = times
+    zeros = (0,) * n
+    return GroebnerBasis(tuple(
+        Polynomial._of_clean(n, {zeros[:i] + (e,) + zeros[i + 1:]: c
+                                 for e, c in coeffs.items()})
+        for i in range(n)))
 
 
 def boolean_basis(n: int) -> GroebnerBasis:

@@ -42,7 +42,9 @@ zero on every other row and column.  That needs the standard monomials
 closed under the group, and the dual side needs reduction to commute with
 it, so ProblemInstance rejects a caller's Groebner basis when the group
 does not map its ideal, or the ideal of its leading monomials, onto
-itself (a domain: basis is invariant by construction).
+itself.  The ring of a domain: is invariant by construction, so it is
+built once and never checked; a groebner basis given beside domain_roots
+must equal it.
 
 find_pseudoexpectation searches the dual side at matching degree; its
 output is numeric-only evidence (never a theorem) and is flagged as such.
@@ -73,7 +75,7 @@ from .symmetry import (GroupSpec, OrbitTable, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system,
                        monomial_orbit_elements, moving_swaps,
-                       orbit_indicator_matrices)
+                       orbit_indicator_matrices, swapped, swapped_monomial)
 
 DEFAULT_EPSILON = Fraction(1, 2 ** 20)
 
@@ -105,10 +107,16 @@ class ProblemInstance:
             raise InvalidInstance("degree must be at least 1")
         if self.epsilon < 0:
             raise InvalidInstance("epsilon must be nonnegative")
-        if self.groebner is not None:
+        if self.groebner is not None and self.groebner.n != n:
+            raise InvalidInstance("groebner basis arity differs from group")
+        if self.domain_roots is not None:  # invariant by construction
+            ring = finite_domain_basis(n, self.domain_roots)
+            if self.groebner is None:
+                self.groebner = ring
+            elif self.groebner != ring:
+                raise InvalidInstance("give either domain_roots or groebner, not both")
+        elif self.groebner is not None:
             _check_ring(self.group, self.groebner)
-        elif self.domain_roots is not None:  # invariant by construction
-            self.groebner = finite_domain_basis(n, self.domain_roots)
 
     @property
     def n(self) -> int:
@@ -131,20 +139,17 @@ def _check_ring(group: GroupSpec, gb: GroebnerBasis) -> None:
     if any(g.degree() == 0 for g in gb.generators):
         raise InvalidInstance("a constant groebner generator leaves no "
                               "standard monomial: the ring is zero")
-    def swapped(m: Monomial, i: int) -> Monomial:
-        return m[:i] + (m[i + 1], m[i]) + m[i + 2:]
-
     leads = [g.leading_monomial() for g in gb.generators]
     known, members = set(leads), {g.key() for g in gb.generators}
     for g, lm in zip(gb.generators, leads):
         for i in moving_swaps(group, g.terms):
-            image = swapped(lm, i)
+            image = swapped_monomial(lm, i)
             if image not in known and not any(mono_divides(m, image) for m in leads):
                 raise InvalidInstance(
                     "the group does not permute the ideal of the groebner "
                     "generators' leading monomials, so the standard monomials "
                     "are not closed under it")
-            moved = Polynomial._of_clean(g.n, {swapped(m, i): c for m, c in g.terms.items()})
+            moved = swapped(g, i)
             if moved.key() not in members and not reduce_polynomial(moved, gb).is_zero():
                 raise InvalidInstance("the group does not map the ideal of the "
                                       "groebner generators onto itself")
@@ -301,7 +306,7 @@ def _gram_orbits(inst: ProblemInstance, gram_degree: int):
     ids over them (one unknown of sigma per id)."""
     standard = _standard(MonomialBasis(inst.n, gram_degree), inst.groebner)
     table = enumerate_pair_orbits(inst.group, gram_degree, standard)
-    return table, standard, orbit_indicator_matrices(table, standard)
+    return table, standard, orbit_indicator_matrices(table)
 
 
 def _accounting(inst: ProblemInstance, table: OrbitTable, standard: list[Monomial],

@@ -9,8 +9,9 @@ canonical forms are equal.  Monomial orbits are built from each block's
 descending exponent tuples, pair orbits from a key the size of the pair's
 support (per block, the multiset of nonzero exponent pairs): only each
 orbit's canonical form is built.  All averaging and the invariance test
-go orbit by orbit with exact orbit sizes; nothing here ever enumerates
-the group itself unless a caller explicitly walks elements().
+go orbit by orbit with exact orbit sizes.  The group acts only through
+its generators, the adjacent swaps of two variables in one block
+(swapped); no group element is ever built or listed.
 """
 
 from __future__ import annotations
@@ -60,58 +61,18 @@ class GroupSpec:
         """i for each transposition (i, i + 1) of two variables in one block."""
         return [i for blk in self.blocks() for i in blk[:-1]]
 
-    def transposition(self, i: int) -> "Permutation":
-        """The permutation exchanging variables i and i + 1."""
-        images = list(range(self.n))
-        images[i], images[i + 1] = images[i + 1], images[i]
-        return Permutation(tuple(images))
-
-    def elements(self) -> Iterator["Permutation"]:
-        """Every group element; the cost, the group order, is on the caller."""
-        per_block = [list(itertools.permutations(blk)) for blk in self.blocks()]
-        for combo in itertools.product(*per_block):
-            images = [0] * self.n
-            for blk, perm in zip(self.blocks(), combo):
-                for src, dst in zip(blk, perm):
-                    images[src] = dst
-            yield Permutation(tuple(images))
-
     def __str__(self) -> str:
         return "x".join(f"S({b})" for b in self.block_sizes)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of variable indices, stored as an image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError("not a permutation of 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
+def swapped_monomial(mono: Monomial, i: int) -> Monomial:
+    """mono with the exponents of x_i and x_(i+1) exchanged."""
+    return mono[:i] + (mono[i + 1], mono[i]) + mono[i + 2:]
 
 
-def act_on_monomial(g: Permutation, mono: Monomial) -> Monomial:
-    """The exponent at position g(i) of the image equals the exponent at i."""
-    if g.n != len(mono):
-        raise DimensionMismatch("permutation size does not match monomial arity")
-    out = [0] * g.n
-    for i, e in enumerate(mono):
-        out[g.images[i]] = e
-    return tuple(out)
-
-
-def act_on_polynomial(g: Permutation, p: Polynomial) -> Polynomial:
-    if g.n != p.n:
-        raise DimensionMismatch("permutation size does not match polynomial arity")
-    return Polynomial._of_clean(p.n, {act_on_monomial(g, m): c for m, c in p.terms.items()})
+def swapped(p: Polynomial, i: int) -> Polynomial:
+    """p with x_i and x_(i+1) exchanged: the group's one action."""
+    return Polynomial._of_clean(p.n, {swapped_monomial(m, i): c for m, c in p.terms.items()})
 
 
 # -- canonical forms and orbit enumeration ---------------------------------
@@ -125,21 +86,6 @@ def canonical_monomial(group: GroupSpec, mono: Monomial) -> Monomial:
     for blk in group.blocks():
         out.extend(sorted((mono[i] for i in blk), reverse=True))
     return tuple(out)
-
-
-def canonical_pair(group: GroupSpec, pair: tuple[Monomial, Monomial]) -> tuple[Monomial, Monomial]:
-    """Representative of the orbit of a monomial pair under the diagonal action:
-    within each block the coordinate pairs are sorted descending."""
-    a, b = pair
-    if group.n != len(a) or group.n != len(b):
-        raise DimensionMismatch("group and pair arity differ")
-    out_a: list[int] = []
-    out_b: list[int] = []
-    for blk in group.blocks():
-        cells = sorted(((a[i], b[i]) for i in blk), reverse=True)
-        out_a.extend(x for x, _ in cells)
-        out_b.extend(y for _, y in cells)
-    return tuple(out_a), tuple(out_b)
 
 
 def _multiset_orbit_size(values: Iterable) -> int:
@@ -192,17 +138,15 @@ class OrbitTable:
     maps each orbit's key to its index: its canonical form (monomials) or
     its support key (pairs, see _pair_keys); sizes[i] counts the elements
     of orbit i.  The sizes always sum to the size of the underlying set.
-    A pair table also keeps the monomials its pairs are drawn from, as
-    elements, and the orbit index of each ordered pair of them, as grid.
+    A pair table also keeps, as grid, the orbit index of each ordered pair
+    of the monomials its pairs are drawn from, in their order.
     """
 
     group: GroupSpec
     degree: int
-    kind: str  # "monomial" | "pair"
     representatives: list
     orbit_of: dict
     sizes: list[int]
-    elements: Optional[list] = None
     grid: Optional[list[list[int]]] = None
 
     def __len__(self) -> int:
@@ -231,7 +175,7 @@ def enumerate_monomial_orbits(group: GroupSpec, degree: int) -> OrbitTable:
         sizes[tuple(mono)] = size
     reps = sorted(sizes, key=grlex_key)
     return OrbitTable(
-        group=group, degree=degree, kind="monomial",
+        group=group, degree=degree,
         representatives=reps, orbit_of={r: i for i, r in enumerate(reps)},
         sizes=[sizes[r] for r in reps])
 
@@ -266,8 +210,8 @@ def _transposed(key: tuple) -> tuple:
 
 
 def _pair_representative(group: GroupSpec, key: tuple) -> tuple[Monomial, Monomial]:
-    """canonical_pair of the pairs with this key: in each block the nonzero
-    cells sorted descending, then the zero cells."""
+    """The orbit's canonical form: in each block the nonzero cells (a_i,
+    b_i) sorted descending, then the zero cells."""
     a, b = [0] * group.n, [0] * group.n
     free = [blk.start for blk in group.blocks()]  # next position in each block
     for blk, x, y in sorted(key, key=lambda cell: (cell[0], -cell[1], -cell[2])):
@@ -291,9 +235,9 @@ def enumerate_pair_orbits(group: GroupSpec, degree: int,
     order = sorted(sizes, key=lambda k: (grlex_key(canon[k][0]), grlex_key(canon[k][1])))
     index = {k: i for i, k in enumerate(order)}
     return OrbitTable(
-        group=group, degree=degree, kind="pair",
+        group=group, degree=degree,
         representatives=[canon[k] for k in order], orbit_of=index,
-        sizes=[sizes[k] for k in order], elements=list(monomials),
+        sizes=[sizes[k] for k in order],
         grid=[[index[k] for k in row] for row in keys])
 
 
@@ -372,47 +316,32 @@ def reynolds_gram(group: GroupSpec, q: GramMatrix) -> GramMatrix:
     by its mean.  An average of PSD conjugates, so PSD is preserved."""
     if group.n != q.basis.n:
         raise DimensionMismatch("group and basis arity differ")
-    ents = q.basis.entries
-    dim = len(ents)
-    sums: dict[tuple[Monomial, Monomial], Fraction] = {}
-    counts: dict[tuple[Monomial, Monomial], int] = {}
-    canon_at = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            canon = canonical_pair(group, (ents[i], ents[j]))
-            canon_at[i][j] = canon
-            sums[canon] = sums.get(canon, Fraction(0)) + q.entries[i][j]
-            counts[canon] = counts.get(canon, 0) + 1
-    means = {c: sums[c] / counts[c] for c in sums}
-    out = [[means[canon_at[i][j]] for j in range(dim)] for i in range(dim)]
-    return GramMatrix(q.basis, out)
+    table = enumerate_pair_orbits(group, q.basis.d, q.basis.entries)
+    sums = [Fraction(0)] * len(table)
+    for ids, row in zip(table.grid, q.entries):
+        for r, x in zip(ids, row):
+            sums[r] += x
+    means = [total / size for total, size in zip(sums, table.sizes)]
+    return GramMatrix(q.basis, [[means[r] for r in ids] for ids in table.grid])
 
 
-def orbit_indicator_matrices(table: OrbitTable,
-                             monomials: Sequence[Monomial]) -> list[list[int]]:
-    """One symmetric grid of ids 0..k-1 over these monomials (any
-    group-invariant part of the pair table's elements):
+def orbit_indicator_matrices(table: OrbitTable) -> list[list[int]]:
+    """One symmetric grid of ids 0..k-1 over the pair table's monomials:
     indicator r is the 0/1 matrix that is 1 exactly where the grid holds r.
 
     Each pair orbit is merged with its transpose orbit, so the indicators
     are symmetric, have disjoint supports and sum to the all-ones matrix;
-    the ids number the merged orbits that the grid meets, in the order of
-    their first orbit.  Over a group-invariant set of monomials, every
-    G-invariant Gram matrix is a unique rational combination of them.
+    the ids number the merged orbits in the order of their first orbit.
+    Over a group-invariant set of monomials, every G-invariant Gram matrix
+    is a unique rational combination of them.
     """
-    if table.kind != "pair":
+    if table.grid is None:
         raise ValueError("need a pair orbit table")
-    position = {m: i for i, m in enumerate(table.elements)}
-    try:
-        at = [position[m] for m in monomials]
-    except KeyError:
-        raise DimensionMismatch("orbit table and basis disagree") from None
     merged = [0] * len(table)
     for key, i in table.orbit_of.items():
         merged[i] = min(i, table.orbit_of[_transposed(key)])
-    grid = [[merged[row[j]] for j in at] for row in (table.grid[i] for i in at)]
-    slot = {m: i for i, m in enumerate(sorted({x for row in grid for x in row}))}
-    return [[slot[x] for x in row] for row in grid]
+    slot = {m: i for i, m in enumerate(sorted(set(merged)))}
+    return [[slot[merged[r]] for r in row] for row in table.grid]
 
 
 def moving_swaps(group: GroupSpec, monomials: Iterable[Monomial]) -> list[int]:
@@ -465,8 +394,7 @@ def is_invariant_system(group: GroupSpec,
         if is_invariant(group, p):  # each generator maps p to its first copy
             images = [p] if has_generators else []
         else:
-            images = [act_on_polynomial(group.transposition(s), p)
-                      for s in moving_swaps(group, p.terms)]
+            images = [swapped(p, s) for s in moving_swaps(group, p.terms)]
         for image in images:
             j = index.get(image.key())
             if j is None:

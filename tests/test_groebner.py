@@ -35,6 +35,20 @@ def test_finite_domain_basis_roots():
             assert g.evaluate(point) == 0
 
 
+@pytest.mark.parametrize("roots", [(0, 1), (0, 1, 2, 3), (Fraction(-1, 2), 3)])
+def test_finite_domain_basis_is_the_multiplied_out_product(roots):
+    n = 3
+    product = []
+    for i in range(n):
+        g = Polynomial.constant(n, 1)
+        for r in roots:
+            g = g * (Polynomial.variable(n, i) - Polynomial.constant(n, r))
+        product.append(g)
+    gb = finite_domain_basis(n, roots)
+    assert list(gb) == product
+    assert [list(g.terms) for g in gb] == [list(g.terms) for g in product]
+
+
 def test_finite_domain_basis_validation():
     with pytest.raises(InvalidDomain):
         finite_domain_basis(1, (Fraction(0),))  # odd count

@@ -82,3 +82,18 @@ def test_every_public_name_has_a_caller():
 def test_allow_list_is_still_needed():
     unused = {qual.split(".", 1)[1] for qual in unused_public_names()}
     assert sorted(set(ALLOWED) - unused) == []
+
+
+def test_the_package_never_walks_the_group():
+    """The group acts by adjacent swaps only: no module lists the
+    permutations of a block."""
+    walks = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                    and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
+                walks.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "itertools" \
+                    and any(alias.name == "permutations" for alias in node.names):
+                walks.append(f"{path.name}:{node.lineno}")
+    assert walks == []

@@ -665,6 +665,29 @@ def test_constant_groebner_generator_rejected():
                         target=x1)
 
 
+def test_replacing_a_domain_instance_checks_no_ring(monkeypatch):
+    inst = half_integral_knapsack(6)
+    calls = []
+    monkeypatch.setattr(pipeline, "_check_ring", lambda *args: calls.append(args))
+    again = replace(inst, degree=2)
+    assert calls == [] and again.groebner is inst.groebner
+
+
+def test_a_groebner_basis_beside_domain_roots_must_be_that_ring():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    with pytest.raises(InvalidInstance, match="not both"):
+        ProblemInstance(group=GroupSpec.symmetric(2), equalities=[], domain_roots=BOOL,
+                        groebner=GroebnerBasis((x1 * x1 - x1, x2 * x2)), target=x1 + x2)
+
+
+@pytest.mark.parametrize("group", [GroupSpec.symmetric(3), GroupSpec.trivial(3)])
+def test_a_groebner_basis_of_another_arity_is_rejected(group):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    with pytest.raises(InvalidInstance, match="groebner basis arity"):
+        ProblemInstance(group=group, equalities=[], target=Polynomial.constant(3, 1),
+                        groebner=GroebnerBasis((x1 * x1 - x1, x2 * x2 - x2)))
+
+
 def test_groebner_leads_the_group_moves_are_rejected():
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     target = x1 ** 4 + x2 ** 4

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from symsos.linalg import psd_certificate
 from symsos.pipeline import ProblemInstance, _gram_orbits
 from symsos.poly import MonomialBasis, Polynomial, grlex_key, monomials_up_to
-from symsos.symmetry import (GramMatrix, GroupSpec, Permutation,
-                             act_on_monomial, act_on_polynomial,
-                             canonical_monomial, canonical_pair,
+from symsos.symmetry import (GramMatrix, GroupSpec, canonical_monomial,
                              enumerate_monomial_orbits, enumerate_pair_orbits,
                              is_invariant, is_invariant_system,
                              monomial_orbit_elements, monomial_orbit_size,
                              orbit_indicator_matrices, reynolds_gram,
-                             reynolds_polynomial)
+                             reynolds_polynomial, swapped)
 
+from .group_walk import (Permutation, act_on_monomial, act_on_polynomial,
+                         canonical_pair, elements, transposition)
 from .test_poly import random_poly
 
 
@@ -33,7 +33,7 @@ def random_group(rng, n):
 
 
 def brute_orbit(group, mono):
-    return {act_on_monomial(g, mono) for g in group.elements()}
+    return {act_on_monomial(g, mono) for g in elements(group)}
 
 
 def act_on_gram(g, q):
@@ -62,7 +62,7 @@ def test_group_spec_basics():
     g = GroupSpec((2, 1))
     assert g.n == 3
     assert str(g) == "S(2)xS(1)"
-    assert len(list(GroupSpec((2, 2)).elements())) == 4
+    assert len(list(elements(GroupSpec((2, 2))))) == 4
     with pytest.raises(ValueError):
         GroupSpec((0, 2))
 
@@ -82,10 +82,22 @@ def test_act_on_polynomial_evaluation():
         group = random_group(rng, n)
         p = random_poly(rng, n, 3)
         pt = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
-        for g in group.elements():
+        for g in elements(group):
             moved = act_on_polynomial(g, p)
             permuted_pt = [pt[g.images[i]] for i in range(n)]
             assert moved.evaluate(pt) == p.evaluate(permuted_pt)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_swapped_is_the_transposition(data):
+    blocks = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                       .filter(lambda b: max(b) > 1))
+    group = GroupSpec(tuple(blocks))
+    i = data.draw(st.sampled_from(group.swaps()))
+    monomial = st.tuples(*[st.integers(0, 2)] * group.n)
+    p = Polynomial(group.n, data.draw(st.dictionaries(monomial, st.fractions(), max_size=5)))
+    assert swapped(p, i) == act_on_polynomial(transposition(group, i), p)
 
 
 def test_canonical_monomial_is_orbit_invariant():
@@ -110,7 +122,7 @@ def test_canonical_pair_is_orbit_invariant():
         b = tuple(rng.randint(0, 2) for _ in range(n))
         canon = canonical_pair(group, (a, b))
         orbit = {(act_on_monomial(g, a), act_on_monomial(g, b))
-                 for g in group.elements()}
+                 for g in elements(group)}
         assert canon in orbit
         for member in orbit:
             assert canonical_pair(group, member) == canon
@@ -195,11 +207,11 @@ def test_reynolds_polynomial_is_group_average():
         group = random_group(rng, n)
         p = random_poly(rng, n, 3)
         avg = reynolds_polynomial(group, p)
-        elements = list(group.elements())
+        walk = list(elements(group))
         brute = Polynomial.zero(n)
-        for g in elements:
+        for g in walk:
             brute = brute + act_on_polynomial(g, p)
-        brute = brute * Fraction(1, len(elements))
+        brute = brute * Fraction(1, len(walk))
         assert avg == brute
         assert is_invariant(group, avg)
         assert reynolds_polynomial(group, avg) == avg  # idempotent
@@ -218,14 +230,14 @@ def test_reynolds_gram_is_group_average():
                 entries[i][j] = entries[j][i]
         q = GramMatrix(basis, entries)
         avg = reynolds_gram(group, q)
-        elements = list(group.elements())
+        walk = list(elements(group))
         total = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
-        for g in elements:
+        for g in walk:
             moved = act_on_gram(g, q).entries
             for i, row in enumerate(moved):
                 for j, x in enumerate(row):
                     total[i][j] += x
-        expected = [[x / len(elements) for x in row] for row in total]
+        expected = [[x / len(walk) for x in row] for row in total]
         assert avg == GramMatrix(basis, expected)
 
 
@@ -244,7 +256,7 @@ def test_act_on_gram_transforms_polynomial():
             if i != j:
                 entries[j][i] += v
         q = GramMatrix(basis, entries)
-        for g in group.elements():
+        for g in elements(group):
             moved = act_on_gram(g, q)
             assert moved.to_polynomial() == act_on_polynomial(g, q.to_polynomial())
 
@@ -268,7 +280,7 @@ def test_orbit_indicator_matrices():
     group = GroupSpec.symmetric(3)
     basis = MonomialBasis(3, 1)
     table = enumerate_pair_orbits(group, 1)
-    ids = orbit_indicator_matrices(table, basis)
+    ids = orbit_indicator_matrices(table)
     w = len(basis)
     assert len(ids) == w and all(len(row) == w for row in ids)
     # transpose-merged, so each indicator is symmetric; one id per entry, so
@@ -280,11 +292,11 @@ def test_orbit_indicator_matrices():
     for r in used:
         q = GramMatrix(basis, [[Fraction(int(x == r)) for x in row] for row in ids])
         assert is_invariant(group, q.to_polynomial())
-    # over the multilinear part of a basis the ids number only the merged
-    # orbits it meets: (|A|, |B|, |A n B|) up to order, with (2, 2, 0)
+    # over the multilinear monomials of degree <= 2 the ids number their
+    # merged orbits: (|A|, |B|, |A n B|) up to order, with (2, 2, 0)
     # impossible in three variables
     multilinear = [m for m in MonomialBasis(3, 2) if max(m) <= 1]
-    ids = orbit_indicator_matrices(enumerate_pair_orbits(group, 2), multilinear)
+    ids = orbit_indicator_matrices(enumerate_pair_orbits(group, 2, multilinear))
     assert {r for row in ids for r in row} == set(range(9))
 
 
@@ -342,13 +354,7 @@ def test_orbit_elements_of_1200_variables():
 
 def generators(group):
     """The adjacent transpositions within each block."""
-    gens = []
-    for blk in group.blocks():
-        for i in blk[:-1]:
-            images = list(range(group.n))
-            images[i], images[i + 1] = images[i + 1], images[i]
-            gens.append(Permutation(tuple(images)))
-    return gens
+    return [transposition(group, i) for i in group.swaps()]
 
 
 def generator_is_invariant(group, p):
@@ -423,8 +429,8 @@ def test_is_invariant_matches_the_generator_walk(case):
 def test_is_invariant_system_matches_the_generator_walk(data):
     group, p = data.draw(invariant_or_nearly())
     # p's images under a few random elements, maybe with one of them left out
-    elements = list(group.elements())
-    picks = data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=6))
+    walk = list(elements(group))
+    picks = data.draw(st.lists(st.sampled_from(walk), min_size=1, max_size=6))
     system = [p] + [act_on_polynomial(g, p) for g in picks]
     if data.draw(st.booleans()) and len(system) > 1:
         del system[data.draw(st.integers(1, len(system) - 1))]
