@@ -136,40 +136,34 @@ def verify(cert: SosCertificate) -> VerificationOutcome:
     return VerificationOutcome(True)
 
 
+def _rationals(cert: SosCertificate):
+    """Every stored rational: the target's coefficients, every sigma entry
+    (zeros included), then each constraint's and multiplier's coefficients
+    or scalar."""
+    yield from cert.target.terms.values()
+    for row in cert.sigma.entries:
+        yield from row
+    for constraint, mult in cert.equality_multipliers + cert.groebner_multipliers:
+        yield from constraint.terms.values()
+        if isinstance(mult, Polynomial):
+            yield from mult.terms.values()
+        else:
+            yield Fraction(mult)
+
+
 def bit_size(cert: SosCertificate) -> BitSizeReport:
     """Exact bit counts over every stored rational coefficient; sigma is
     read entry by entry, never expanded."""
-    max_num = 0
-    max_den = 0
-    total = 0
-    count = 0
-
-    def visit(value: Fraction) -> None:
-        nonlocal max_num, max_den, total, count
+    max_num = max_den = total = count = 0
+    for value in _rationals(cert):
         nb = abs(value.numerator).bit_length()
         db = value.denominator.bit_length()
-        max_num = max(max_num, nb)
-        max_den = max(max_den, db)
+        if nb > max_num:
+            max_num = nb
+        if db > max_den:
+            max_den = db
         total += nb + db
         count += 1
-
-    def visit_poly(p: Polynomial) -> None:
-        for _, c in p.terms.items():
-            visit(c)
-
-    visit_poly(cert.target)
-    for row in cert.sigma.entries:
-        for x in row:
-            visit(x)
-    for constraint, mult in cert.equality_multipliers:
-        visit_poly(constraint)
-        if isinstance(mult, Polynomial):
-            visit_poly(mult)
-        else:
-            visit(Fraction(mult))
-    for generator, mult in cert.groebner_multipliers:
-        visit_poly(generator)
-        visit_poly(mult)
     return BitSizeReport(
         max_numerator_bits=max_num,
         max_denominator_bits=max_den,
@@ -180,111 +174,11 @@ def bit_size(cert: SosCertificate) -> BitSizeReport:
 # -- order unit construction ------------------------------------------------
 
 
-class _Parts:
-    """A sum-of-squares-plus-ideal expression under construction.
-
-    gram maps monomial pairs to coefficients (a PSD matrix by construction:
-    it only ever accumulates nonnegative rank-one terms, embeddings and
-    rescalings of other _Parts grams).  eq and gb collect multipliers keyed
-    by the constraint polynomial.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.gram: dict[tuple[Monomial, Monomial], Fraction] = {}
-        self.eq: dict = {}
-        self.gb: dict = {}
-
-    def _bump(self, key, delta: Fraction) -> None:
-        acc = self.gram.get(key, Fraction(0)) + delta
-        if acc:
-            self.gram[key] = acc
-        else:
-            self.gram.pop(key, None)
-
-    def add_rank_one(self, weight: Fraction, p: Polynomial) -> None:
-        if weight < 0:
-            raise ValueError("rank-one weight must be nonnegative")
-        if weight == 0:
-            return
-        items = list(p.terms.items())
-        for ma, ca in items:
-            for mb, cb in items:
-                self._bump((ma, mb), weight * ca * cb)
-
-    def add_constant(self, value: Fraction) -> None:
-        self.add_rank_one(Fraction(value), Polynomial.constant(self.n, 1))
-
-    def _merge_mult(self, table: dict, constraint: Polynomial, mult: Polynomial) -> None:
-        key = constraint.key()
-        if key in table:
-            table[key] = (constraint, table[key][1] + mult)
-        else:
-            table[key] = (constraint, mult)
-
-    def add_scaled(self, other: "_Parts", scale: Fraction, shift: Monomial | None = None) -> None:
-        """Accumulate scale * x^(2*shift) * other (scale >= 0)."""
-        if scale < 0:
-            raise ValueError("scale must be nonnegative")
-        if scale == 0:
-            return
-        shift_poly = None
-        if shift is not None:
-            shift_poly = Polynomial.monomial(self.n, mono_mul(shift, shift))
-        for (ma, mb), c in other.gram.items():
-            key = (mono_mul(ma, shift), mono_mul(mb, shift)) if shift else (ma, mb)
-            self._bump(key, c * scale)
-        for constraint, mult in other.eq.values():
-            m = mult * scale
-            if shift_poly is not None:
-                m = m * shift_poly
-            self._merge_mult(self.eq, constraint, m)
-        for generator, mult in other.gb.values():
-            m = mult * scale
-            if shift_poly is not None:
-                m = m * shift_poly
-            self._merge_mult(self.gb, generator, m)
-
-    @classmethod
-    def from_certificate(cls, cert: SosCertificate) -> "_Parts":
-        parts = cls(cert.n)
-        basis = cert.sigma.basis
-        for i, a in enumerate(basis.entries):
-            for j, b in enumerate(basis.entries):
-                c = cert.sigma.entries[i][j]
-                if c:
-                    parts._bump((a, b), c)
-        for constraint, mult in cert.equality_multipliers:
-            if not isinstance(mult, Polynomial):
-                raise InvalidWitness("witness must carry polynomial multipliers")
-            parts._merge_mult(parts.eq, constraint, mult)
-        for generator, mult in cert.groebner_multipliers:
-            parts._merge_mult(parts.gb, generator, mult)
-        return parts
-
-    def to_certificate(self, target: Polynomial, degree_bound: int) -> SosCertificate:
-        half = max((max(sum(a), sum(b)) for a, b in self.gram), default=0)
-        basis = MonomialBasis(self.n, half)
-        gram = GramMatrix(basis)
-        for (a, b), c in self.gram.items():
-            gram.entries[basis.index(a)][basis.index(b)] += c
-        eq = [self.eq[k] for k in sorted(self.eq)]
-        gb = [self.gb[k] for k in sorted(self.gb)]
-        return SosCertificate(
-            target=target, sigma=gram,
-            equality_multipliers=[(c, m) for c, m in eq],
-            groebner_multipliers=list(gb),
-            degree_bound=degree_bound, mode=GENERAL)
-
-
 def _witness_bound_constant(witness: SosCertificate) -> Fraction:
     """Recover N from a witness proving N - sum x_i^2."""
     n = witness.n
-    square_sum = Polynomial.zero(n)
-    for i in range(n):
-        xi = Polynomial.variable(n, i)
-        square_sum = square_sum + xi * xi
-    diff = witness.target + square_sum
+    diff = linear_combination(n, [(1, witness.target)]
+                              + [(1, Polynomial.variable(n, i) ** 2) for i in range(n)])
     if diff.degree() > 0:
         raise InvalidWitness("witness target must be a constant minus sum of x_i^2")
     value = diff.constant_term()
@@ -293,13 +187,63 @@ def _witness_bound_constant(witness: SosCertificate) -> Fraction:
     return value
 
 
+def _sum_of_pieces(witness: SosCertificate, pieces: list, target: Polynomial,
+                   degree_bound: int) -> SosCertificate:
+    """The certificate whose right-hand side is the sum of the pieces.
+
+    A piece (w, s, p) with w >= 0 stands for w * x^(2s) * p^2, or, when p
+    is None, for w * x^(2s) times the witness's sigma and multiplier terms.
+    Sigma's basis degree is the largest degree of a monomial whose row is
+    nonzero; multipliers on one constraint are summed, in constraint.key()
+    order.
+    """
+    n = witness.n
+    wit = witness.sigma.basis
+    # A zero weight adds nothing, not even a zero multiplier to the tables.
+    pieces = [piece for piece in pieces if piece[0]]
+    top = max((sum(s) + (wit.d if p is None else p.degree()) for _, s, p in pieces),
+              default=0)
+    basis = MonomialBasis(n, top)
+    grid = [[Fraction(0)] * len(basis) for _ in basis]
+    tables = ({}, {})  # constraint.key() -> [constraint, summed multiplier]
+    for w, s, p in pieces:
+        # rows: each shifted monomial's grid index with its row of the
+        # piece's own Gram matrix (the witness's sigma, or p p^T)
+        if p is None:
+            rows = [(basis.index(mono_mul(a, s)), row)
+                    for a, row in zip(wit.entries, witness.sigma.entries)]
+            shift = Polynomial.monomial(n, mono_mul(s, s), w)
+            for table, mults in zip(tables, (witness.equality_multipliers,
+                                             witness.groebner_multipliers)):
+                for constraint, mult in mults:
+                    entry = table.setdefault(constraint.key(),
+                                             [constraint, Polynomial.zero(n)])
+                    entry[1] = entry[1] + mult * shift
+        else:
+            rows = [(basis.index(mono_mul(a, s)), [ca * cb for cb in p.terms.values()])
+                    for a, ca in p.terms.items()]
+        for i, row in rows:
+            for (j, _), c in zip(rows, row):
+                if c:
+                    grid[i][j] += w * c
+    half = max((sum(a) for a, row in zip(basis.entries, grid) if any(row)), default=0)
+    size = math.comb(n + half, half)
+    eq, gb = ([tuple(table[key]) for key in sorted(table)] for table in tables)
+    return SosCertificate(
+        target=target, sigma=GramMatrix(MonomialBasis(n, half),
+                                        [row[:size] for row in grid[:size]]),
+        equality_multipliers=eq, groebner_multipliers=gb,
+        degree_bound=degree_bound, mode=GENERAL)
+
+
 def order_unit_certificate(witness: SosCertificate, mono: Monomial,
                            d: int, sign: int = 1) -> SosCertificate:
     """Certify N' + m or N' - m for a monomial m of degree <= 2d.
 
     witness must be a verifying certificate for N - sum x_i^2 of degree 2k;
     the output has degree at most 2(d + k - 1).  N' comes out of the
-    construction (2N + 3/2 for nonconstant m) and is not minimized.
+    construction (2N + 3/2 for nonconstant m) and is not minimized.  The
+    proof is built as a list of weighted squares (see _sum_of_pieces).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -319,88 +263,61 @@ def order_unit_certificate(witness: SosCertificate, mono: Monomial,
         raise ValueError(f"monomial degree {sum(mono)} exceeds 2d = {2 * d}")
 
     n_k = _witness_bound_constant(witness)
+    if not all(isinstance(mult, Polynomial) for _, mult in witness.equality_multipliers):
+        raise InvalidWitness("witness must carry polynomial multipliers")
     k = witness.degree_bound // 2
     bound = 2 * (d + k - 1)
-    witness_parts = _Parts.from_certificate(witness)
+    zero = (0,) * n
+    one = Polynomial.constant(n, 1)
 
     if sum(mono) == 0:
         # N' = 1: the certificate for 1 +- 1 is the constant 1 -+ 1 itself.
-        target = Polynomial.constant(n, 1 + sign)
-        parts = _Parts(n)
-        parts.add_constant(Fraction(1 + sign))
-        return parts.to_certificate(target, bound)
+        return _sum_of_pieces(witness, [(Fraction(1 + sign), zero, one)],
+                              Polynomial.constant(n, 1 + sign), bound)
 
-    def unit_vector(i: int) -> Monomial:
-        return tuple(1 if t == i else 0 for t in range(n))
-
-    def claim(m: Monomial) -> tuple[Fraction, _Parts]:
-        """(N, proof of N - m^2) for deg(m) <= d."""
+    def claim(m: Monomial) -> tuple[Fraction, list]:
+        """(N, pieces summing to N - m^2) for deg(m) <= d."""
         deg = sum(m)
         if deg == 0:
-            return Fraction(1), _Parts(n)
+            return Fraction(1), []
         if deg == 1:
+            # N_k - x_i^2 = witness + sum over j != i of x_j^2.
             i = m.index(1)
-            minus = _Parts(n)
-            minus.add_scaled(witness_parts, Fraction(1))
-            for j in range(n):
-                if j != i:
-                    minus.add_rank_one(Fraction(1), Polynomial.variable(n, j))
-            return n_k, minus
+            return n_k, [(Fraction(1), zero, None)] + [
+                (Fraction(1), zero, Polynomial.variable(n, j))
+                for j in range(n) if j != i]
         i = next(t for t, e in enumerate(m) if e > 0)
-        rest = tuple(e - 1 if t == i else e for t, e in enumerate(m))
-        n_rest, minus_rest = claim(rest)
+        unit = tuple(int(t == i) for t in range(n))
+        n_rest, minus_rest = claim(tuple(a - b for a, b in zip(m, unit)))
+        _, minus_xi = claim(unit)
         big = max(n_k, n_rest)
-        # N - m2^2, padded up from the recursive bound.
-        pad_rest = _Parts(n)
-        pad_rest.add_scaled(minus_rest, Fraction(1))
-        pad_rest.add_constant(big - n_rest)
-        # N - x_i^2, padded up from the witness bound.
-        _, minus_xi = claim(unit_vector(i))
-        pad_xi = _Parts(n)
-        pad_xi.add_scaled(minus_xi, Fraction(1))
-        pad_xi.add_constant(big - n_k)
-        # N^2 - m^2 = (N - m2^2) * x_i^2 + N * (N - x_i^2).
-        minus = _Parts(n)
-        minus.add_scaled(pad_rest, Fraction(1), shift=unit_vector(i))
-        minus.add_scaled(pad_xi, big)
-        return big * big, minus
+        # m = x_i * rest, N^2 - m^2 = (N - rest^2) * x_i^2 + N * (N - x_i^2),
+        # and the proofs of N - rest^2 and N - x_i^2 are padded up to this N.
+        pad_rest = minus_rest + [(big - n_rest, zero, one)]
+        pad_xi = minus_xi + [(big - n_k, zero, one)]
+        return big * big, ([(w, mono_mul(s, unit), p) for w, s, p in pad_rest]
+                           + [(big * w, s, p) for w, s, p in pad_xi])
 
-    # Split m = m1 * m2 with both factor degrees <= d.
-    half = (sum(mono) + 1) // 2
-    m1 = [0] * n
-    taken = 0
-    for i, e in enumerate(mono):
-        grab = min(e, half - taken)
-        m1[i] = grab
-        taken += grab
-        if taken == half:
-            break
-    m1 = tuple(m1)
+    # Split m = m1 * m2 with both factor degrees <= d: m1 takes the first
+    # ceil(|m| / 2) variables of m, counted with multiplicity.
+    factors = [i for i, e in enumerate(mono) for _ in range(e)]
+    m1 = tuple(factors[:(len(factors) + 1) // 2].count(i) for i in range(n))
     m2 = tuple(e - f for e, f in zip(mono, m1))
 
     n1, minus1 = claim(m1)
     n2, minus2 = claim(m2)
     big = max(n1, n2)
-    parts = _Parts(n)
-    parts.add_scaled(minus1, Fraction(1))
-    parts.add_constant(big - n1)
-    parts.add_scaled(minus2, Fraction(1))
-    parts.add_constant(big - n2)
     p1 = Polynomial.monomial(n, m1)
     p2 = Polynomial.monomial(n, m2)
-    one = Polynomial.constant(n, 1)
-    half_w = Fraction(1, 2)
     if sign == 1:
-        parts.add_rank_one(half_w, one - p1)
-        parts.add_rank_one(half_w, one - p2)
-        parts.add_rank_one(half_w, one + p1 + p2)
+        squares = (one - p1, one - p2, one + p1 + p2)
     else:
-        parts.add_rank_one(half_w, one - p1)
-        parts.add_rank_one(half_w, one + p2)
-        parts.add_rank_one(half_w, one + p1 - p2)
+        squares = (one - p1, one + p2, one + p1 - p2)
+    pieces = (minus1 + [(big - n1, zero, one)] + minus2 + [(big - n2, zero, one)]
+              + [(Fraction(1, 2), zero, q) for q in squares])
     target = Polynomial.constant(n, 2 * big + Fraction(3, 2)) \
         + Polynomial.monomial(n, mono, sign)
-    return parts.to_certificate(target, bound)
+    return _sum_of_pieces(witness, pieces, target, bound)
 
 
 # -- serialization ----------------------------------------------------------

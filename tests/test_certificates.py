@@ -12,7 +12,7 @@ from symsos.certificates import (GENERAL, NORMAL_FORM, SosCertificate,
                                  bit_size, expand, order_unit_certificate,
                                  parse_certificate, serialize_certificate,
                                  verify)
-from symsos.errors import InvalidWitness, ParseError
+from symsos.errors import DimensionMismatch, InvalidWitness, ParseError
 from symsos.groebner import boolean_basis
 from symsos.poly import MonomialBasis, Polynomial
 from symsos.symmetry import GramMatrix
@@ -210,6 +210,42 @@ def test_order_unit_rejects_oversized_monomial():
     w = boolean_witness(2)
     with pytest.raises(ValueError):
         order_unit_certificate(w, (2, 1), 1)  # |m| = 3 > 2d = 2
+
+
+def _negative_bound_witness():
+    """-1 - x1^2 == (x1^2 + 1) * (-1): it verifies, but N = -1."""
+    x = Polynomial.variable(1, 0)
+    return SosCertificate(
+        target=-(x * x) - 1, sigma=GramMatrix(MonomialBasis(1, 0)),
+        equality_multipliers=[(x * x + 1, Polynomial.constant(1, -1))],
+        groebner_multipliers=[], degree_bound=2, mode=GENERAL)
+
+
+def _scalar_multiplier_witness():
+    """boolean_witness(1) plus the verifying general-mode term 0 * x1."""
+    w = boolean_witness(1)
+    w.equality_multipliers.append((Polynomial.variable(1, 0), frac(0)))
+    return w
+
+
+@pytest.mark.parametrize("make_witness, mono, d, sign, error, message", [
+    (lambda: boolean_witness(1), (1,), 1, 0, ValueError, "sign must be"),
+    (lambda: boolean_witness(1), (1,), 0, 1, ValueError, "d must be at least 1"),
+    (quadratic_refutation, (1,), 1, 1, InvalidWitness, "general-mode"),
+    (lambda: replace(boolean_witness(1), degree_bound=3), (1,), 1, 1,
+     InvalidWitness, "degree bound must be even"),
+    (linear_refutation, (1,), 1, 1, InvalidWitness, "constant minus sum"),
+    (_negative_bound_witness, (1,), 1, 1, InvalidWitness, "constant is negative"),
+    (lambda: boolean_witness(1), (1, 0), 1, 1, DimensionMismatch, "monomial arity"),
+    (_scalar_multiplier_witness, (1,), 1, 1, InvalidWitness, "polynomial multipliers"),
+    (_scalar_multiplier_witness, (0,), 1, 1, InvalidWitness, "polynomial multipliers"),
+], ids=["sign-zero", "d-zero", "normal-form", "odd-bound", "not-a-ball",
+        "negative-bound", "arity", "scalar-multiplier", "scalar-multiplier-constant"])
+def test_order_unit_rejections(make_witness, mono, d, sign, error, message):
+    witness = make_witness()
+    assert verify(witness).accepted  # each rejection is the precondition's own
+    with pytest.raises(error, match=message):
+        order_unit_certificate(witness, mono, d, sign=sign)
 
 
 def test_serialize_round_trip():

@@ -1,5 +1,6 @@
-"""Every public module-level function and class in src/symsos, and every
-public method and property of a public class, has a caller.
+"""Every module-level function and class in src/symsos, every public
+method and property of a public class, and every private method of any
+class has a caller.
 
 A name counts as used when it appears as an AST Name or Attribute in some
 module of the package other than inside its own definition (for a method,
@@ -46,15 +47,11 @@ def _uses(node, where=()):
         yield from _uses(child, inner)
 
 
-def _public(stmt, kinds=(ast.FunctionDef, ast.ClassDef)):
-    return isinstance(stmt, kinds) and not stmt.name.startswith("_")
-
-
-def unused_public_names():
-    """Public module-level functions and classes that nothing in the
-    package uses outside their own definition, as 'module.name', and
-    public methods and properties of public classes that nothing uses
-    outside their own body, as 'module.Class.name'."""
+def _unused(selected):
+    """The selected definitions that nothing in the package uses outside
+    their own definition: module-level functions and classes as
+    'module.name', methods as 'module.Class.name'.  selected takes the key
+    (name,) or (class, method)."""
     defined = {}  # (name,) or (class, method) -> module
     uses = {}  # name -> [(module, where)]
     for path in _modules():
@@ -62,21 +59,42 @@ def unused_public_names():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for where, name in _uses(tree):
             uses.setdefault(name, []).append((module, where))
-        for stmt in filter(_public, tree.body):
-            defined[stmt.name,] = module
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            keys = [(stmt.name,)]
             if isinstance(stmt, ast.ClassDef):
-                for method in stmt.body:
-                    if _public(method, ast.FunctionDef):
-                        defined[stmt.name, method.name] = module
+                keys += [(stmt.name, method.name) for method in stmt.body
+                         if isinstance(method, ast.FunctionDef)]
+            for key in filter(selected, keys):
+                defined[key] = module
     return sorted(".".join((module,) + key) for key, module in defined.items()
                   if all((mod, where[:len(key)]) == (module, key)
                          for mod, where in uses.get(key[-1], ())))
+
+
+def unused_public_names():
+    """Public module-level functions and classes that nothing in the
+    package uses outside their own definition, and public methods and
+    properties of public classes that nothing uses outside their own body."""
+    return _unused(lambda key: not any(part.startswith("_") for part in key))
+
+
+def unused_private_names():
+    """Private module-level functions and classes, and private methods of
+    any class (dunder methods aside), that nothing in the package uses
+    outside their own definition."""
+    return _unused(lambda key: key[-1].startswith("_") and not key[-1].endswith("__"))
 
 
 def test_every_public_name_has_a_caller():
     unused = [qual for qual in unused_public_names()
               if qual.split(".", 1)[1] not in ALLOWED]
     assert unused == []
+
+
+def test_every_private_name_has_a_caller():
+    assert unused_private_names() == []
 
 
 def test_allow_list_is_still_needed():
