@@ -7,8 +7,7 @@ from .errors import (DimensionMismatch, InvalidDomain, InvalidInstance,
                      InvalidSystem, InvalidWitness, ParseError,
                      ReconstructionError, ResourceLimit, SymsosError)
 from .groebner import (DivisionResult, GroebnerBasis, boolean_basis, divide,
-                       finite_domain_basis, reconstruct_proof, reduce_identity,
-                       reduce_polynomial)
+                       finite_domain_basis, reconstruct_proof, reduce_polynomial)
 from .linalg import PsdOutcome, psd_certificate
 from .pipeline import (PipelineResult, ProblemInstance, Pseudoexpectation,
                        VariableCountReport, check_pseudoexpectation,

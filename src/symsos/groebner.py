@@ -2,9 +2,10 @@
 
 Division is multivariate division in grlex order against a list of
 generators that the caller asserts is a Groebner basis (no Buchberger
-completion here).  Quotients are kept because downstream certificate
-reconstruction needs them: dividing the difference of the two sides of a
-polynomial identity recovers exact cofactors on the basis elements.
+completion here).  Quotients are kept because certificate reconstruction
+needs them: reconstruct_proof divides the target minus the rest of a
+proof, one polynomial (sigma plus each multiplier times its constraint),
+once, and the quotients are the exact cofactors on the basis elements.
 
 Finite product domains get a ready-made basis: for each variable x_i a
 univariate generator (x_i - r_1)...(x_i - r_2k) over the 2k domain roots.
@@ -257,32 +258,20 @@ def boolean_basis(n: int) -> GroebnerBasis:
     return finite_domain_basis(n, (0, 1))
 
 
-def reduce_identity(sigma: Polynomial,
-                    products: Sequence[Polynomial],
-                    basis: GroebnerBasis) -> tuple[Polynomial, list[Polynomial]]:
-    """Remainders of sigma and of each product term, in order."""
-    return (reduce_polynomial(sigma, basis),
-            [reduce_polynomial(p, basis) for p in products])
-
-
-def reconstruct_proof(target: Polynomial,
-                      sigma: Polynomial,
-                      equality_products: Sequence[tuple[Polynomial, Polynomial]],
+def reconstruct_proof(target: Polynomial, combination: Polynomial,
                       basis: GroebnerBasis) -> list[Polynomial]:
-    """Cofactors g_i with target == sigma + sum(mult * constr) + sum(g_i * f_i).
+    """Cofactors g_i with target == combination + sum(g_i * f_i).
 
-    equality_products is a list of (multiplier, constraint) pairs.  The
-    reduced forms of both sides must agree exactly; otherwise the exact
-    residual (reduced target minus reduced combination) is raised inside
-    a ReconstructionError.  Degrees never grow: deg(g_i * f_i) is bounded
-    by the larger of deg(target) and deg(sigma + sum mult * constr).
+    combination is everything the proof has besides the ideal (sigma plus
+    each multiplier times its constraint).  The reduced forms of both sides
+    must agree exactly; otherwise the exact residual (reduced target minus
+    reduced combination) is raised inside a ReconstructionError.  Degrees
+    never grow: deg(g_i * f_i) is bounded by the larger of deg(target) and
+    deg(combination).
     """
-    combo = sigma
-    for mult, constr in equality_products:
-        combo = combo + mult * constr
     # With the generator order fixed, division is linear in the dividend,
     # so one division of the difference yields both residual and cofactors.
-    div = divide(target - combo, basis)
+    div = divide(target - combination, basis)
     if not div.remainder.is_zero():
         raise ReconstructionError(
             "reduced sides disagree; no cofactors exist for this identity",

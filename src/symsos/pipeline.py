@@ -3,9 +3,11 @@
 prove_invariant and refute_invariant_system look for the same object,
 goal == sigma + sum(multiplier * constraint) + ideal with sigma and the
 multipliers invariant; they differ in the goal, the free columns and the
-certificate mode.  Each validates its instance, describes its search in a
-_SearchSpec, and hands it to the one search core, _search.  Its setup
-works on orbits and sparse terms: key each pair of standard monomials by
+certificate mode.  Each validates its instance through its mode's one
+setup check (_proof_setup, _refutation_setup), which fixes the Gram degree
+and the constraint orbits, describes its search in a _SearchSpec, and
+hands it to the one search core, _search.  Its setup works on orbits and
+sparse terms: key each pair of standard monomials by
 its support, so that the pair orbits and their grid of merged-orbit ids
 (one unknown of sigma per id) are enumerated once over the Gram basis
 alone; reduce each distinct monomial modulo the coordinate ring once,
@@ -27,9 +29,10 @@ is expanded.  When the solver finds no point, the result says why:
 "dual-witness" when its primal iterate is numeric evidence that no
 certificate exists at this degree, "solver-stopped" when it stopped at its
 step cap or a failed factorisation without deciding.  The variable-count
-report is read off the same orbit tables.  A returned certificate is
-always exact and has been verified; everything numeric is quarantined in
-the solver.
+report runs the same setup check, so it rejects what the search rejects,
+and counts the unknowns off the same orbit tables without building a
+column.  A returned certificate is always exact and has been verified;
+everything numeric is quarantined in the solver.
 
 The Gram basis, and the moment matrix's basis on the dual side, are the
 ring's standard monomials, those that no generator's leading monomial
@@ -46,10 +49,10 @@ itself.  The ring of a domain: is invariant by construction, so it is
 built once and never checked; a groebner basis given beside domain_roots
 must equal it.
 
-find_pseudoexpectation searches the dual side at matching degree; its
-output is numeric-only evidence (never a theorem) and is flagged as such.
-It solves the moment system that check_pseudoexpectation evaluates, both
-built by _moment_system one orbit at a time.
+find_pseudoexpectation searches the dual side at degree 2 * inst.degree;
+its output is numeric-only evidence (never a theorem) and is flagged as
+such.  It solves the moment system that check_pseudoexpectation evaluates
+within CHECK_TOLERANCE, both built by _moment_system one orbit at a time.
 """
 from __future__ import annotations
 
@@ -78,6 +81,10 @@ from .symmetry import (GroupSpec, OrbitTable, canonical_monomial,
                        orbit_indicator_matrices, swapped, swapped_monomial)
 
 DEFAULT_EPSILON = Fraction(1, 2 ** 20)
+
+# check_pseudoexpectation's bound on each moment row's residual and on the
+# moment matrix's most negative eigenvalue.
+CHECK_TOLERANCE = 1e-6
 
 # Rounding windows tried in order during rationalization.
 RATIONALIZE_WINDOWS = (Fraction(1, 10 ** 3), Fraction(1, 10 ** 5),
@@ -121,13 +128,6 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return self.group.n
-
-    @property
-    def domain_half_degree(self) -> int:
-        """k for a 2k-point product domain."""
-        if self.domain_roots is None:
-            raise InvalidInstance("instance has no finite product domain")
-        return len(self.domain_roots) // 2
 
 
 def _check_ring(group: GroupSpec, gb: GroebnerBasis) -> None:
@@ -266,14 +266,6 @@ def _match_columns(columns: Sequence[Mapping[Monomial, Fraction]],
     return _distinct_rows((rows[m], target.get(m, Fraction(0))) for m in sorted(rows))
 
 
-def _gram_degree(inst: ProblemInstance) -> int:
-    """inst.degree for proofs; inst.degree + k - 1 for refutations over a
-    2k-point domain."""
-    if inst.target is None:
-        return inst.degree + inst.domain_half_degree - 1
-    return inst.degree
-
-
 def _multiplier_degree(constraint: Polynomial, gram_degree: int) -> int:
     return max(2 * gram_degree - constraint.degree(), 0)
 
@@ -310,13 +302,12 @@ def _gram_orbits(inst: ProblemInstance, gram_degree: int):
 
 
 def _accounting(inst: ProblemInstance, table: OrbitTable, standard: list[Monomial],
-                indicators: int, orbits: Optional[list[list[int]]],
+                indicators: int, orbits: list[list[int]],
                 free: int) -> VariableCountReport:
     """Unknown counts of a search whose sigma is a Gram matrix over the
     standard monomials, with their pair orbits (table) merged into
     `indicators` ids, and `free` free scalars.  orbits partitions the
-    equality constraints, or is None when they are not closed under the
-    group."""
+    equality constraints."""
     n, gram_degree = inst.n, table.degree
     w = len(standard)
     mult_dims = [math.comb(n + e, e) for e in
@@ -325,27 +316,51 @@ def _accounting(inst: ProblemInstance, table: OrbitTable, standard: list[Monomia
         n=n, gram_degree=gram_degree, w_size=w, y_size=w * w,
         pair_orbit_count=len(table),
         indicator_count=indicators,
-        constraint_orbit_count=len(inst.equalities) if orbits is None
-        else len(orbits),
+        constraint_orbit_count=len(orbits),
         multiplier_dims=mult_dims,
         before_variables=w * (w + 1) // 2 + sum(mult_dims),
         after_variables=indicators + free)
 
 
+def _proof_setup(inst: ProblemInstance) -> tuple[int, list[list[int]]]:
+    """Raise as prove_invariant does on an instance it rejects; else its
+    Gram degree, inst.degree, and the constraint orbits."""
+    if inst.target is None:
+        raise InvalidInstance("prove mode needs a polynomial target")
+    if not is_invariant(inst.group, inst.target):
+        raise InvalidInstance("target polynomial is not invariant under the group")
+    for p in inst.equalities:
+        if not is_invariant(inst.group, p):
+            raise InvalidInstance(
+                "prove mode requires each equality constraint to be invariant")
+    return inst.degree, _constraint_orbits(inst)
+
+
+def _refutation_setup(inst: ProblemInstance) -> tuple[int, list[list[int]]]:
+    """Raise as refute_invariant_system does on an instance it rejects;
+    else its Gram degree, inst.degree + k - 1 over a 2k-point domain, and
+    the constraint orbits."""
+    if inst.target is not None:
+        raise InvalidInstance("refute mode takes no polynomial target")
+    if inst.domain_roots is None:
+        raise InvalidInstance("refutation needs a finite product domain")
+    if not inst.equalities:
+        raise InvalidInstance("nothing to refute: no equality constraints")
+    return inst.degree + len(inst.domain_roots) // 2 - 1, _constraint_orbits(inst)
+
+
 def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
     """Unknown counts before and after symmetry reduction, as the search for
-    inst sets them up; prove and refute attach the same report."""
-    gram_degree = _gram_degree(inst)
-    table, standard, ids = _gram_orbits(inst, gram_degree)
-    try:
-        orbits = _constraint_orbits(inst)
-    except InvalidSystem:
-        orbits = None
+    inst sets them up, counted without building its columns; it rejects
+    what the search rejects, and prove and refute attach the same report."""
     if inst.target is None:  # one scalar per constraint orbit
-        free = len(inst.equalities) if orbits is None else len(orbits)
+        gram_degree, orbits = _refutation_setup(inst)
+        free = len(orbits)
     else:  # one scalar per monomial orbit of each multiplier
+        gram_degree, orbits = _proof_setup(inst)
         free = sum(len(enumerate_monomial_orbits(
             inst.group, _multiplier_degree(p, gram_degree))) for p in inst.equalities)
+    table, standard, ids = _gram_orbits(inst, gram_degree)
     return _accounting(inst, table, standard, 1 + max(map(max, ids)), orbits, free)
 
 
@@ -417,7 +432,7 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
             # sigma plus every equality term is this one combination of the
             # unreduced columns; dividing goal minus it gives the cofactors.
             combo = linear_combination(inst.n, zip(rat.values, columns))
-            cofactors = reconstruct_proof(spec.goal, combo, [], gb)
+            cofactors = reconstruct_proof(spec.goal, combo, gb)
             gb_pairs = [(g, c) for g, c in zip(gb.generators, cofactors)
                         if not c.is_zero()]
         cert = SosCertificate(target=spec.goal, sigma=sigma,
@@ -438,15 +453,8 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
 def prove_invariant(inst: ProblemInstance) -> PipelineResult:
     """Search for target + epsilon == sigma + sum lambda_j p_j (mod the ring),
     with sigma and every lambda_j invariant, at Gram degree inst.degree."""
-    if inst.target is None:
-        raise InvalidInstance("prove mode needs a polynomial target")
-    if not is_invariant(inst.group, inst.target):
-        raise InvalidInstance("target polynomial is not invariant under the group")
-    for p in inst.equalities:
-        if not is_invariant(inst.group, p):
-            raise InvalidInstance(
-                "prove mode requires each equality constraint to be invariant")
-    n, d = inst.n, inst.degree
+    d, orbits = _proof_setup(inst)
+    n = inst.n
     free_terms: list[Polynomial] = []
     owners: list[tuple[int, Polynomial]] = []  # (constraint index, orbit-sum poly)
     for j, p in enumerate(inst.equalities):
@@ -467,22 +475,15 @@ def prove_invariant(inst: ProblemInstance) -> PipelineResult:
     return _search(inst, _SearchSpec(
         goal=inst.target + Polynomial.constant(n, inst.epsilon), gram_degree=d,
         free_terms=free_terms, multipliers=multipliers,
-        constraint_orbits=_constraint_orbits(inst), degree_bound=2 * d,
+        constraint_orbits=orbits, degree_bound=2 * d,
         mode=GENERAL, epsilon=inst.epsilon))
 
 
 def refute_invariant_system(inst: ProblemInstance) -> PipelineResult:
     """Search for -1 == sigma + sum_i c_i (sum of squared constraints in
     orbit i) + ideal, the normal form over a finite product domain."""
-    if inst.target is not None:
-        raise InvalidInstance("refute mode takes no polynomial target")
-    if inst.domain_roots is None:
-        raise InvalidInstance("refutation needs a finite product domain")
-    if not inst.equalities:
-        raise InvalidInstance("nothing to refute: no equality constraints")
-    orbits = _constraint_orbits(inst)
+    gram_degree, orbits = _refutation_setup(inst)
     n, eqs = inst.n, inst.equalities
-    gram_degree = _gram_degree(inst)
     free_terms = [sum((eqs[i] * eqs[i] for i in orbit), Polynomial.zero(n))
                   for orbit in orbits]
 
@@ -498,15 +499,6 @@ def refute_invariant_system(inst: ProblemInstance) -> PipelineResult:
 
 
 # -- pseudoexpectations ------------------------------------------------------
-
-
-def _pseudoexpectation_degree(inst: ProblemInstance, degree: Optional[int]) -> int:
-    """The functional's degree: 2 * inst.degree by default, else degree,
-    which must be even and >= 2."""
-    deg = 2 * inst.degree if degree is None else degree
-    if deg < 2 or deg % 2 != 0:
-        raise InvalidInstance("pseudoexpectation degree must be even and >= 2")
-    return deg
 
 
 def _moment_representatives(inst: ProblemInstance, deg: int) -> list[Monomial]:
@@ -583,14 +575,14 @@ def _moment_system(inst: ProblemInstance, deg: int
     return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs, k3=0)
 
 
-def find_pseudoexpectation(inst: ProblemInstance,
-                           degree: Optional[int] = None) -> Optional[Pseudoexpectation]:
-    """Numeric search for a symmetric degree-2d pseudoexpectation.
+def find_pseudoexpectation(inst: ProblemInstance) -> Optional[Pseudoexpectation]:
+    """Numeric search for a symmetric pseudoexpectation of degree
+    2 * inst.degree.
 
     Returns floating point moment values (evidence, not a theorem), or None
     when the solver finds no point within tolerance.
     """
-    deg = _pseudoexpectation_degree(inst, degree)
+    deg = 2 * inst.degree
     reps, system = _moment_system(inst, deg)
     outcome = solve_feasibility(system)
     if not outcome.feasible:
@@ -601,15 +593,15 @@ def find_pseudoexpectation(inst: ProblemInstance,
                              numeric=True)
 
 
-def point_pseudoexpectation(inst: ProblemInstance, points: Sequence[Sequence],
-                            degree: Optional[int] = None) -> Pseudoexpectation:
-    """Exact pseudoexpectation averaging evaluation over points and orbits.
+def point_pseudoexpectation(inst: ProblemInstance,
+                            points: Sequence[Sequence]) -> Pseudoexpectation:
+    """Exact pseudoexpectation of degree 2 * inst.degree averaging
+    evaluation over points and orbits.
 
     Every point must satisfy the constraints and the domain equations; the
     result is symmetric by construction.
     """
-    deg = _pseudoexpectation_degree(inst, degree)
-    n = inst.n
+    deg, n = 2 * inst.degree, inst.n
     pts = [[Fraction(x) for x in pt] for pt in points]
     if not pts:
         raise InvalidInstance("need at least one point")
@@ -633,15 +625,23 @@ def point_pseudoexpectation(inst: ProblemInstance, points: Sequence[Sequence],
                              numeric=False)
 
 
-def check_pseudoexpectation(inst: ProblemInstance, pe: Pseudoexpectation,
-                            tolerance: float = 1e-6) -> bool:
+def check_pseudoexpectation(inst: ProblemInstance, pe: Pseudoexpectation) -> bool:
     """Numeric validity of pe's moments on inst's representatives: every
     moment row (L(1) = 1 and L vanishing on each constraint's multiples up
-    to pe.degree) holds, and the moment matrix is PSD, within tolerance."""
+    to pe.degree) holds, and the moment matrix is PSD, within
+    CHECK_TOLERANCE.  pe must be over inst's group and carry a moment on
+    each of inst's representatives."""
+    if pe.group != inst.group:
+        raise InvalidInstance(f"pseudoexpectation is over the group {pe.group}, "
+                              f"the instance over {inst.group}")
     reps, system = _moment_system(inst, pe.degree)
+    missing = next((r for r in reps if r not in pe.moments), None)
+    if missing is not None:
+        raise InvalidInstance(f"pseudoexpectation has no moment on the "
+                              f"representative {missing}")
     stack, amat, rhs = float_view(system)
     values = np.array([float(pe.moments[r]) for r in reps])
-    if float(np.abs(amat @ values - rhs).max()) > tolerance:
+    if float(np.abs(amat @ values - rhs).max()) > CHECK_TOLERANCE:
         return False
     mat = (values @ stack).reshape(system.gram_dim, -1)
-    return float(np.linalg.eigvalsh(mat)[0]) >= -tolerance
+    return float(np.linalg.eigvalsh(mat)[0]) >= -CHECK_TOLERANCE

@@ -23,6 +23,8 @@ _SCALAR_KEYS = {"vars", "group", "domain", "target", "degree", "epsilon"}
 _REPEAT_KEYS = {"eq", "groebner"}
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<var>x\d+)|(?P<op>[*^/+-]))")
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?"
+_RATIONAL = re.compile(rf"(?P<num>-?{_NUMBER})(?:\s*/\s*(?P<den>{_NUMBER}))?")
 
 
 @dataclass
@@ -66,16 +68,16 @@ def _tokens(text: str, line: int, offset: int):
 
 def parse_rational(text: str, line: Optional[int] = None,
                    column: Optional[int] = None) -> Fraction:
-    """Exact value from an integer, decimal, or a/b literal; a ParseError
-    carries line and column when given."""
+    """Exact value of a rational literal, an optional "-" and a number or
+    number/number, each number digits with an optional decimal part; any
+    other text, or a zero denominator, is a ParseError carrying line and
+    column when given."""
     body = text.strip()
-    try:
-        if "/" in body:
-            num, den = body.split("/", 1)
-            return Fraction(num.strip()) / Fraction(den.strip())
-        return Fraction(body)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational literal {body!r}", line, column) from None
+    m = _RATIONAL.fullmatch(body)
+    if m is None or m["den"] is not None and not Fraction(m["den"]):
+        raise ParseError(f"bad rational literal {body!r}", line, column)
+    value = Fraction(m["num"])
+    return value if m["den"] is None else value / Fraction(m["den"])
 
 
 def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polynomial:

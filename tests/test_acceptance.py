@@ -15,7 +15,7 @@ from functools import lru_cache
 from symsos import cli
 from symsos.certificates import (bit_size, order_unit_certificate,
                                  parse_certificate, verify)
-from symsos.groebner import boolean_basis, reconstruct_proof, reduce_identity
+from symsos.groebner import boolean_basis, reconstruct_proof, reduce_polynomial
 from symsos.linalg import psd_certificate
 from symsos.pipeline import (ProblemInstance, check_pseudoexpectation,
                              find_pseudoexpectation, point_pseudoexpectation,
@@ -264,18 +264,15 @@ def test_criterion_05_reduction_round_trip(capsys):
             target = target + mult * constr
         for c, g in zip(cofactors, gb):
             target = target + c * g
-        sigma_r, prods_r = reduce_identity(
-            sigma, [m * p for m, p in pairs], gb)
-        one = Polynomial.constant(n, 1)
+        sigma_r = reduce_polynomial(sigma, gb)
+        prods_r = [reduce_polynomial(m * p, gb) for m, p in pairs]
+        combination = sum(prods_r, sigma_r)
         try:
-            cof = reconstruct_proof(target, sigma_r,
-                                    [(one, q) for q in prods_r], gb)
+            cof = reconstruct_proof(target, combination, gb)
         except Exception:
             failures += 1
             continue
-        rebuilt = sigma_r
-        for q in prods_r:
-            rebuilt = rebuilt + q
+        rebuilt = combination
         for c, g in zip(cof, gb):
             rebuilt = rebuilt + c * g
         if rebuilt != target:
@@ -337,8 +334,7 @@ def test_criterion_07_duality_battery(capsys):
         inst = knapsack(n, rhs)
         refuted = refute_invariant_system(inst).certified
         pe = find_pseudoexpectation(inst)
-        valid = pe is not None and check_pseudoexpectation(inst, pe,
-                                                           tolerance=1e-6)
+        valid = pe is not None and check_pseudoexpectation(inst, pe)
         if refuted and valid:
             problems.append(f"n={n} rhs={rhs}: refutation and "
                             f"pseudoexpectation both accepted")
@@ -346,7 +342,7 @@ def test_criterion_07_duality_battery(capsys):
         inst = knapsack(n, frac(t))
         point = [frac(1)] * t + [frac(0)] * (n - t)
         pe = point_pseudoexpectation(inst, [point])
-        if not check_pseudoexpectation(inst, pe, tolerance=1e-6):
+        if not check_pseudoexpectation(inst, pe):
             problems.append(f"n={n} t={t}: point pseudoexpectation invalid")
     elapsed = time.perf_counter() - start
     report(capsys, 7, not problems,
@@ -377,7 +373,7 @@ def test_criterion_08_knapsack_dual_witness(capsys):
     if not psd_certificate(moment).is_psd:
         problems.append("oracle moment matrix not PSD")
     inst = knapsack(3, frac(3, 2))
-    pe = find_pseudoexpectation(inst, degree=2)
+    pe = find_pseudoexpectation(inst)
     if pe is None:
         problems.append("find_pseudoexpectation returned None")
     else:

@@ -347,10 +347,11 @@ def test_restart_keys_are_unknown(tmp_path, capsys, line):
     assert "unknown key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "1/0"])
+@pytest.mark.parametrize("value", ["abc", "1/0", "1/2/3", "1e-3", "1_000", "1/-2",
+                                   "-1/-2"])
 def test_bad_epsilon_exits_2(tmp_path, capsys, value):
     problem = write(tmp_path, "p.sos", PROVE)
-    assert cli.main(["prove", problem, "--epsilon", value]) == cli.EXIT_USAGE
+    assert cli.main(["prove", problem, f"--epsilon={value}"]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith(
         f"error: bad rational literal {value!r}")
 
@@ -412,6 +413,33 @@ def test_a_ring_the_group_moves_exit_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the group does not map the ideal")
+
+
+SEARCH_REJECTS = {
+    "not-closed": ("refute", "vars: 2\ngroup: S(2)\ndomain: {0,1}\neq: x1 - 1/2\n"
+                             "target: refute\n",
+                   "error: equality constraints are not closed under the group"),
+    "target-moved": ("prove", "vars: 2\ngroup: S(2)\ndomain: {0,1}\ntarget: x1\n",
+                     "error: target polynomial is not invariant under the group"),
+    "nothing-to-refute": ("refute", "vars: 2\ngroup: S(2)\ndomain: {0,1}\n"
+                                    "target: refute\n",
+                          "error: nothing to refute: no equality constraints"),
+    "no-domain": ("refute", "vars: 2\ngroup: S(2)\neq: x1 + x2 - 1/2\ntarget: refute\n",
+                  "error: refutation needs a finite product domain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_REJECTS))
+def test_orbits_rejects_what_the_search_rejects(tmp_path, capsys, case):
+    search, text, message = SEARCH_REJECTS[case]
+    problem = write(tmp_path, "p.sos", text)
+    first_lines = []
+    for command in (search, "orbits"):
+        assert cli.main([command, problem]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first_lines.append(captured.err.splitlines()[0])
+    assert first_lines == [message, message]
 
 
 def test_the_moved_ring_certifies_without_the_group(tmp_path, capsys):

@@ -10,7 +10,7 @@ from symsos import groebner
 from symsos.errors import DimensionMismatch, InvalidDomain, ReconstructionError
 from symsos.groebner import (GroebnerBasis, boolean_basis, divide,
                              finite_domain_basis, reconstruct_proof,
-                             reduce_identity, reduce_polynomial)
+                             reduce_polynomial)
 from symsos.poly import Polynomial, mono_divides
 
 from .test_poly import random_poly
@@ -117,16 +117,6 @@ def test_reduce_agrees_with_evaluation_on_domain():
                 assert p.evaluate(pt) == r.evaluate(pt)
 
 
-def test_reduce_identity():
-    gb = boolean_basis(1)
-    x = Polynomial.variable(1, 0)
-    sigma = x * x
-    products = [x * x * x]
-    red_sigma, red_products = reduce_identity(sigma, products, gb)
-    assert red_sigma == x
-    assert red_products == [x]
-
-
 def test_reconstruct_proof_planted():
     rng = random.Random(37)
     for _ in range(50):
@@ -141,10 +131,11 @@ def test_reconstruct_proof_planted():
             target = target + mult * constr
         for c, g in zip(cofactors, gb):
             target = target + c * g
-        out = reconstruct_proof(target, sigma, pairs, gb)
-        rebuilt = sigma
+        combination = sigma
         for mult, constr in pairs:
-            rebuilt = rebuilt + mult * constr
+            combination = combination + mult * constr
+        out = reconstruct_proof(target, combination, gb)
+        rebuilt = combination
         for c, g in zip(out, gb):
             rebuilt = rebuilt + c * g
         assert rebuilt == target
@@ -155,7 +146,7 @@ def test_reconstruct_proof_mismatch_raises_with_residual():
     x = Polynomial.variable(1, 0)
     one = Polynomial.constant(1, 1)
     with pytest.raises(ReconstructionError) as info:
-        reconstruct_proof(one, x, [], gb)
+        reconstruct_proof(one, x, gb)
     assert not info.value.residual.is_zero()
 
 
@@ -266,7 +257,7 @@ def test_product_domain_reduction_makes_no_division(monkeypatch):
     p = random_poly(random.Random(41), 3, 8, terms=8)
     reduce_polynomial(p, gb)
     assert calls == []
-    reconstruct_proof(p, reduce_polynomial(p, gb), [], gb)
+    reconstruct_proof(p, reduce_polynomial(p, gb), gb)
     assert len(calls) == 1
 
 

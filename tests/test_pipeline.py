@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsos import linalg, pipeline
+from symsos import linalg, pipeline, symmetry
 from symsos.certificates import (NORMAL_FORM, bit_size, serialize_certificate,
                                  verify)
 from symsos.errors import InvalidInstance, InvalidSystem
@@ -284,6 +284,30 @@ def test_accounting_matches_the_solved_system(monkeypatch, case):
     result, system = captured_system(monkeypatch, inst, search)
     assert result.accounting == variable_count_report(inst)
     assert result.accounting.after_variables == system.variables
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_variable_count_report_builds_no_column(monkeypatch, case):
+    # The report counts the free unknowns; building them (orbit sums, each
+    # times its constraint, or a constraint squared) is the search's work.
+    search, inst = REPORT_CASES[case]
+    calls = []
+
+    def spy(name, real):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(Polynomial, "__mul__", spy("__mul__", Polynomial.__mul__))
+    for module in (pipeline, symmetry):
+        monkeypatch.setattr(module, "monomial_orbit_elements",
+                            spy("monomial_orbit_elements",
+                                symmetry.monomial_orbit_elements))
+    report = variable_count_report(inst)
+    assert calls == []
+    assert search(inst).accounting == report
+    assert calls  # the search builds them, seen through the same spies
 
 
 def test_conflicting_rows_survive_matching():
@@ -562,17 +586,31 @@ def test_point_pseudoexpectation_rejects_bad_point():
         point_pseudoexpectation(inst, [[frac(1, 2), frac(1, 2)]])  # off domain
 
 
-@pytest.mark.parametrize("degree", [3, 0, -2])
-def test_pseudoexpectation_degree_must_be_even_and_positive(degree):
-    n = 2
+@pytest.mark.parametrize("degree", [1, 2])
+def test_pseudoexpectations_run_at_twice_the_instance_degree(degree):
+    n = 3
+    inst = ProblemInstance(group=GroupSpec.symmetric(n),
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, 1)],
+                           domain_roots=BOOL, degree=degree)
+    found = find_pseudoexpectation(inst)
+    point = point_pseudoexpectation(inst, [[1, 0, 0]])
+    assert found.degree == point.degree == 2 * inst.degree
+    assert set(found.moments) == set(point.moments)
+
+
+def test_check_names_another_group_or_a_missing_moment():
+    n = 3
     inst = ProblemInstance(group=GroupSpec.symmetric(n),
                            equalities=[sum_of_vars(n) - Polynomial.constant(n, 1)],
                            domain_roots=BOOL, degree=1)
-    message = "pseudoexpectation degree must be even and >= 2"
-    with pytest.raises(InvalidInstance, match=message):
-        point_pseudoexpectation(inst, [[1, 0]], degree=degree)
-    with pytest.raises(InvalidInstance, match=message):
-        find_pseudoexpectation(inst, degree=degree)
+    pe = find_pseudoexpectation(inst)
+    with pytest.raises(InvalidInstance, match="over the group"):
+        check_pseudoexpectation(replace(inst, group=GroupSpec.trivial(n)), pe)
+    # over the same group, a functional without the ring misses x1^2
+    free = replace(inst, domain_roots=None, groebner=None)
+    with pytest.raises(InvalidInstance, match=r"no moment on the representative "
+                                              r"\(2, 0, 0\)"):
+        check_pseudoexpectation(free, pe)
 
 
 def test_duality_on_small_battery():
@@ -754,9 +792,10 @@ def test_certified_search_expands_sigma_once_per_window(monkeypatch, search, ins
     # each multiplier times its constraint (in normal form the scalar c
     # stands for (c p) * p).
     monkeypatch.undo()
-    products = [(p * m if cert.mode == NORMAL_FORM else m, p)
+    products = [(p * m if cert.mode == NORMAL_FORM else m) * p
                 for p, m in cert.equality_multipliers]
-    cofactors = reconstruct_proof(cert.target, cert.sigma.to_polynomial(), products,
+    cofactors = reconstruct_proof(cert.target,
+                                  sum(products, cert.sigma.to_polynomial()),
                                   inst.groebner)
     assert cert.groebner_multipliers == [
         (g, c) for g, c in zip(inst.groebner.generators, cofactors) if not c.is_zero()]

@@ -27,6 +27,17 @@ def test_parse_rational_forms():
         parse_rational("seven")
 
 
+@pytest.mark.parametrize("line", ["epsilon: 1/2/3", "domain: {0,1/2/3}",
+                                  "epsilon: 1e-3", "domain: {0,1_000}",
+                                  "epsilon: 1/-2", "domain: {-1/-2,1}"])
+def test_rationals_outside_the_grammar_are_parse_errors(line):
+    # rational = ["-"], number, ["/", number]: before, the text after the
+    # first "/" went to Fraction, so 1/2/3 read as 3/2
+    with pytest.raises(ParseError, match="bad rational literal") as info:
+        parse_problem(f"vars: 1\ntarget: x1\n{line}\n")
+    assert info.value.line == 3
+
+
 def test_parse_polynomial_pinned():
     p = parse_polynomial("3/2*x1^2*x3 - x2 + 1", 3)
     expected = (Polynomial.monomial(3, (2, 0, 1)) * frac(3, 2)
