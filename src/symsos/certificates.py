@@ -1,4 +1,4 @@
-"""Sum-of-squares certificates: expansion, exact verification, constructions.
+"""Sum-of-squares certificates: exact verification, constructions.
 
 A certificate states that `target` equals
 
@@ -9,12 +9,12 @@ constraint (general mode) or a * p^2 with a scalar a (normal-form mode),
 and the f_i are Groebner generators of the coordinate ring.  A refutation
 is the special case target = -1.
 
-verify() forms each term of the identity once, checks that the terms sum
-to the target and that each respects the degree bound, and certifies
-sigma >= 0 by exact LDL^T.  It is the one exact acceptance check of a
-search: acceptance is a theorem about the inputs, and every rejection
-carries an exact witness (a residual polynomial or a vector v with
-v^T sigma v < 0).
+verify() works on integers: it expands sigma, and each multiplier times its
+constraint or generator, over their own denominators, sums them over one
+common one, checks each term's degree, and certifies sigma >= 0 by exact
+LDL^T of its nonzero integer block.  It is the one exact acceptance check:
+acceptance is a theorem about the inputs, and every rejection carries an
+exact witness (a residual polynomial or v with v^T sigma v < 0).
 
 A certificate file (format symsos.certificate/1) is one line of compact
 JSON with sorted keys, byte-identical across runs; every rational is a
@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional, Union
 
 from . import linalg
@@ -78,61 +79,73 @@ class BitSizeReport:
     coefficient_count: int
 
 
-def _equality_term(constraint: Polynomial, mult: MultiplierLike, mode: str) -> Polynomial:
-    if isinstance(mult, Polynomial):
-        return mult * constraint
-    # Scalar multiplier: in normal form it weights the squared constraint.
-    if mode == NORMAL_FORM:
-        return constraint * constraint * Fraction(mult)
-    return constraint * Fraction(mult)
-
-
-def _terms(cert: SosCertificate) -> list[Polynomial]:
-    """The summands of the claimed identity: sigma's polynomial, then one
-    term per equality multiplier, then one per Groebner multiplier."""
-    sigma = cert.sigma.to_polynomial()
-    if sigma.n != cert.target.n:
-        raise DimensionMismatch("sigma basis arity differs from target")
-    return ([sigma]
-            + [_equality_term(c, m, cert.mode) for c, m in cert.equality_multipliers]
-            + [mult * generator for generator, mult in cert.groebner_multipliers])
-
-
-def expand(cert: SosCertificate) -> Polynomial:
-    """The polynomial the certificate claims to equal its target."""
-    return linear_combination(cert.n, ((1, term) for term in _terms(cert)))
+def _product(factors: list[Polynomial]) -> tuple[dict[Monomial, int], int]:
+    """(terms, den) with terms / den the factors' product and no zero
+    coefficient, den the product of each factor's own lcm denominator."""
+    scaled = []
+    for p in factors:
+        d = math.lcm(*(c.denominator for c in p.terms.values()))
+        scaled.append(({m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}, d))
+    terms, den = scaled[0]
+    for other, d in scaled[1:]:
+        out: dict[Monomial, int] = {}
+        for ma, ca in terms.items():
+            for mb, cb in other.items():
+                m = tuple(map(add, ma, mb))
+                out[m] = out.get(m, 0) + ca * cb
+        terms, den = {m: c for m, c in out.items() if c}, den * d
+    return terms, den
 
 
 def verify(cert: SosCertificate) -> VerificationOutcome:
     """Exact acceptance check: structure, identity, degree bounds, PSD."""
     if cert.mode not in (GENERAL, NORMAL_FORM):
         return VerificationOutcome(False, failure=f"unknown mode {cert.mode!r}")
-    if cert.mode == NORMAL_FORM:
-        for constraint, mult in cert.equality_multipliers:
-            if isinstance(mult, Polynomial):
-                return VerificationOutcome(
-                    False, failure="normal-form certificates need scalar "
-                                   "multipliers on equality constraints")
-    try:
-        terms = _terms(cert)
-        total = linear_combination(cert.n, ((1, term) for term in terms))
-    except DimensionMismatch as exc:
-        return VerificationOutcome(False, failure=str(exc))
-    if total != cert.target:
+    if cert.mode == NORMAL_FORM and any(isinstance(mult, Polynomial)
+                                        for _, mult in cert.equality_multipliers):
+        return VerificationOutcome(False, failure="normal-form certificates need "
+                                   "scalar multipliers on equality constraints")
+    if cert.sigma.basis.n != cert.n:
+        return VerificationOutcome(False, failure="sigma basis arity differs from target")
+    # Each equality and basis term as its factors, the multiplier first; a
+    # scalar multiplier in normal form weights the squared constraint.
+    factors = ([[m, p] if isinstance(m, Polynomial) else
+                [Polynomial.constant(p.n, m)] + [p] * (1 + (cert.mode == NORMAL_FORM))
+                for p, m in cert.equality_multipliers]
+               + [[m, g] for g, m in cert.groebner_multipliers])
+    for a, b in [f[:2] for f in factors] + [(cert.target, f[0]) for f in factors]:
+        if a.n != b.n:
+            return VerificationOutcome(
+                False, failure=f"polynomials over {a.n} and {b.n} variables")
+    # Every term, and the target, over one common denominator.
+    den, keep, block, sigma = cert.sigma.integer_form()
+    terms = [(sigma, den)] + [_product(f) for f in factors]
+    target, tden = _product([cert.target])
+    common = math.lcm(tden, *(d for _, d in terms))
+    rest = {m: c * (common // tden) for m, c in target.items()}
+    for t, d in terms:
+        for m, c in t.items():
+            rest[m] = rest.get(m, 0) - c * (common // d)
+    residual = {m: Fraction(c, common) for m, c in rest.items() if c}
+    if residual:
         return VerificationOutcome(False, failure="identity",
-                                   residual=cert.target - total)
+                                   residual=Polynomial._of_clean(cert.n, residual))
 
     kinds = (["sigma"] + ["equality term"] * len(cert.equality_multipliers)
              + ["basis term"] * len(cert.groebner_multipliers))
-    for kind, term in zip(kinds, terms):
-        if term.degree() > cert.degree_bound:
+    for kind, (t, _) in zip(kinds, terms):
+        if max(map(sum, t), default=-1) > cert.degree_bound:
             return VerificationOutcome(False, failure=f"degree: {kind} exceeds bound")
 
-    psd = linalg.psd_certificate(cert.sigma.entries)
+    # sigma is PSD iff its nonzero block is; the witness is zero off it.
+    psd = linalg.psd_certificate(block)
     if not psd.is_psd:
+        witness = [Fraction(0)] * cert.sigma.dim
+        for i, x in zip(keep, psd.witness):
+            witness[i] = x
         return VerificationOutcome(
             False, failure="sigma not positive semidefinite",
-            psd_witness=psd.witness, psd_witness_value=psd.witness_value)
+            psd_witness=witness, psd_witness_value=psd.witness_value / den)
     return VerificationOutcome(True)
 
 

@@ -7,12 +7,12 @@ linear systems for the rounding stage of the numeric solver.
 The rounding stage's minimum-norm correction works on sparse rows scaled
 to integers, so its cost follows the rows' nonzeros, not their width.
 
-The PSD check is one fraction-free (Bareiss) symmetric elimination of the
-integer matrix den * A, den the lcm of A's denominators.  After k steps a
-trailing entry is the rational Schur complement entry times den * p_{k-1}
-> 0, the last pivot, so signs, pivot order and zero tests are the rational
-elimination's, updates are exact integer divisions with no gcd, and the
-pivots and witnesses are the rational pivoted LDL^T's.
+The PSD check is one fraction-free (Bareiss) symmetric elimination of
+den * A, den the lcm of A's denominators (ints are taken as they are).
+After k steps a trailing entry is the rational Schur complement entry
+times den * p_{k-1} > 0, the last pivot, so signs, pivot order and zero
+tests are the rational elimination's, updates are exact integer divisions
+with no gcd, and the pivots and witnesses are the rational pivoted LDL^T's.
 """
 
 from __future__ import annotations
@@ -22,20 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-Matrix = list[list[Fraction]]
 Vector = list[Fraction]
-
-
-def _as_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def quadratic_form(a: Matrix, v: Vector) -> Fraction:
-    return sum((vi * wi for vi, wi in zip(v, mat_vec(a, v))), Fraction(0))
 
 
 @dataclass
@@ -53,51 +40,34 @@ class PsdOutcome:
     witness_value: Optional[Fraction] = None
 
 
-def _eliminate(matrix: Sequence[Sequence]) -> tuple[
-        Matrix, list[list[int]], list[int], Vector, Optional[Vector]]:
-    """Fraction-free LDL^T with symmetric diagonal pivoting: the largest
-    trailing diagonal entry (the first on ties) is the pivot while positive.
+def psd_certificate(matrix: Sequence[Sequence]) -> PsdOutcome:
+    """Decide A >= 0 exactly by LDL^T with symmetric diagonal pivoting: the
+    largest trailing diagonal entry (the first on ties) is the pivot while
+    positive.  A's entries are ints or Fractions, taken as they are.
 
-    Returns (a, b, perm, pivots, tail).  ``a`` is A as Fractions; position i
-    of the elimination is row perm[i] of A.  ``pivots`` are D's positive
-    entries; for k < len(pivots), L[i][k] = b[i][k] / b[k][k] with ``b``
-    stored lower triangular.  ``tail`` is None when A is PSD, else a
-    negative direction of the trailing Schur complement, on positions
-    len(pivots)..n-1.  Raises ValueError when A is not square or not
-    symmetric.
+    Accepts iff every pivot is nonnegative and every zero-pivot row of the
+    running Schur complement is identically zero.  Rejection returns a
+    vector v with v^T A v < 0, exactly.  Raises ValueError when A is not
+    square or not symmetric.
     """
-    a = _as_fraction_matrix(matrix)
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
+            if matrix[i][j] != matrix[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    den = math.lcm(*(x.denominator for row in a for x in row))
+    # den * A in lower storage (an int is its own numerator over 1); position
+    # i is row perm[i] of A, and L[i][k] = b[i][k] / b[k][k] for k < len(pivots).
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
     b = [[x.numerator * (den // x.denominator) for x in row[:i + 1]]
-         for i, row in enumerate(a)]
+         for i, row in enumerate(matrix)]
     perm = list(range(n))
     pivots: Vector = []
     prev = 1
     for k in range(n):
         q = max(range(k, n), key=lambda j: b[j][j])
         if b[q][q] <= 0:
-            # No positive pivot remains in the trailing block.
-            tail = [Fraction(0)] * (n - k)
-            for j in range(k, n):
-                if b[j][j] < 0:
-                    tail[j - k] = Fraction(1)
-                    return a, b, perm, pivots, tail
-            # All trailing diagonal entries are zero; PSD forces the block
-            # to vanish.
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if b[j][i] != 0:
-                        tail[i - k] = Fraction(1)
-                        tail[j - k] = Fraction(-1 if b[j][i] > 0 else 1)
-                        return a, b, perm, pivots, tail
             break
         if q != k:
             # Swap positions k < q of the symmetric matrix in lower storage.
@@ -119,29 +89,31 @@ def _eliminate(matrix: Sequence[Sequence]) -> tuple[
             row[k + 1:] = [(p * x - c * y) // prev
                            for x, y in zip(row[k + 1:], col)]
         prev = p
-    return a, b, perm, pivots, None
-
-
-def psd_certificate(matrix: Sequence[Sequence]) -> PsdOutcome:
-    """Decide A >= 0 exactly via LDL^T with symmetric diagonal pivoting.
-
-    Accepts iff every pivot is nonnegative and every zero-pivot row of the
-    running Schur complement is identically zero.  Rejection returns a
-    vector v with v^T A v < 0, exactly.
-    """
-    a, b, perm, pivots, tail = _eliminate(matrix)
-    n, k = len(a), len(pivots)
-    if tail is None:
-        return PsdOutcome(is_psd=True, pivots=pivots + [Fraction(0)] * (n - k))
-    # Extend the trailing witness to the full matrix: solve the unit
-    # upper-triangular system u_i + sum_{j>i} L[j][i] u_j = 0 for i < k.
+    # No positive pivot remains in the trailing Schur complement S = b / (den
+    # * prev).  A negative diagonal entry gives a negative direction t; if all
+    # are zero, PSD forces S = 0 and a nonzero entry gives one.  value is
+    # t^T S t times den * prev.
+    k = len(pivots)
+    tail = [Fraction(0)] * (n - k)
+    j = next((j for j in range(k, n) if b[j][j] < 0), None)
+    if j is not None:
+        tail[j - k], value = Fraction(1), b[j][j]
+    else:
+        pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if b[j][i]), None)
+        if pair is None:
+            return PsdOutcome(is_psd=True, pivots=pivots + [Fraction(0)] * (n - k))
+        i, j = pair
+        tail[i - k], tail[j - k] = Fraction(1), Fraction(-1 if b[j][i] > 0 else 1)
+        value = -2 * abs(b[j][i])
+    # Extend t to v with v^T A v = t^T S t: solve the unit upper-triangular
+    # system u_i + sum_{j>i} L[j][i] u_j = 0 for i < k.
     u = [Fraction(0)] * k + tail
     for i in range(k - 1, -1, -1):
         u[i] = -sum((b[j][i] * u[j] for j in range(i + 1, n)), Fraction(0)) / b[i][i]
     v = [Fraction(0)] * n
     for pos, orig in enumerate(perm):
         v[orig] = u[pos]
-    return PsdOutcome(is_psd=False, witness=v, witness_value=quadratic_form(a, v))
+    return PsdOutcome(is_psd=False, witness=v, witness_value=Fraction(value, den * prev))
 
 
 def rref_solve(a: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:

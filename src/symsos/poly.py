@@ -301,6 +301,8 @@ def linear_combination(n: int, terms: Iterable[tuple[Scalar, Polynomial]]) -> Po
 
 def monomials_up_to(n: int, d: int) -> list[Monomial]:
     """All monomials in n variables of total degree <= d, grlex ascending."""
+    if n == 0:  # the constant alone, not an empty combination per degree
+        return [()] if d >= 0 else []
     out: list[Monomial] = []
     for deg in range(d + 1):
         for combo in itertools.combinations_with_replacement(range(n), deg):

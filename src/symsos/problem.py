@@ -22,8 +22,8 @@ from .symmetry import GroupSpec
 _SCALAR_KEYS = {"vars", "group", "domain", "target", "degree", "epsilon"}
 _REPEAT_KEYS = {"eq", "groebner"}
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<var>x\d+)|(?P<op>[*^/+-]))")
 _NUMBER = r"[0-9]+(?:\.[0-9]+)?"
+_TOKEN = re.compile(rf"\s*(?:(?P<num>{_NUMBER})|(?P<var>x[0-9]+)|(?P<op>[*^/+-]))")
 _RATIONAL = re.compile(rf"(?P<num>-?{_NUMBER})(?:\s*/\s*(?P<den>{_NUMBER}))?")
 
 
@@ -180,7 +180,7 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
 def _parse_group(value: str, line: int, column: int) -> tuple[int, ...]:
     blocks = []
     for part in value.split("x"):
-        m = re.fullmatch(r"\s*S\((\d+)\)\s*", part)
+        m = re.fullmatch(r"\s*S\(([0-9]+)\)\s*", part)
         if m is None or int(m.group(1)) < 1:
             raise ParseError(f"bad group {value.strip()!r}; expected e.g. S(2)xS(1)",
                              line, column)
@@ -199,10 +199,10 @@ def _parse_domain(value: str, line: int, column: int) -> tuple[Fraction, ...]:
 
 
 def _parse_int(value: str, key: str, line: int, column: int) -> int:
-    try:
-        return int(value.strip())
-    except ValueError:
-        raise ParseError(f"{key} expects an integer", line, column) from None
+    body = value.strip()  # int() would also take a sign, "_" and other digits
+    if not (body.isascii() and body.isdigit()):
+        raise ParseError(f"{key} expects an integer", line, column)
+    return int(body)
 
 
 def parse_problem(text: str) -> ProblemFile:

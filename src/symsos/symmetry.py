@@ -25,7 +25,7 @@ from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch
-from .poly import Monomial, MonomialBasis, Polynomial, accumulate_term, grlex_key
+from .poly import Monomial, MonomialBasis, Polynomial, grlex_key
 
 
 @dataclass(frozen=True)
@@ -273,17 +273,30 @@ class GramMatrix:
         return (isinstance(other, GramMatrix)
                 and self.basis == other.basis and self.entries == other.entries)
 
+    def integer_form(self) -> tuple[int, list[int], list[list[int]], dict[Monomial, int]]:
+        """(den, keep, block, terms): den the lcm of Q's denominators, keep
+        Q's nonzero rows, and den * Q on keep x keep and den * <Q, x x^T>
+        (no zero coefficient) as ints."""
+        keep = [i for i, row in enumerate(self.entries) if any(row)]
+        grid = [[self.entries[i][j] for j in keep] for i in keep]
+        den = math.lcm(*(x.denominator for row in grid for x in row))
+        block = [[x.numerator * (den // x.denominator) for x in row] for row in grid]
+        monos = [self.basis.entries[i] for i in keep]
+        terms: dict[Monomial, int] = {}
+        for t, (a, row) in enumerate(zip(monos, block)):
+            # Entries (a, b) and (b, a) share the monomial x^(a+b).
+            for u in range(t, len(keep)):
+                c = row[u] if u == t else row[u] + block[u][t]
+                if c:
+                    m = tuple(map(add, a, monos[u]))
+                    terms[m] = terms.get(m, 0) + c
+        return den, keep, block, {m: c for m, c in terms.items() if c}
+
     def to_polynomial(self) -> Polynomial:
         """<Q, x x^T> where x is the basis vector: sum Q_ab x^(a+b)."""
-        out: dict[Monomial, Fraction] = {}
-        ents = self.basis.entries
-        for i, a in enumerate(ents):
-            row = self.entries[i]
-            for j, b in enumerate(ents):
-                c = row[j]
-                if c:
-                    accumulate_term(out, tuple(map(add, a, b)), c)
-        return Polynomial._of_clean(self.basis.n, out)
+        den, _, _, terms = self.integer_form()
+        return Polynomial._of_clean(self.basis.n, {m: Fraction(c, den)
+                                                   for m, c in terms.items()})
 
     def __repr__(self) -> str:
         return f"GramMatrix(basis={self.basis!r})"

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from symsos import certificates
 from symsos.certificates import (GENERAL, NORMAL_FORM, SosCertificate,
-                                 bit_size, expand, order_unit_certificate,
-                                 parse_certificate, serialize_certificate,
-                                 verify)
-from symsos.errors import DimensionMismatch, InvalidWitness, ParseError
+                                 VerificationOutcome, bit_size,
+                                 order_unit_certificate, parse_certificate,
+                                 serialize_certificate, verify)
+from symsos.errors import DimensionMismatch, InvalidWitness, ParseError, SymsosError
 from symsos.groebner import boolean_basis
-from symsos.poly import MonomialBasis, Polynomial
+from symsos.poly import MonomialBasis, Polynomial, monomials_up_to
 from symsos.symmetry import GramMatrix
+
+from . import fraction_verify
 
 
 def frac(a, b=1):
@@ -79,7 +81,7 @@ def test_hand_refutations_verify():
 
 def test_expand_matches_target():
     cert = quadratic_refutation()
-    assert expand(cert) == cert.target
+    assert fraction_verify.expand(cert) == cert.target
 
 
 def test_mutated_coefficient_rejected():
@@ -153,6 +155,136 @@ def test_degree_failure_is_reported_before_psd():
     assert verify(cert).failure == "sigma not positive semidefinite"
     assert verify(replace(cert, degree_bound=1)).failure == \
         "degree: sigma exceeds bound"
+
+
+# -- the integer check against the Fraction oracle ----------------------------
+
+COEFF = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def polynomials(draw, n, degree):
+    monos = draw(st.lists(st.sampled_from(monomials_up_to(n, degree)),
+                          max_size=3, unique=True))
+    return Polynomial(n, {m: draw(COEFF) for m in monos})
+
+
+@st.composite
+def small_certificates(draw):
+    """Certificates whose identity holds, in either mode, with sigma zero
+    on some rows: PSD (B^T B) or arbitrary on the others."""
+    n = draw(st.integers(1, 2))
+    mode = draw(st.sampled_from([GENERAL, NORMAL_FORM]))
+    basis = MonomialBasis(n, draw(st.integers(0, 3 - n)))
+    dim = len(basis)
+    live = [i for i in range(dim) if draw(st.booleans())]
+    entries = [[Fraction(0)] * dim for _ in range(dim)]
+    rows = [[draw(COEFF) for _ in live] for _ in range(draw(st.integers(0, 2)))]
+    arbitrary = draw(st.booleans())
+    for s, i in enumerate(live):
+        for t, j in enumerate(live[s:], s):
+            entries[i][j] = entries[j][i] = (
+                draw(COEFF) if arbitrary else sum((r[s] * r[t] for r in rows), Fraction(0)))
+    eq = []
+    for _ in range(draw(st.integers(0, 2))):
+        constraint = draw(polynomials(n, 1))
+        scalar = mode == NORMAL_FORM or draw(st.booleans())
+        eq.append((constraint, draw(COEFF) if scalar else draw(polynomials(n, 1))))
+    gb = [(draw(polynomials(n, 2)), draw(polynomials(n, 1)))
+          for _ in range(draw(st.integers(0, 2)))]
+    cert = SosCertificate(target=Polynomial.zero(n), sigma=GramMatrix(basis, entries),
+                          equality_multipliers=eq, groebner_multipliers=gb,
+                          degree_bound=draw(st.integers(0, 4)), mode=mode)
+    return replace(cert, target=fraction_verify.expand(cert))
+
+
+def bumped(p):
+    """p with one coefficient changed, for each of p's coefficients."""
+    for m in p.terms:
+        yield Polynomial(p.n, {**p.terms, m: p.terms[m] + Fraction(1, 7)})
+
+
+def single_mutations(cert):
+    """cert with one stored coefficient changed, for each one (sigma's
+    entries in symmetric pairs)."""
+    for target in bumped(cert.target):
+        yield replace(cert, target=target)
+    entries = cert.sigma.entries
+    for i in range(len(entries)):
+        for j in range(i, len(entries)):
+            grid = [list(row) for row in entries]
+            grid[i][j] = grid[j][i] = entries[i][j] + 1
+            yield replace(cert, sigma=GramMatrix(cert.sigma.basis, grid))
+    for table in ("equality_multipliers", "groebner_multipliers"):
+        pairs = getattr(cert, table)
+        for k, (constraint, mult) in enumerate(pairs):
+            changed = [(c, mult) for c in bumped(constraint)]
+            changed += ([(constraint, m) for m in bumped(mult)]
+                        if isinstance(mult, Polynomial) else [(constraint, mult - 1)])
+            for pair in changed:
+                yield replace(cert, **{table: pairs[:k] + [pair] + pairs[k + 1:]})
+
+
+def check_psd_witness(cert, out):
+    """The witness spans the basis, is zero on sigma's zero rows, and
+    v^T sigma v equals the reported value, which is negative."""
+    entries = cert.sigma.entries
+    assert len(out.psd_witness) == cert.sigma.dim
+    assert all(not v for v, row in zip(out.psd_witness, entries) if not any(row))
+    assert fraction_verify.quadratic_form(entries, out.psd_witness) == \
+        out.psd_witness_value < 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_certificates())
+def test_integer_check_matches_the_fraction_oracle(cert):
+    for variant in [cert, *single_mutations(cert)]:
+        got, want = verify(variant), fraction_verify.verify(variant)
+        assert (got.accepted, got.failure, got.residual) == \
+            (want.accepted, want.failure, want.residual)
+        if got.failure == "sigma not positive semidefinite":
+            check_psd_witness(variant, got)
+
+
+def test_psd_witness_is_zero_on_the_zero_rows():
+    # sigma over the six monomials of degree <= 2 in two variables is zero
+    # on rows 0, 2, 4 and [[1, 2, 0], [2, 1, 0], [0, 0, 3]] / 5 on rows 1, 3,
+    # 5: not PSD.
+    basis = MonomialBasis(2, 2)
+    entries = [[Fraction(0)] * 6 for _ in range(6)]
+    for (i, j), c in {(1, 1): 1, (1, 3): 2, (3, 3): 1, (5, 5): 3}.items():
+        entries[i][j] = entries[j][i] = frac(c, 5)
+    cert = SosCertificate(target=Polynomial.zero(2), sigma=GramMatrix(basis, entries),
+                          equality_multipliers=[], groebner_multipliers=[],
+                          degree_bound=4, mode=GENERAL)
+    cert = replace(cert, target=fraction_verify.expand(cert))
+    out = verify(cert)
+    assert out.failure == "sigma not positive semidefinite"
+    check_psd_witness(cert, out)
+    assert [i for i, v in enumerate(out.psd_witness) if v] == [1, 3]
+
+
+def _over(n, p):
+    """p's coefficients on the first variable, over n variables."""
+    return Polynomial(n, {(m[0],) + (0,) * (n - 1): c for m, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: replace(c, sigma=GramMatrix(MonomialBasis(2, 0), [[frac(1)]])),
+    lambda c: replace(c, equality_multipliers=[
+        (p, _over(2, m)) for p, m in c.equality_multipliers]),
+    lambda c: replace(c, equality_multipliers=[
+        (_over(2, p), _over(2, m)) for p, m in c.equality_multipliers]),
+    lambda c: replace(c, groebner_multipliers=[
+        (boolean_basis(1).generators[0], Polynomial.constant(2, 1))]),
+    lambda c: replace(c, groebner_multipliers=[
+        (boolean_basis(2).generators[0], Polynomial.constant(2, 1))]),
+], ids=["sigma", "multiplier", "equality-term", "generator", "basis-term"])
+def test_arity_failures_match_the_fraction_oracle(change):
+    cert = change(linear_refutation())
+    got, want = verify(cert), fraction_verify.verify(cert)
+    assert got.failure == want.failure and not got.accepted
+    assert "variables" in got.failure or "arity" in got.failure
 
 
 def test_bit_size_report():
@@ -327,3 +459,45 @@ def test_parse_checks_the_grid_before_building_a_basis(monkeypatch):
     with pytest.raises(ParseError, match="malformed certificate document: "
                                          "entry grid does not match basis size"):
         parse_certificate(json.dumps(doc))
+
+
+# -- documents mutated into other JSON types -----------------------------------
+
+JSON_VALUES = {
+    type(None): st.none(), bool: st.booleans(), int: st.integers(-2, 3),
+    float: st.floats(-2, 2), str: st.text(alphabet="01/-x[]", max_size=3),
+    list: st.lists(st.integers(0, 2) | st.text(alphabet="01/", max_size=3), max_size=3),
+    dict: st.dictionaries(st.sampled_from(["scalar", "multiplier", "0"]),
+                          st.integers(0, 2), max_size=2)}
+# For each JSON type, a value of any other type.
+MISTYPED = {kind: st.one_of([values for other, values in JSON_VALUES.items() if other is not kind])
+            for kind in JSON_VALUES}
+FUZZ_DOCUMENTS = [serialize_certificate(make()) for make in (
+    linear_refutation, quadratic_refutation, lambda: boolean_witness(2))]
+
+
+def json_positions(doc, path=()):
+    """The path to every value inside a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_positions(value, path + (key,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_documents_with_mistyped_values_are_rejected_or_checked(data):
+    doc = json.loads(data.draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        positions = list(json_positions(doc))
+        *path, last = positions[data.draw(st.integers(0, len(positions) - 1))]
+        node = doc
+        for key in path:
+            node = node[key]
+        node[last] = data.draw(MISTYPED[type(node[last])])
+    try:
+        outcome = verify(parse_certificate(json.dumps(doc)))
+    except SymsosError:
+        return
+    assert isinstance(outcome, VerificationOutcome)

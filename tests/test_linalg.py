@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsos.linalg import (PsdOutcome, min_norm_correction, psd_certificate,
-                           quadratic_form, rref_solve)
+from symsos.linalg import PsdOutcome, min_norm_correction, psd_certificate, rref_solve
+
+from .fraction_verify import quadratic_form
 
 
 def random_psd(rng, dim, rank=None):
@@ -46,6 +48,8 @@ def test_validation_errors():
     for matrix in bad:
         with pytest.raises(ValueError, match="not (square|symmetric)"):
             psd_certificate([[Fraction(x) for x in row] for row in matrix])
+        with pytest.raises(ValueError, match="not (square|symmetric)"):
+            psd_certificate(matrix)
 
 
 def test_random_psd_accepted():
@@ -286,6 +290,15 @@ def test_fraction_free_elimination_matches_rational(a):
     assert psd_certificate(a) == expected
     if not expected.is_psd:
         assert expected.witness_value < 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices())
+def test_integer_matrix_agrees_with_it_as_fractions(a):
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    ints = [[int(x * den) for x in row] for row in a]
+    assert psd_certificate(ints) == psd_certificate([[Fraction(x) for x in row]
+                                                     for row in ints])
 
 
 # Mostly zeros, so rows are sparse and some columns are touched by no row.

@@ -21,7 +21,6 @@ ALLOWED = {
     "point_pseudoexpectation": "acceptance criterion 7 builds exact point functionals",
     "boolean_basis": "acceptance criterion 5 reduces modulo the Boolean cube",
     "serialize_problem": "library API: writes the problem format parse_problem reads",
-    "expand": "library API: the polynomial a certificate claims to equal",
     "Polynomial.coefficient": "test oracle: dense_match_columns reads it",
     "GroupSpec.symmetric": "library API: the symmetric group S(n)",
     "GroupSpec.trivial": "library API: the group with no symmetry",

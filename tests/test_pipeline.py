@@ -186,7 +186,23 @@ def test_certified_search_checks_psd_once(monkeypatch, search, inst):
     calls = counted_psd_calls(monkeypatch)
     result = search(inst)
     assert result.certified
-    assert calls == [result.certificate.sigma.entries]
+    assert calls == [integer_block(result.certificate.sigma)]
+
+
+def integer_block(sigma):
+    """sigma's nonzero rows and columns, times the lcm of its denominators."""
+    den = math.lcm(*(x.denominator for row in sigma.entries for x in row))
+    keep = [i for i, row in enumerate(sigma.entries) if any(row)]
+    return [[int(sigma.entries[i][j] * den) for j in keep] for i in keep]
+
+
+def test_psd_check_sees_only_the_standard_rows(monkeypatch):
+    # refute d=3 on {0,1}^4: sigma has 35 rows, 15 of them multilinear
+    calls = counted_psd_calls(monkeypatch)
+    result = refute_invariant_system(replace(half_integral_knapsack(4), degree=3))
+    assert result.certified and result.certificate.sigma.dim == 35
+    assert [len(block) for block in calls] == [15]
+    assert all(type(x) is int for row in calls[0] for x in row)
 
 
 def ladder_instance():
@@ -766,7 +782,7 @@ def e2_proof(n):
 ], ids=["refute", "prove"])
 def test_certified_search_expands_sigma_once_per_window(monkeypatch, search, inst):
     expansions = []
-    original = GramMatrix.to_polynomial
+    original = GramMatrix.integer_form
 
     def counted(self):
         expansions.append(self)
@@ -779,7 +795,7 @@ def test_certified_search_expands_sigma_once_per_window(monkeypatch, search, ins
         windows.append(kwargs["window"])
         return rationalize(*args, **kwargs)
 
-    monkeypatch.setattr(GramMatrix, "to_polynomial", counted)
+    monkeypatch.setattr(GramMatrix, "integer_form", counted)
     monkeypatch.setattr(pipeline, "rationalize", recorded)
     result = search(inst)
     assert result.certified and windows

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from symsos.errors import DimensionMismatch
 from symsos.poly import (MonomialBasis, Polynomial, coefficient_norm, grlex_key,
                          mono_divides, mono_mul, mono_quotient, monomials_up_to,
                          multinomial)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_poly(rng, n, max_degree, terms=5):
@@ -112,6 +118,17 @@ def test_monomials_up_to_counts_and_order():
             assert all(sum(m) <= d for m in monos)
             keys = [grlex_key(m) for m in monos]
             assert keys == sorted(keys)
+
+
+def test_monomials_in_no_variables_are_the_constant_at_any_degree():
+    # Built as one empty combination per degree, d = 10^6 took about a
+    # minute; a 200-byte certificate with "variables": 0 could ask for it.
+    assert monomials_up_to(0, 0) == [()]
+    assert monomials_up_to(0, -1) == []
+    code = "from symsos.poly import monomials_up_to; assert monomials_up_to(0, 10**6) == [()]"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                   timeout=10, check=True)
 
 
 def test_monomial_basis():

@@ -38,6 +38,23 @@ def test_rationals_outside_the_grammar_are_parse_errors(line):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("text,message", [
+    ("vars: 2\ndegree: \u0662\n", "degree expects an integer"),
+    ("vars: +2\n", "vars expects an integer"),
+    ("vars: 2\ndegree: 1_0\n", "degree expects an integer"),
+    ("vars: \u0662\n", "vars expects an integer"),
+    ("vars: 2\ngroup: S(\u0662)\n", "bad group"),
+    ("vars: 2\neq: \u0663*x1 + x2\n", "unexpected character"),
+    ("vars: 2\neq: x\u0661 + x2\n", "unexpected character"),
+    ("vars: 2\neq: x1^\u0662 - 1\n", "unexpected character"),
+])
+def test_digits_are_ascii(text, message):
+    # integer = digits, digit = 0..9: int() and \d had also read other
+    # scripts' digits, a sign and underscores (degree: 1_0 was 10)
+    with pytest.raises(ParseError, match=message):
+        parse_problem(text)
+
+
 def test_parse_polynomial_pinned():
     p = parse_polynomial("3/2*x1^2*x3 - x2 + 1", 3)
     expected = (Polynomial.monomial(3, (2, 0, 1)) * frac(3, 2)
