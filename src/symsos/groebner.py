@@ -3,19 +3,23 @@
 Division is multivariate division in grlex order against a list of
 generators that the caller asserts is a Groebner basis (no Buchberger
 completion here).  Quotients are kept because certificate reconstruction
-needs them: reconstruct_proof divides the target minus the rest of a
-proof, one polynomial (sigma plus each multiplier times its constraint),
-once, and the quotients are the exact cofactors on the basis elements.
+needs them: reconstruct_proof reduces the target minus the rest of a
+proof (sigma plus each multiplier times its constraint) once, and the
+quotients are the exact cofactors on the basis elements.
 
 Finite product domains get a ready-made basis: for each variable x_i a
 univariate generator (x_i - r_1)...(x_i - r_2k) over the 2k domain roots.
 Generators in disjoint single variables form a Groebner basis in any
 monomial order (their leading monomials are pairwise coprime), so the
 caller assertion is discharged for these.  For any basis of that shape,
-one univariate generator per variable, reduce_polynomial reduces term by
-term from per-variable tables of x_i^e mod g_i(x_i); the normal form is
-unique, so it equals divide's remainder.  divide remains for quotients
-and for every other basis.
+one univariate generator per variable, each term is expanded through
+per-variable tables x_i^e = (x_i^e mod g_i) + (x_i^e div g_i) * g_i, in
+generator-list order, with no division: reduce_polynomial keeps the
+remainder, reconstruct_proof also the quotients.  Both equal divide's:
+division is linear in the dividend, divide reduces each monomial's first
+dividing generator (in list order) to completion before the next, and
+univariate division by g_i is unique.  divide remains for every other
+basis, and as the test oracle.
 """
 
 from __future__ import annotations
@@ -82,56 +86,63 @@ class GroebnerBasis:
         return bound, others
 
     @cached_property
-    def _power_tables(self) -> list[_PowerTable] | None:
-        """Variable i's table of x_i^e mod g_i, or None for any other shape.
+    def _power_tables(self) -> list[tuple[int, _PowerTable]] | None:
+        """Each generator's variable and table, in list order, or None for
+        any other shape.
 
         The shape is exactly one generator per variable, each univariate
         in its own variable.  Generators with equal coefficients share a
         table, so a finite domain basis builds one.
         """
-        tables: list = [None] * self.n
+        tables: list = []
         shared: dict = {}
         for g in self.generators:
             used = {i for mono in g.terms for i, e in enumerate(mono) if e}
             if len(used) != 1:
                 return None
             (i,) = used
-            if tables[i] is not None:
-                return None
             coeffs = tuple(sorted((mono[i], c) for mono, c in g.terms.items()))
             if coeffs not in shared:
                 shared[coeffs] = _PowerTable(dict(coeffs))
-            tables[i] = shared[coeffs]
-        if any(t is None for t in tables):
+            tables.append((i, shared[coeffs]))
+        if sorted(i for i, _ in tables) != list(range(self.n)):
             return None
         return tables
 
 
 class _PowerTable:
-    """x^e mod g(x) for one univariate g of degree k, grown on demand.
+    """x^e == (rem(e) + quot(e) * g(x)) / den(e) for one univariate g of
+    degree k and each e >= k, grown on demand: den(e) a nonzero int, rem(e)
+    of degree below k, both maps from exponents to nonzero int coefficients.
 
-    A row maps exponents below k to nonzero coefficients.  Row e - k is
-    x^e mod g for e >= k: row 0 is x^k - g / lc(g), and each further row
-    is x times the previous one with its x^k term replaced by row 0.
+    With s the least positive int for which s * g has int coefficients,
+    and c the leading one, x^k is (c * x^k - s * g + s * g) / c; x^(e+1)
+    is x times x^e with the x^k term of x * rem(e) replaced by the row
+    for x^k.
     """
 
     __slots__ = ("k", "_rows")
 
     def __init__(self, coeffs: dict[int, Fraction]):
-        self.k = max(coeffs)
-        lc = coeffs[self.k]
-        self._rows = [{e: -c / lc for e, c in coeffs.items() if e != self.k}]
+        self.k = k = max(coeffs)
+        s = math.lcm(*(c.denominator for c in coeffs.values()))
+        ints = {e: c.numerator * (s // c.denominator) for e, c in coeffs.items()}
+        self._rows = [(ints[k], {e: -c for e, c in ints.items() if e != k}, {0: s})]
 
-    def row(self, e: int) -> dict[int, Fraction]:
+    def row(self, e: int) -> tuple[int, dict[int, int], dict[int, int]]:
+        """(den(e), rem(e), quot(e)) for e >= k."""
         rows, k = self._rows, self.k
         while len(rows) <= e - k:
-            prev = rows[-1]
-            top = prev.get(k - 1, 0)
-            nxt = {f: top * c for f, c in rows[0].items()}
-            for f, c in prev.items():
+            (den_k, rem_k, quot_k), (den, rem, quot) = rows[0], rows[-1]
+            top = rem.get(k - 1, 0)
+            nxt = {f: top * c for f, c in rem_k.items()}
+            for f, c in rem.items():
                 if f + 1 < k:
-                    nxt[f + 1] = nxt.get(f + 1, 0) + c
-            rows.append({f: c for f, c in nxt.items() if c})
+                    nxt[f + 1] = nxt.get(f + 1, 0) + den_k * c
+            quot = {f + 1: den_k * c for f, c in quot.items()}
+            if top:
+                quot[0] = top * quot_k[0]
+            rows.append((den * den_k, {f: c for f, c in nxt.items() if c}, quot))
         return rows[e - k]
 
 
@@ -203,27 +214,59 @@ def divide(dividend: Polynomial, basis: GroebnerBasis) -> DivisionResult:
 def reduce_polynomial(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """The normal form of p modulo basis: divide(p, basis).remainder.
 
-    With one univariate generator per variable, each exponent e >= k_i of
-    a term is replaced by the table row x_i^e mod g_i; the product of the
-    rows is already reduced.  Other bases go through divide.
+    With one univariate generator per variable this is the table walk
+    (_expand); other bases go through divide.
     """
-    tables = basis._power_tables
-    if tables is None:
+    if basis._power_tables is None:
         return divide(p, basis).remainder
+    return _expand(p, basis, quotients=False)[0]
+
+
+def _expand(p: Polynomial, basis: GroebnerBasis,
+            quotients: bool) -> tuple[Polynomial, list[Polynomial]]:
+    """p's remainder by the walk through basis's power tables, and its
+    quotients on the generators if asked for (else an empty list).
+
+    A term's variables are rewritten in generator-list order, each by its
+    row x_i^e = (rem(e) + quot(e) * g_i) / den(e): quot(e) times the rest
+    of the term goes to g_i's quotient, rem(e) times it on to the next
+    generator.  A term leaves a variable below k_i as it is, and the last
+    products are already reduced.  The walk is on ints over one common
+    denominator, p's times a multiple of each term's product of den(e), so
+    each step divides exactly; a Fraction is made only for each output
+    term.
+    """
     if p.n != basis.n:
         raise DimensionMismatch(
             f"dividend over {p.n} variables, basis over {basis.n}")
+    tables = basis._power_tables
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    walks = [(mono, c.numerator * (den // c.denominator),
+              [(j, i) + table.row(mono[i]) for j, (i, table) in enumerate(tables)
+               if mono[i] >= table.k])
+             for mono, c in p.terms.items()]
+    scale = math.lcm(*(math.prod(row[2] for row in rows) for _, _, rows in walks))
     out: dict = {}
-    for mono, coeff in p.terms.items():
-        terms = [(mono, coeff)]
-        for i, e in enumerate(mono):
-            if e >= tables[i].k:
-                row = tables[i].row(e).items()
-                terms = [(m[:i] + (f,) + m[i + 1:], c * a)
-                         for m, c in terms for f, a in row]
+    found: list[dict] = [{} for _ in tables] if quotients else []
+    for mono, num, rows in walks:
+        terms = [(mono, num * scale)]
+        for j, i, r, rem, quot in rows:
+            terms = [(m, c // r) for m, c in terms]
+            if found:
+                q = found[j]
+                for m, c in terms:
+                    for f, a in quot.items():
+                        qm = m[:i] + (f,) + m[i + 1:]
+                        q[qm] = q.get(qm, 0) + c * a
+            terms = [(m[:i] + (f,) + m[i + 1:], c * a)
+                     for m, c in terms for f, a in rem.items()]
         for m, c in terms:
             out[m] = out.get(m, 0) + c
-    return Polynomial(p.n, out)
+    den *= scale
+
+    def over(t: dict) -> Polynomial:
+        return Polynomial._of_clean(p.n, {m: Fraction(c, den) for m, c in t.items() if c})
+    return over(out), [over(q) for q in found]
 
 
 def finite_domain_basis(n: int, roots: Sequence) -> GroebnerBasis:
@@ -267,13 +310,17 @@ def reconstruct_proof(target: Polynomial, combination: Polynomial,
     must agree exactly; otherwise the exact residual (reduced target minus
     reduced combination) is raised inside a ReconstructionError.  Degrees
     never grow: deg(g_i * f_i) is bounded by the larger of deg(target) and
-    deg(combination).
+    deg(combination).  The cofactors are divide(target - combination,
+    basis).quotients; on a product-domain basis they come from one table
+    walk of the difference, with no division.
     """
-    # With the generator order fixed, division is linear in the dividend,
-    # so one division of the difference yields both residual and cofactors.
-    div = divide(target - combination, basis)
-    if not div.remainder.is_zero():
+    if basis._power_tables is None:
+        div = divide(target - combination, basis)
+        remainder, quotients = div.remainder, div.quotients
+    else:
+        remainder, quotients = _expand(target - combination, basis, quotients=True)
+    if not remainder.is_zero():
         raise ReconstructionError(
             "reduced sides disagree; no cofactors exist for this identity",
-            residual=div.remainder)
-    return div.quotients
+            residual=remainder)
+    return quotients

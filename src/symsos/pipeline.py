@@ -22,13 +22,14 @@ back to rationals, reconstructs the Groebner cofactors exactly, and
 verifies, the one exact check (a sigma that is not PSD moves on to the next, finer
 window).  The search keeps each unknown's unreduced column (the pair
 monomials of a sigma id, or a free scalar's equality term), so sigma plus
-the equality terms is one linear combination of them: the cofactors come
-from dividing the goal minus that combination, with no expansion of sigma
-and no multiplier times its constraint, and verify is the one place sigma
-is expanded.  When the solver finds no point, the result says why:
-"dual-witness" when its primal iterate is numeric evidence that no
-certificate exists at this degree, "solver-stopped" when it stopped at its
-step cap or a failed factorisation without deciding.  The variable-count
+the equality terms is one linear combination of them: the cofactors are
+the quotients of the goal minus that combination on the ring's
+generators, with no expansion of sigma and no multiplier times its
+constraint, and verify is the one place sigma is expanded.  When the
+solver finds no point, the result says why: "dual-witness" when its
+primal iterate is numeric evidence that no certificate exists at this
+degree, "solver-stopped" when it stopped at its step cap or a failed
+factorisation without deciding.  The variable-count
 report runs the same setup check, so it rejects what the search rejects,
 and counts the unknowns off the same orbit tables without building a
 column.  A returned certificate is always exact and has been verified;
@@ -430,9 +431,11 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
         gb_pairs = []
         if gb is not None:
             # sigma plus every equality term is this one combination of the
-            # unreduced columns; dividing goal minus it gives the cofactors.
-            combo = linear_combination(inst.n, zip(rat.values, columns))
-            cofactors = reconstruct_proof(spec.goal, combo, gb)
+            # unreduced columns; the goal minus it must lie in the ideal, and
+            # its quotients on the basis are the cofactors.
+            residual = linear_combination(
+                inst.n, [(1, spec.goal)] + [(-v, c) for v, c in zip(rat.values, columns)])
+            cofactors = reconstruct_proof(residual, Polynomial.zero(inst.n), gb)
             gb_pairs = [(g, c) for g, c in zip(gb.generators, cofactors)
                         if not c.is_zero()]
         cert = SosCertificate(target=spec.goal, sigma=sigma,

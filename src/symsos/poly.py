@@ -285,18 +285,25 @@ class Polynomial:
 
 
 def linear_combination(n: int, terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial:
-    """sum c * p over the (c, p) pairs, added up in one dict.
+    """sum c * p over the (c, p) pairs, added up as ints over one common
+    denominator, with a Fraction made only for each nonzero output term.
 
     Raises DimensionMismatch when some p is not over n variables.
     """
-    out: dict[Monomial, Fraction] = {}
+    scaled = []  # (c's numerator, c's denominator times den, den, p)
     for c, p in terms:
         if p.n != n:
             raise DimensionMismatch(f"polynomials over {n} and {p.n} variables")
         if c:
-            for mono, coeff in p.terms.items():
-                accumulate_term(out, mono, coeff if c == 1 else c * coeff)
-    return Polynomial._of_clean(n, out)
+            den = math.lcm(*(a.denominator for a in p.terms.values()))
+            scaled.append((c.numerator, c.denominator * den, den, p))
+    common = math.lcm(*(d for _, d, _, _ in scaled))
+    out: dict[Monomial, int] = {}
+    for num, d, den, p in scaled:
+        scale = num * (common // d)
+        for mono, a in p.terms.items():
+            out[mono] = out.get(mono, 0) + scale * a.numerator * (den // a.denominator)
+    return Polynomial._of_clean(n, {m: Fraction(v, common) for m, v in out.items() if v})
 
 
 def monomials_up_to(n: int, d: int) -> list[Monomial]:

@@ -353,10 +353,16 @@ def rationalize(solution: NumericSolution, system: FeasibilitySystem, *,
 def combination(system: FeasibilitySystem, a_values: Sequence[Fraction],
                 basis: MonomialBasis) -> GramMatrix:
     """S(a) as an exact GramMatrix over basis, which holds system.basis:
-    zero on every row and column of a monomial that system.basis leaves out."""
+    zero on every row and column of a monomial that system.basis leaves out.
+    The grid is symmetric, so the upper triangle is computed and mirrored."""
     entries = [[Fraction(0)] * len(basis) for _ in basis]
     at = [basis.index(m) for m in system.basis]
-    for i, row in zip(at, system.gram):
-        for j, form in zip(at, row):
-            entries[i][j] = sum(c * a_values[r] for r, c in form.items())
+    for s, (i, row) in enumerate(zip(at, system.gram)):
+        for j, form in zip(at[s:], row[s:]):
+            if len(form) == 1:
+                (r, c), = form.items()
+                value = a_values[r] if c == 1 else c * a_values[r]
+            else:
+                value = sum(c * a_values[r] for r, c in form.items())
+            entries[i][j] = entries[j][i] = value
     return GramMatrix(basis, entries)

@@ -256,23 +256,64 @@ def test_product_domain_reduction_makes_no_division(monkeypatch):
     gb = finite_domain_basis(3, (Fraction(0), Fraction(1), Fraction(-1), Fraction(2)))
     p = random_poly(random.Random(41), 3, 8, terms=8)
     reduce_polynomial(p, gb)
-    assert calls == []
     reconstruct_proof(p, reduce_polynomial(p, gb), gb)
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("index", range(len(fallback_bases())))
 def test_other_bases_reduce_by_division(monkeypatch, index):
     gb = fallback_bases()[index]
     calls = counting_divide(monkeypatch)
-    reduce_polynomial(x(2, 0, 3) * x(2, 1, 2), gb)
+    p = x(2, 0, 3) * x(2, 1, 2)
+    remainder = reduce_polynomial(p, gb)
     assert len(calls) == 1
+    reconstruct_proof(p, remainder, gb)
+    assert len(calls) == 2
+
+
+@st.composite
+def product_bases(draw):
+    """One univariate generator per variable, in a drawn list order: the
+    domains {0,1}, {0,1,2,3} and {-1,1/2}, non-monic generators with a
+    leading coefficient of either sign, or any drawn univariate basis."""
+    x1, x2, x3 = (x(3, i) for i in range(3))
+    fixed = [finite_domain_basis(3, (0, 1)), finite_domain_basis(3, (0, 1, 2, 3)),
+             finite_domain_basis(3, (-1, Fraction(1, 2))),
+             GroebnerBasis((2 * x1 * x1 - 2, 2 * x2 * x2 - 2, 2 * x3 * x3 - 2)),
+             GroebnerBasis((2 * x1 * x1 - 2, Fraction(1, 2) * x2 - 3 * x2 ** 3,
+                            x3 * Fraction(1, 7) - 5))]
+    gb = draw(st.one_of(st.sampled_from(fixed), univariate_bases()))
+    return GroebnerBasis(tuple(draw(st.permutations(gb.generators))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_table_walk_finds_the_quotients_and_remainder_of_division(data):
+    """On a product basis reconstruct_proof's cofactors are divide's
+    quotients, and its residual is divide's remainder."""
+    gb = data.draw(product_bases())
+    target, other = data.draw(polynomials(gb.n)), data.draw(polynomials(gb.n))
+    # other plus the normal form of the difference: target - combination
+    # lies in the ideal.
+    combination = other + reduce_polynomial(target - other, gb)
+    division = divide(target - combination, gb)
+    assert division.remainder.is_zero()
+    assert reconstruct_proof(target, combination, gb) == division.quotients
+    division = divide(target - other, gb)
+    if division.remainder.is_zero():
+        assert reconstruct_proof(target, other, gb) == division.quotients
+    else:
+        with pytest.raises(ReconstructionError) as err:
+            reconstruct_proof(target, other, gb)
+        assert err.value.residual == division.remainder
 
 
 @pytest.mark.parametrize("gb", [boolean_basis(2), fallback_bases()[0]])
 def test_reduce_rejects_arity_mismatch(gb):
     with pytest.raises(DimensionMismatch):
         reduce_polynomial(x(3, 0, 2), gb)
+    with pytest.raises(DimensionMismatch):
+        reconstruct_proof(x(3, 0, 2), x(3, 1), gb)
 
 
 @pytest.mark.parametrize("gb", fallback_bases() + [finite_domain_basis(2, (0, 1, 2, 3))])

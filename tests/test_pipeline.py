@@ -12,7 +12,7 @@ from symsos import linalg, pipeline, symmetry
 from symsos.certificates import (NORMAL_FORM, bit_size, serialize_certificate,
                                  verify)
 from symsos.errors import InvalidInstance, InvalidSystem
-from symsos.groebner import GroebnerBasis, reconstruct_proof, reduce_polynomial
+from symsos.groebner import GroebnerBasis, divide, reduce_polynomial
 from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              Pseudoexpectation, _distinct_rows, _match_columns,
                              check_pseudoexpectation, find_pseudoexpectation,
@@ -804,17 +804,18 @@ def test_certified_search_expands_sigma_once_per_window(monkeypatch, search, ins
     expansions.clear()
     bit_size(cert)
     assert expansions == []
-    # The cofactors are the ones the product path finds: sigma expanded,
-    # each multiplier times its constraint (in normal form the scalar c
-    # stands for (c p) * p).
+    # The cofactors are divide's quotients of the target minus sigma
+    # expanded and each multiplier times its constraint (in normal form
+    # the scalar c stands for (c p) * p).
     monkeypatch.undo()
     products = [(p * m if cert.mode == NORMAL_FORM else m) * p
                 for p, m in cert.equality_multipliers]
-    cofactors = reconstruct_proof(cert.target,
-                                  sum(products, cert.sigma.to_polynomial()),
-                                  inst.groebner)
+    division = divide(cert.target - sum(products, cert.sigma.to_polynomial()),
+                      inst.groebner)
+    assert division.remainder.is_zero()
     assert cert.groebner_multipliers == [
-        (g, c) for g, c in zip(inst.groebner.generators, cofactors) if not c.is_zero()]
+        (g, c) for g, c in zip(inst.groebner.generators, division.quotients)
+        if not c.is_zero()]
 
 
 # -- the orbit-native setup against its earlier dense form --------------------
