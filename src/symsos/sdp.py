@@ -18,8 +18,9 @@ near 1e-6: on the feasible sum x_i = n/2 over {0,1}^n at d = 2 (n = 6, 8,
 10) the Schur complement's condition number reaches 1e15 to 1e17 and a
 witness takes 16, 20 and 15 steps, against 8 to 11 at d = 1, even over
 standard monomials, where no PSD direction reduces to zero.  Floats live
-only in this file, and float_view is the one place a system becomes
-floats.  The linear rows stay sparse: rationalize() rounds a numeric
+only in this file and in linalg's PSD hint, whose answer they cannot
+change, and float_view is the one place a system becomes floats.  The
+linear rows stay sparse: rationalize() rounds a numeric
 solution back to exact rationals and re-closes the linear system exactly
 (the rounding and projection of Peyrl and Parrilo, TCS 2008) over the
 rows as given: the residual, linalg's sparse integer minimum-norm

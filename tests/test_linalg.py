@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symsos import linalg
 from symsos.linalg import PsdOutcome, min_norm_correction, psd_certificate, rref_solve
 
 from .fraction_verify import quadratic_form
@@ -22,9 +23,7 @@ def random_psd(rng, dim, rank=None):
 
 def test_accepts_identity_and_zero():
     eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    out = psd_certificate(eye)
-    assert out.is_psd
-    assert all(p >= 0 for p in out.pivots)
+    assert psd_certificate(eye).is_psd
     zero = [[Fraction(0)] * 2 for _ in range(2)]
     assert psd_certificate(zero).is_psd
 
@@ -57,9 +56,7 @@ def test_random_psd_accepted():
     for _ in range(50):
         dim = rng.randint(1, 6)
         a = random_psd(rng, dim, rank=rng.randint(1, dim))
-        out = psd_certificate(a)
-        assert out.is_psd, a
-        assert all(p >= 0 for p in out.pivots)
+        assert psd_certificate(a).is_psd, a
 
 
 def test_random_rejections_carry_exact_witness():
@@ -157,12 +154,11 @@ def reference_min_norm(a, residual):
 def reference_elimination(matrix):
     """The outcome of the rational pivoted LDL^T that the fraction-free
     elimination must reproduce exactly: Fraction arithmetic, largest-diagonal
-    pivoting (first on ties), the same pivots and rejection witnesses."""
+    pivoting (first on ties), the same answer and rejection witnesses."""
     a = [[Fraction(x) for x in row] for row in matrix]
     n = len(a)
     low = [[Fraction(0)] * n for _ in range(n)]
     perm = list(range(n))
-    pivots = []
 
     def lift(k, tail):
         u = [Fraction(0)] * n
@@ -185,7 +181,6 @@ def reference_elimination(matrix):
                 low[k], low[piv] = low[piv], low[k]
                 perm[k], perm[piv] = perm[piv], perm[k]
             d = a[k][k]
-            pivots.append(d)
             for i in range(k + 1, n):
                 if a[i][k] == 0:
                     continue
@@ -208,9 +203,8 @@ def reference_elimination(matrix):
                     tail[i - k] = Fraction(1)
                     tail[j - k] = Fraction(-1) if a[i][j] > 0 else Fraction(1)
                     return lift(k, tail)
-        pivots.extend([Fraction(0)] * (n - k))
         break
-    return PsdOutcome(is_psd=True, pivots=pivots)
+    return PsdOutcome(is_psd=True)
 
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -299,6 +293,98 @@ def test_integer_matrix_agrees_with_it_as_fractions(a):
     ints = [[int(x * den) for x in row] for row in a]
     assert psd_certificate(ints) == psd_certificate([[Fraction(x) for x in row]
                                                      for row in ints])
+
+
+def lower(a):
+    return [row[:i + 1] for i, row in enumerate(a)]
+
+
+def int_gram(rows, n):
+    """B^T B for integer rows of length n."""
+    return [[sum(row[i] * row[j] for row in rows) for j in range(n)] for i in range(n)]
+
+
+INTS = st.integers(-6, 6)
+
+
+@st.composite
+def integer_matrices(draw):
+    """(kind, S): a symmetric integer matrix of one of the shapes the hint
+    must handle or turn down."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["definite", "singular", "indefinite", "huge",
+                                 "lone-diagonal", "near-singular"]))
+    square = int_gram([[draw(INTS) for _ in range(n)] for _ in range(n)], n)
+    definite = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(square)]
+    if kind == "definite":
+        return kind, definite
+    if kind == "singular":
+        rank = draw(st.integers(0, max(n - 1, 0)))
+        return kind, int_gram([[draw(INTS) for _ in range(n)] for _ in range(rank)], n)
+    if kind == "indefinite":
+        minus = int_gram([[draw(INTS) for _ in range(n)]
+                          for _ in range(draw(st.integers(1, 2)))], n)
+        return kind, [[x - y for x, y in zip(r, t)] for r, t in zip(square, minus)]
+    if kind == "huge":
+        # Entries over 1,023 bits: S only reads as floats once shifted.
+        scale = 2 ** draw(st.integers(1024, 1100)) + draw(st.integers(0, 2 ** 64))
+        return kind, [[scale * x + draw(INTS) * (i == j) for j, x in enumerate(row)]
+                      for i, row in enumerate(definite)]
+    if kind == "lone-diagonal":
+        # Some rows zero apart from a diagonal entry of any sign.
+        a = [row[:] for row in square]
+        for i in draw(st.sets(st.integers(0, max(n - 1, 0)))) if n else ():
+            for j in range(n):
+                a[i][j] = a[j][i] = 0
+            a[i][i] = draw(INTS)
+        return kind, a
+    # M G +- t I with G singular: the smallest eigenvalue over max S_ii is
+    # about t / (M max G_ii), 1e-8 here, like an exactly tight proof's sigma.
+    g = int_gram([[draw(INTS) for _ in range(n)] for _ in range(max(n - 1, 0))], n)
+    top = max((g[i][i] for i in range(n)), default=0) or 1
+    t = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+    scale = 10 ** 8 // top
+    return kind, [[scale * x + t * (i == j) for j, x in enumerate(row)]
+                  for i, row in enumerate(g)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+def test_hint_accepts_only_what_the_elimination_accepts(case):
+    kind, a = case
+    n = len(a)
+    hint = linalg._cholesky_hint(lower(a))
+    remainder = None if hint is None else linalg._remainder(lower(a), *hint)
+    eliminated = linalg._bareiss(lower(a), 1)
+    assert psd_certificate(a) == eliminated
+    if remainder is None or not linalg._dominant(remainder):
+        # The hint proves every well-conditioned positive definite matrix.
+        assert kind not in ("definite", "huge") or not n
+        return
+    assert eliminated.is_psd
+    # 2^(2k) S = 2^e L' L'^T + R, exactly.
+    k, e, low = hint
+    full = [row + [0] * (n - len(row)) for row in low]
+    for i in range(n):
+        for j in range(i + 1):
+            product = sum(x * y for x, y in zip(full[i], full[j]))
+            assert a[i][j] << 2 * k == (product << e) + remainder[i][j]
+
+
+def test_remainder_check_needs_signs_and_absolute_values():
+    # [[2, -3], [-3, 2]] has the eigenvalue -1.  Under L' = [[1], [-1, 0]]
+    # the remainder 4 [[1, -2], [-2, 1]] has a positive diagonal, and a check
+    # that summed signed off-diagonal entries would accept it.
+    a = [[2, -3], [-3, 2]]
+    assert linalg._remainder(lower(a), 1, 2, [[1], [-1, 0]]) == [[4], [-8, 4]]
+    # [[4, 2], [2, -1]] is indefinite.  Under L' = [[2], [1, 0]] the remainder
+    # [[0, 0], [0, -2]] has no off-diagonal mass, and a check that compared
+    # |R_ii| would accept it.
+    b = [[4, 2], [2, -1]]
+    assert linalg._remainder(lower(b), 0, 0, [[2], [1, 0]]) == [[0], [0, -2]]
+    for matrix, hint in ((a, (1, 2, [[1], [-1, 0]])), (b, (0, 0, [[2], [1, 0]]))):
+        assert not linalg._dominant(linalg._remainder(lower(matrix), *hint))
+        assert not psd_certificate(matrix).is_psd
 
 
 # Mostly zeros, so rows are sparse and some columns are touched by no row.

@@ -450,10 +450,7 @@ def test_prove_constant_one():
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_prove_literal_square_at_default_epsilon(n):
-    p = sum_of_vars(n) - Polynomial.constant(n, frac(n, 2))
-    inst = ProblemInstance(group=GroupSpec.symmetric(n), equalities=[],
-                           domain_roots=BOOL, target=p * p, degree=1)
-    result = prove_invariant(inst)
+    result = prove_invariant(literal_square(n))
     assert result.certified
     assert result.epsilon == pipeline.DEFAULT_EPSILON
     assert verify(result.certificate).accepted
@@ -774,6 +771,35 @@ def e2_proof(n):
                            domain_roots=BOOL,
                            target=e2 - Polynomial.constant(n, math.comb(n // 2, 2) - 1),
                            degree=1)
+
+
+def literal_square(n):
+    """(sum x_i - n/2)^2 >= 0 over {0,1}^n, S(n), d=1: sigma is singular."""
+    p = sum_of_vars(n) - Polynomial.constant(n, frac(n, 2))
+    return ProblemInstance(group=GroupSpec.symmetric(n), equalities=[],
+                           domain_roots=BOOL, target=p * p, degree=1)
+
+
+@pytest.mark.parametrize("search,inst,width,eliminations", [
+    (refute_invariant_system, replace(half_integral_knapsack(6), degree=2), 22, 0),
+    (prove_invariant, replace(e2_proof(6), group=GroupSpec((3, 3)), degree=2), 22, 0),
+    (prove_invariant, literal_square(3), 4, 1),
+], ids=["refute-S6-d2", "prove-e2-S3xS3-d2", "square-n3"])
+def test_verify_proves_definite_sigma_without_elimination(monkeypatch, search, inst,
+                                                         width, eliminations):
+    result = search(inst)
+    assert result.certified
+    assert len(integer_block(result.certificate.sigma)) == width
+    calls = []
+    original = linalg._bareiss
+
+    def counted(b, den):
+        calls.append(len(b))
+        return original(b, den)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    assert verify(result.certificate).accepted
+    assert calls == [width] * eliminations
 
 
 @pytest.mark.parametrize("search,inst", [
