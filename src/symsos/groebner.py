@@ -20,6 +20,10 @@ division is linear in the dividend, divide reduces each monomial's first
 dividing generator (in list order) to completion before the next, and
 univariate division by g_i is unique.  divide remains for every other
 basis, and as the test oracle.
+
+reduce_polynomial is the one normal form the pipeline takes (each search
+column and goal whole, each moment orbit's representative once), so this
+module alone decides how a polynomial is reduced.
 """
 
 from __future__ import annotations

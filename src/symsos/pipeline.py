@@ -10,9 +10,9 @@ hands it to the one search core, _search.  Its setup works on orbits and
 sparse terms: key each pair of standard monomials by
 its support, so that the pair orbits and their grid of merged-orbit ids
 (one unknown of sigma per id) are enumerated once over the Gram basis
-alone; reduce each distinct monomial modulo the coordinate ring once,
-through one normal-form map per call that feeds the columns, the free
-terms and the goal (a standard monomial is its own normal form); fill
+alone; reduce each unknown's column and the goal modulo the coordinate
+ring as whole polynomials, through groebner.reduce_polynomial, the one
+normal form the pipeline takes; fill
 each coefficient-matching row from the columns' own terms and drop
 repeats, keeping each row sparse from matching to rationalization, one per
 distinct coefficient equation (one per monomial orbit for invariant data).
@@ -71,7 +71,7 @@ from .certificates import (GENERAL, NORMAL_FORM, BitSizeReport, MultiplierLike,
 from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
-from .poly import (Monomial, MonomialBasis, Polynomial, accumulate_term, grlex_key,
+from .poly import (Monomial, MonomialBasis, Polynomial, grlex_key,
                    linear_combination, mono_divides, monomials_up_to)
 from .sdp import (FeasibilitySystem, SolveOutcome, combination, float_view,
                   rationalize, solve_feasibility)
@@ -199,36 +199,6 @@ class Pseudoexpectation:
     degree: int
     moments: dict
     numeric: bool
-
-
-class _NormalForms(dict):
-    """Monomial -> its normal form modulo the ring, as {monomial: coefficient}.
-
-    One map per call: each monomial is reduced once, on its first lookup,
-    and a standard monomial is its own normal form.  Reduction is linear,
-    so reduce() adds up the normal forms of a polynomial's terms.
-    """
-
-    def __init__(self, n: int, gb: Optional[GroebnerBasis]):
-        super().__init__()
-        self.n, self.gb = n, gb
-
-    def __missing__(self, mono: Monomial) -> Mapping[Monomial, Fraction]:
-        if self.gb is None or self.gb.is_standard(mono):
-            form = {mono: Fraction(1)}
-        else:
-            form = reduce_polynomial(Polynomial._of_clean(self.n, {mono: Fraction(1)}),
-                                     self.gb).terms
-        self[mono] = form
-        return form
-
-    def reduce(self, terms: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """The normal form of sum c x^m over these terms, nonzero terms only."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in terms.items():
-            for m, a in self[mono].items():
-                accumulate_term(out, m, c * a)
-        return out
 
 
 def _distinct_rows(rows: Iterable[tuple[Sequence[tuple[int, Fraction]], Fraction]]):
@@ -408,9 +378,10 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     # Each unknown's unreduced column: what its value 1 adds to the identity.
     columns = [Polynomial._of_clean(inst.n, {m: Fraction(c) for m, c in t.items()})
                for t in a_terms] + spec.free_terms
-    normal = _NormalForms(inst.n, gb)
-    rows, rhs = _match_columns([normal.reduce(c.terms) for c in columns],
-                               normal.reduce(spec.goal.terms))
+
+    def normal(p: Polynomial) -> Mapping[Monomial, Fraction]:
+        return p.terms if gb is None else reduce_polynomial(p, gb).terms
+    rows, rhs = _match_columns([normal(c) for c in columns], normal(spec.goal))
     unit = [{r: Fraction(1)} for r in range(k2)]
     system = FeasibilitySystem(basis=standard,
                                gram=[[unit[r] for r in row] for row in ids],
@@ -469,11 +440,9 @@ def prove_invariant(inst: ProblemInstance) -> PipelineResult:
             owners.append((j, gen))
 
     def multipliers(values: Sequence[Fraction]):
-        lambdas = [Polynomial.zero(n) for _ in inst.equalities]
-        for (j, gen), value in zip(owners, values):
-            if value:
-                lambdas[j] = lambdas[j] + gen * value
-        return list(zip(inst.equalities, lambdas))
+        return [(p, linear_combination(n, [(value, gen) for (i, gen), value
+                                           in zip(owners, values) if i == j]))
+                for j, p in enumerate(inst.equalities)]
 
     return _search(inst, _SearchSpec(
         goal=inst.target + Polynomial.constant(n, inst.epsilon), gram_degree=d,
@@ -536,10 +505,9 @@ def _moment_system(inst: ProblemInstance, deg: int
     (one constraint per orbit gives them all), and an invariant p takes
     one shift per monomial orbit, the first of the walk over every shift.
     """
-    n, group = inst.n, inst.group
+    n, group, gb = inst.n, inst.group, inst.groebner
     reps = _moment_representatives(inst, deg)
     slot = {r: i for i, r in enumerate(reps)}
-    normal = _NormalForms(n, inst.groebner)
     forms: dict[Monomial, dict[int, Fraction]] = {}
 
     def moment_of(mono: Monomial) -> dict[int, Fraction]:
@@ -548,7 +516,9 @@ def _moment_system(inst: ProblemInstance, deg: int
         form = forms.get(canon)
         if form is None:
             form = forms[canon] = {}
-            for m, coeff in normal[canon].items():
+            normal = ({canon: Fraction(1)} if gb is None else
+                      reduce_polynomial(Polynomial.monomial(n, canon), gb).terms)
+            for m, coeff in normal.items():
                 r = slot[canonical_monomial(group, m)]
                 form[r] = form.get(r, 0) + coeff
         return form

@@ -77,6 +77,7 @@ def test_hand_refutations_verify():
     for cert in (linear_refutation(), quadratic_refutation()):
         out = verify(cert)
         assert out.accepted, out.failure
+        assert out  # truth is acceptance: `if verify(cert):` reads it
 
 
 def test_expand_matches_target():
@@ -89,7 +90,7 @@ def test_mutated_coefficient_rejected():
     p, mult = cert.equality_multipliers[0]
     cert.equality_multipliers[0] = (p, mult + Polynomial.constant(1, frac(1, 7)))
     out = verify(cert)
-    assert not out.accepted
+    assert not out.accepted and not out
     assert out.residual is not None and not out.residual.is_zero()
 
 

@@ -275,6 +275,21 @@ def test_reynolds_command(tmp_path, capsys):
                     "target: refute\n")
     assert cli.main(["reynolds", problem]) == 0
     assert "1/2*x1 + 1/2*x2" in capsys.readouterr().out
+    target = write(tmp_path, "t.sos", "vars: 2\ngroup: S(2)\ntarget: x1 + x2\n")
+    assert cli.main(["reynolds", target]) == 0
+    assert capsys.readouterr().out == "target: x1 + x2  ->  x1 + x2\n"
+    empty = write(tmp_path, "e.sos", "vars: 2\ndomain: {0,1}\n")
+    assert cli.main(["reynolds", empty]) == 2
+    assert capsys.readouterr().err == "error: no polynomials to average\n"
+
+
+def test_search_over_the_solver_cap_exits_3(tmp_path, capsys):
+    # no group: 40 variables leave 861 Gram unknowns and one free scalar
+    xs = " + ".join(f"x{i}" for i in range(1, 41))
+    problem = write(tmp_path, "wide.sos",
+                    f"vars: 40\ndomain: {{0,1}}\neq: {xs} - 1/2\ndegree: 1\n")
+    assert cli.main(["refute", problem]) == 3
+    assert "exceed solver cap" in capsys.readouterr().err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -18,7 +18,8 @@ from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              check_pseudoexpectation, find_pseudoexpectation,
                              point_pseudoexpectation, prove_invariant,
                              refute_invariant_system, variable_count_report)
-from symsos.poly import MonomialBasis, Polynomial, grlex_key, monomials_up_to
+from symsos.poly import (MonomialBasis, Polynomial, accumulate_term, grlex_key,
+                         monomials_up_to)
 from symsos.sdp import (FeasibilitySystem, NumericSolution, SolveOutcome,
                         solve_feasibility)
 from symsos.symmetry import (GramMatrix, GroupSpec, canonical_monomial,
@@ -912,21 +913,57 @@ def reduced_monomials(monkeypatch):
     return seen
 
 
+def star_ring_proof(n):
+    """1 - sum x_i >= 0 modulo x_i^2 - x_i and every x_i x_j (the origin and
+    the unit vectors), S(n), d=2: a ring with no power tables, so reduction
+    goes through division."""
+    xs = [Polynomial.variable(n, i) for i in range(n)]
+    ring = GroebnerBasis(tuple([x * x - x for x in xs]
+                               + [xs[i] * xs[j] for i in range(n) for j in range(i + 1, n)]))
+    return ProblemInstance(group=GroupSpec.symmetric(n), equalities=[], groebner=ring,
+                           target=Polynomial.constant(n, 1) - sum_of_vars(n), degree=2)
+
+
+def normal_form_by_monomial(p, gb):
+    """p modulo gb: each monomial reduced alone by division, the normal
+    forms added up in Fractions."""
+    out = {}
+    for mono, c in p.terms.items():
+        for m, a in divide(Polynomial.monomial(p.n, mono), gb).remainder.terms.items():
+            accumulate_term(out, m, c * a)
+    return out
+
+
 @pytest.mark.parametrize("search,inst", [
     (refute_invariant_system, replace(half_integral_knapsack(4), degree=2)),
     (refute_invariant_system, knapsack_on(FOUR, 2, 2)),
     (refute_invariant_system, knapsack_on(BOOL, 4, 2, GroupSpec((2, 2)))),
     (prove_invariant, e2_proof(6)),
-], ids=["bool-S4-d2", "four-S2-d2", "bool-S2xS2-d2", "prove-e2-S6"])
-def test_search_reduces_each_distinct_monomial_once(monkeypatch, search, inst):
+    (prove_invariant, star_ring_proof(4)),
+], ids=["bool-S4-d2", "four-S2-d2", "bool-S2xS2-d2", "prove-e2-S6", "prove-star-S4"])
+def test_search_reduces_each_column_once(monkeypatch, search, inst):
     seen = reduced_monomials(monkeypatch)
-    result = search(inst)
-    assert result.certified
-    monos = [p.leading_monomial() for p in seen]
-    assert all(len(p.terms) == 1 and p.terms[m] == 1 for p, m in zip(seen, monos))
-    assert len(monos) == len(set(monos))
-    # only the monomials that reduction changes: none is standard
-    assert not any(inst.groebner.is_standard(m) for m in monos)
+    specs, systems = [], []
+    core, solve = pipeline._search, pipeline.solve_feasibility
+    monkeypatch.setattr(pipeline, "_search",
+                        lambda i, spec: specs.append(spec) or core(i, spec))
+    monkeypatch.setattr(pipeline, "solve_feasibility",
+                        lambda system: systems.append(system) or solve(system))
+    assert search(inst).certified
+    (spec,), (system,) = specs, systems
+    # one whole-polynomial reduction per unknown's column, one for the goal
+    assert len(seen) == system.k2 + system.k3 + 1
+    # id r's unreduced column sums x^(a + b) over the grid entries holding r
+    n, gb = inst.n, inst.groebner
+    columns = [Polynomial.zero(n) for _ in range(system.k2)]
+    for a, row in zip(system.basis, system.gram):
+        for b, form in zip(system.basis, row):
+            (r,) = form
+            columns[r] = columns[r] + Polynomial.monomial(n, tuple(map(sum, zip(a, b))))
+    rows, rhs = _match_columns(
+        [normal_form_by_monomial(c, gb) for c in columns + spec.free_terms],
+        normal_form_by_monomial(spec.goal, gb))
+    assert (system.linear_map, system.rhs) == (rows, rhs)
 
 
 def reference_moment_system(inst, deg, constraints):
