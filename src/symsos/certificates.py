@@ -9,10 +9,11 @@ constraint (general mode) or a * p^2 with a scalar a (normal-form mode),
 and the f_i are Groebner generators of the coordinate ring.  A refutation
 is the special case target = -1.
 
-verify() works on integers: it expands sigma, and each multiplier times its
-constraint or generator, over their own denominators, sums them over one
-common one, checks each term's degree, and certifies sigma >= 0 by exact
-LDL^T of its nonzero integer block.  It is the one exact acceptance check:
+verify() works on integers: it expands sigma (GramMatrix.integer_form), and
+each multiplier times its constraint or generator (poly.integer_product),
+over their own denominators, sums them over one common one, checks each
+term's degree, and certifies sigma >= 0 by exact LDL^T of its nonzero
+integer block.  It is the one exact acceptance check:
 acceptance is a theorem about the inputs, and every rejection carries an
 exact witness (a residual polynomial or v with v^T sigma v < 0).
 
@@ -30,13 +31,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Optional, Union
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidWitness, ParseError
-from .poly import (Monomial, MonomialBasis, Polynomial, linear_combination,
-                   mono_mul)
+from .poly import (Monomial, MonomialBasis, Polynomial, clear_denominators,
+                   integer_product, linear_combination, mono_mul)
 from .symmetry import GramMatrix
 
 MultiplierLike = Union[Polynomial, Fraction]
@@ -79,24 +79,6 @@ class BitSizeReport:
     coefficient_count: int
 
 
-def _product(factors: list[Polynomial]) -> tuple[dict[Monomial, int], int]:
-    """(terms, den) with terms / den the factors' product and no zero
-    coefficient, den the product of each factor's own lcm denominator."""
-    scaled = []
-    for p in factors:
-        d = math.lcm(*(c.denominator for c in p.terms.values()))
-        scaled.append(({m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}, d))
-    terms, den = scaled[0]
-    for other, d in scaled[1:]:
-        out: dict[Monomial, int] = {}
-        for ma, ca in terms.items():
-            for mb, cb in other.items():
-                m = tuple(map(add, ma, mb))
-                out[m] = out.get(m, 0) + ca * cb
-        terms, den = {m: c for m, c in out.items() if c}, den * d
-    return terms, den
-
-
 def verify(cert: SosCertificate) -> VerificationOutcome:
     """Exact acceptance check: structure, identity, degree bounds, PSD."""
     if cert.mode not in (GENERAL, NORMAL_FORM):
@@ -119,8 +101,8 @@ def verify(cert: SosCertificate) -> VerificationOutcome:
                 False, failure=f"polynomials over {a.n} and {b.n} variables")
     # Every term, and the target, over one common denominator.
     den, keep, block, sigma = cert.sigma.integer_form()
-    terms = [(sigma, den)] + [_product(f) for f in factors]
-    target, tden = _product([cert.target])
+    terms = [(sigma, den)] + [integer_product(f) for f in factors]
+    target, tden = clear_denominators(cert.target.terms)
     common = math.lcm(tden, *(d for _, d in terms))
     rest = {m: c * (common // tden) for m, c in target.items()}
     for t, d in terms:

@@ -19,7 +19,8 @@ remainder, reconstruct_proof also the quotients.  Both equal divide's:
 division is linear in the dividend, divide reduces each monomial's first
 dividing generator (in list order) to completion before the next, and
 univariate division by g_i is unique.  divide remains for every other
-basis, and as the test oracle.
+basis, and as the test oracle; its result checks its own identity with
+poly's integer product and linear_combination.
 
 reduce_polynomial is the one normal form the pipeline takes (each search
 column and goal whole, each moment orbit's representative once), so this
@@ -36,8 +37,8 @@ from operator import add, ge
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidDomain, ReconstructionError
-from .poly import (Polynomial, accumulate_term, grlex_key, mono_divides,
-                   mono_quotient)
+from .poly import (Polynomial, accumulate_term, clear_denominators, grlex_key,
+                   linear_combination, mono_divides, mono_quotient)
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,7 @@ class _PowerTable:
 
     def __init__(self, coeffs: dict[int, Fraction]):
         self.k = k = max(coeffs)
-        s = math.lcm(*(c.denominator for c in coeffs.values()))
-        ints = {e: c.numerator * (s // c.denominator) for e, c in coeffs.items()}
+        ints, s = clear_denominators(coeffs)
         self._rows = [(ints[k], {e: -c for e, c in ints.items() if e != k}, {0: s})]
 
     def row(self, e: int) -> tuple[int, dict[int, int], dict[int, int]]:
@@ -164,13 +164,9 @@ class DivisionResult:
     remainder: Polynomial
 
     def __post_init__(self):
-        # remainder + sum q_i f_i, each product term added into one dict.
-        acc = dict(self.remainder.terms)
-        for q, g in zip(self.quotients, self.basis.generators):
-            for mq, cq in q.terms.items():
-                for mg, cg in g.terms.items():
-                    accumulate_term(acc, tuple(map(add, mq, mg)), cq * cg)
-        if acc != self.dividend.terms:
+        closed = linear_combination(self.dividend.n, [(1, self.remainder)] + [
+            (1, q * g) for q, g in zip(self.quotients, self.basis.generators)])
+        if closed != self.dividend:
             raise ValueError("division bookkeeping violated: identity does not close")
         leads = [g.leading_monomial() for g in self.basis.generators]
         for mono in self.remainder.terms:
@@ -244,11 +240,10 @@ def _expand(p: Polynomial, basis: GroebnerBasis,
         raise DimensionMismatch(
             f"dividend over {p.n} variables, basis over {basis.n}")
     tables = basis._power_tables
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    walks = [(mono, c.numerator * (den // c.denominator),
-              [(j, i) + table.row(mono[i]) for j, (i, table) in enumerate(tables)
-               if mono[i] >= table.k])
-             for mono, c in p.terms.items()]
+    ints, den = clear_denominators(p.terms)
+    walks = [(mono, num, [(j, i) + table.row(mono[i]) for j, (i, table) in enumerate(tables)
+                          if mono[i] >= table.k])
+             for mono, num in ints.items()]
     scale = math.lcm(*(math.prod(row[2] for row in rows) for _, _, rows in walks))
     out: dict = {}
     found: list[dict] = [{} for _ in tables] if quotients else []
@@ -285,18 +280,12 @@ def finite_domain_basis(n: int, roots: Sequence) -> GroebnerBasis:
         raise InvalidDomain("need an even number of roots, at least two")
     if len(set(root_fracs)) != len(root_fracs):
         raise InvalidDomain("domain roots must be distinct")
-    coeffs = {0: Fraction(1)}  # the product so far, {exponent: coefficient}
-    for r in root_fracs:
-        times = {}
-        for e, c in coeffs.items():
-            accumulate_term(times, e + 1, c)
-            if r:
-                accumulate_term(times, e, -r * c)
-        coeffs = times
+    x = Polynomial.variable(1, 0)
+    g = math.prod(x - r for r in root_fracs)
     zeros = (0,) * n
     return GroebnerBasis(tuple(
         Polynomial._of_clean(n, {zeros[:i] + (e,) + zeros[i + 1:]: c
-                                 for e, c in coeffs.items()})
+                                 for (e,), c in g.terms.items()})
         for i in range(n)))
 
 

@@ -9,6 +9,10 @@ as zero.
 Monomials are ordered by graded lexicographic order (total degree first,
 ties broken lexicographically on the exponent tuple), which doubles as
 the term order used by the division algorithm downstream.
+
+Products (integer_product) and weighted sums (linear_combination) run on
+ints, each input over its least common denominator (clear_denominators).
++ and - copy a dict instead: far cheaper when one operand is small.
 """
 
 from __future__ import annotations
@@ -207,11 +211,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_n(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                accumulate_term(out, tuple(map(add, ma, mb)), ca * cb)
-        return Polynomial._of_clean(self.n, out)
+        terms, den = integer_product([self, other])
+        return Polynomial._of_clean(self.n, {m: Fraction(c, den) for m, c in terms.items()})
 
     __rmul__ = __mul__
 
@@ -284,25 +285,48 @@ class Polynomial:
         return f"Polynomial({self.n}, {self._terms!r})"
 
 
+def clear_denominators(terms: Mapping) -> tuple[dict, int]:
+    """(ints, den) with ints[k] / den == terms[k], den the least common
+    denominator of the values (1 for no values)."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def integer_product(factors: Sequence[Polynomial]) -> tuple[dict[Monomial, int], int]:
+    """(terms, den) with terms / den the product of the factors (at least
+    one) and no zero in terms, den the product of each factor's own
+    denominator: each pair of terms is multiplied as ints."""
+    terms, den = clear_denominators(factors[0].terms)
+    for p in factors[1:]:
+        other, d = clear_denominators(p.terms)
+        out: dict[Monomial, int] = {}
+        for ma, ca in terms.items():
+            for mb, cb in other.items():
+                m = tuple(map(add, ma, mb))
+                out[m] = out.get(m, 0) + ca * cb
+        terms, den = {m: c for m, c in out.items() if c}, den * d
+    return terms, den
+
+
 def linear_combination(n: int, terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial:
     """sum c * p over the (c, p) pairs, added up as ints over one common
     denominator, with a Fraction made only for each nonzero output term.
 
     Raises DimensionMismatch when some p is not over n variables.
     """
-    scaled = []  # (c's numerator, c's denominator times den, den, p)
+    scaled = []  # (c's numerator, c's denominator times p's, p's int terms)
     for c, p in terms:
         if p.n != n:
             raise DimensionMismatch(f"polynomials over {n} and {p.n} variables")
         if c:
-            den = math.lcm(*(a.denominator for a in p.terms.values()))
-            scaled.append((c.numerator, c.denominator * den, den, p))
-    common = math.lcm(*(d for _, d, _, _ in scaled))
+            ints, den = clear_denominators(p.terms)
+            scaled.append((c.numerator, c.denominator * den, ints))
+    common = math.lcm(*(d for _, d, _ in scaled))
     out: dict[Monomial, int] = {}
-    for num, d, den, p in scaled:
+    for num, d, ints in scaled:
         scale = num * (common // d)
-        for mono, a in p.terms.items():
-            out[mono] = out.get(mono, 0) + scale * a.numerator * (den // a.denominator)
+        for mono, a in ints.items():
+            out[mono] = out.get(mono, 0) + scale * a
     return Polynomial._of_clean(n, {m: Fraction(v, common) for m, v in out.items() if v})
 
 

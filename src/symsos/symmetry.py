@@ -209,11 +209,11 @@ def _transposed(key: tuple) -> tuple:
     return tuple(sorted((blk, y, x) for blk, x, y in key))
 
 
-def _pair_representative(group: GroupSpec, key: tuple) -> tuple[Monomial, Monomial]:
-    """The orbit's canonical form: in each block the nonzero cells (a_i,
-    b_i) sorted descending, then the zero cells."""
-    a, b = [0] * group.n, [0] * group.n
-    free = [blk.start for blk in group.blocks()]  # next position in each block
+def _pair_representative(n: int, starts: list[int], key: tuple) -> tuple[Monomial, Monomial]:
+    """The orbit's canonical form: in each block, from its start, the
+    nonzero cells (a_i, b_i) sorted descending, then the zero cells."""
+    a, b = [0] * n, [0] * n
+    free = list(starts)  # next position in each block
     for blk, x, y in sorted(key, key=lambda cell: (cell[0], -cell[1], -cell[2])):
         a[free[blk]], b[free[blk]] = x, y
         free[blk] += 1
@@ -231,7 +231,8 @@ def enumerate_pair_orbits(group: GroupSpec, degree: int,
         monomials = MonomialBasis(group.n, degree).entries
     keys = _pair_keys(group, monomials)
     sizes = Counter(key for row in keys for key in row)
-    canon = {key: _pair_representative(group, key) for key in sizes}
+    starts = [blk.start for blk in group.blocks()]
+    canon = {key: _pair_representative(group.n, starts, key) for key in sizes}
     order = sorted(sizes, key=lambda k: (grlex_key(canon[k][0]), grlex_key(canon[k][1])))
     index = {k: i for i, k in enumerate(order)}
     return OrbitTable(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from symsos import groebner
 from symsos.errors import DimensionMismatch, InvalidDomain, ReconstructionError
-from symsos.groebner import (GroebnerBasis, boolean_basis, divide,
+from symsos.groebner import (DivisionResult, GroebnerBasis, boolean_basis, divide,
                              finite_domain_basis, reconstruct_proof,
                              reduce_polynomial)
 from symsos.poly import Polynomial, mono_divides
@@ -65,6 +65,22 @@ def test_divide_pinned():
     assert out.remainder == Polynomial.monomial(2, (1, 1))
     assert out.quotients[0] == Polynomial.variable(2, 1)
     assert out.quotients[1] == Polynomial.zero(2)
+
+
+def test_division_result_checks_its_invariant():
+    # 1/3 x1^2 x2 + 1/2 x2 == 1/3 x2 * (x1^2 - x1) + 0 * (x2^2 - x2) + r
+    gb = boolean_basis(2)
+    x2, zero = Polynomial.variable(2, 1), Polynomial.zero(2)
+    p = Polynomial(2, {(2, 1): Fraction(1, 3), (0, 1): Fraction(1, 2)})
+    r = Polynomial(2, {(1, 1): Fraction(1, 3), (0, 1): Fraction(1, 2)})
+    assert DivisionResult(p, gb, [x2 * Fraction(1, 3), zero], r).remainder == r
+    with pytest.raises(ValueError, match="identity does not close"):
+        DivisionResult(p, gb, [x2 * Fraction(1, 2), zero], r)
+    with pytest.raises(ValueError, match="identity does not close"):
+        DivisionResult(p, gb, [x2 * Fraction(1, 3), zero], r + 1)
+    # the identity closes with no quotient, but x1^2 x2 is reducible
+    with pytest.raises(ValueError, match="remainder contains a reducible monomial"):
+        DivisionResult(p, gb, [zero, zero], p)
 
 
 def test_divide_first_divisor_wins():

@@ -65,18 +65,46 @@ def test_zero_polynomial_degree():
     assert Polynomial.constant(3, 0) == Polynomial.zero(3)
 
 
+def fraction_product(p, q):
+    """p * q with one Fraction product per pair of terms."""
+    out = {}
+    for ma, ca in p.terms.items():
+        for mb, cb in q.terms.items():
+            m = mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
 def test_arithmetic_matches_evaluation():
     rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        p = random_poly(rng, n, 4)
-        q = random_poly(rng, n, 4)
-        pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    fixed = [
+        (x1 - x2, x1 + x2),  # the cross terms cancel
+        ((x1 - x2) * (x1 + x2), Polynomial.constant(2, 1)),
+        (x1 * Fraction(1, 6) + x2 * Fraction(3, 4), x1 * Fraction(2, 9) - Fraction(5, 8)),
+        (x1 - Fraction(1, 3), Polynomial.zero(2)),
+        (Polynomial.zero(2), x2 + 1),
+        (Polynomial.constant(0, Fraction(-2, 3)), Polynomial.constant(0, Fraction(9, 4))),
+        (Polynomial.constant(0, 5), Polynomial.zero(0)),
+    ]
+
+    def pairs():
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            yield random_poly(rng, n, 4), random_poly(rng, n, 4)
+        yield from fixed
+
+    for p, q in pairs():
+        pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(p.n)]
         assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
         assert (p - q).evaluate(pt) == p.evaluate(pt) - q.evaluate(pt)
         assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
         assert (-p).evaluate(pt) == -p.evaluate(pt)
         assert (p ** 2).evaluate(pt) == p.evaluate(pt) ** 2
+        assert (p * q).terms == fraction_product(p, q)
+        for r in (p + q, p - q, p * q, -p, p ** 2):
+            assert all(type(c) is Fraction and c for c in r.terms.values())
+    assert (x1 - x2) * (x1 + x2) - (x1 * x1 - x2 * x2) == Polynomial.zero(2)
 
 
 def test_degree_of_product_adds():

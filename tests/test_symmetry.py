@@ -490,3 +490,19 @@ def test_pair_orbits_of_300_variables():
     group = GroupSpec.symmetric(300)
     table = enumerate_pair_orbits(group, 1)
     assert len(table) == 5 and sum(table.sizes) == 301 ** 2
+
+
+def test_pair_orbits_read_the_blocks_once(monkeypatch):
+    # under the trivial group each pair orbit has its own representative;
+    # the block starts are read once, not once per orbit
+    calls = []
+    blocks = GroupSpec.blocks
+
+    def spy(group):
+        calls.append(group)
+        return blocks(group)
+
+    monkeypatch.setattr(GroupSpec, "blocks", spy)
+    table = enumerate_pair_orbits(GroupSpec.trivial(40), 1)
+    assert len(table) == 41 ** 2
+    assert len(calls) <= 1
