@@ -3,10 +3,12 @@
 prove_invariant and refute_invariant_system look for the same object,
 goal == sigma + sum(multiplier * constraint) + ideal with sigma and the
 multipliers invariant; they differ in the goal, the free columns and the
-certificate mode.  Each validates its instance through its mode's one
-setup check (_proof_setup, _refutation_setup), which fixes the Gram degree
-and the constraint orbits, describes its search in a _SearchSpec, and
-hands it to the one search core, _search.  Its setup works on orbits and
+certificate mode.  Each describes its search in a _SearchSpec, built by
+its mode's one setup check (_proof_spec, _refutation_spec), which
+validates the instance and fixes the Gram degree and the constraint
+orbits, and hands it to the one search core, _search.  The core counts
+the unknowns first and refuses a system over the solver's cap before it
+builds a column.  Its setup works on orbits and
 sparse terms: key each pair of standard monomials by
 its support, so that the pair orbits and their grid of merged-orbit ids
 (one unknown of sigma per id) are enumerated once over the Gram basis
@@ -30,9 +32,8 @@ solver finds no point, the result says why: "dual-witness" when its
 primal iterate is numeric evidence that no certificate exists at this
 degree, "solver-stopped" when it stopped at its step cap or a failed
 factorisation without deciding.  The variable-count
-report runs the same setup check, so it rejects what the search rejects,
-and counts the unknowns off the same orbit tables without building a
-column.  A returned certificate is always exact and has been verified;
+report builds the same _SearchSpec, so it rejects what the search rejects,
+and counts the unknowns as the search does, without building a column.  A returned certificate is always exact and has been verified;
 everything numeric is quarantined in the solver.
 
 The Gram basis, and the moment matrix's basis on the dual side, are the
@@ -72,10 +73,10 @@ from .errors import InvalidInstance, InvalidSystem
 from .groebner import (GroebnerBasis, finite_domain_basis, reconstruct_proof,
                        reduce_polynomial)
 from .poly import (Monomial, MonomialBasis, Polynomial, grlex_key,
-                   linear_combination, mono_divides, monomials_up_to)
-from .sdp import (FeasibilitySystem, SolveOutcome, combination, float_view,
-                  rationalize, solve_feasibility)
-from .symmetry import (GroupSpec, OrbitTable, canonical_monomial,
+                   linear_combination, monomials_up_to)
+from .sdp import (FeasibilitySystem, SolveOutcome, check_variable_count, combination,
+                  float_view, rationalize, solve_feasibility)
+from .symmetry import (GroupSpec, canonical_monomial,
                        enumerate_monomial_orbits, enumerate_pair_orbits,
                        is_invariant, is_invariant_system,
                        monomial_orbit_elements, moving_swaps,
@@ -140,12 +141,10 @@ def _check_ring(group: GroupSpec, gb: GroebnerBasis) -> None:
     if any(g.degree() == 0 for g in gb.generators):
         raise InvalidInstance("a constant groebner generator leaves no "
                               "standard monomial: the ring is zero")
-    leads = [g.leading_monomial() for g in gb.generators]
-    known, members = set(leads), {g.key() for g in gb.generators}
-    for g, lm in zip(gb.generators, leads):
+    members = {g.key() for g in gb.generators}
+    for g in gb.generators:
         for i in moving_swaps(group, g.terms):
-            image = swapped_monomial(lm, i)
-            if image not in known and not any(mono_divides(m, image) for m in leads):
+            if gb.is_standard(swapped_monomial(g.leading_monomial(), i)):
                 raise InvalidInstance(
                     "the group does not permute the ideal of the groebner "
                     "generators' leading monomials, so the standard monomials "
@@ -272,30 +271,54 @@ def _gram_orbits(inst: ProblemInstance, gram_degree: int):
     return table, standard, orbit_indicator_matrices(table)
 
 
-def _accounting(inst: ProblemInstance, table: OrbitTable, standard: list[Monomial],
-                indicators: int, orbits: list[list[int]],
-                free: int) -> VariableCountReport:
-    """Unknown counts of a search whose sigma is a Gram matrix over the
-    standard monomials, with their pair orbits (table) merged into
-    `indicators` ids, and `free` free scalars.  orbits partitions the
-    equality constraints."""
-    n, gram_degree = inst.n, table.degree
-    w = len(standard)
+@dataclass
+class _SearchSpec:
+    """One certificate search: goal == sigma + sum of equality terms + ideal.
+
+    sigma is a Gram matrix over the standard monomials of degree <=
+    gram_degree, with one unknown per merged pair orbit.  There are
+    free_count free scalars; free_terms builds the unreduced equality term
+    of each (the term the scalar 1 stands for), which the search does only
+    once the count of unknowns is within the solver's cap.  multipliers
+    turns the scalars' exact values into the certificate's (constraint,
+    multiplier) pairs.
+    """
+
+    goal: Polynomial
+    gram_degree: int
+    free_count: int
+    free_terms: Callable[[], list[Polynomial]]
+    multipliers: Callable[[Sequence[Fraction]], list[tuple[Polynomial, MultiplierLike]]]
+    constraint_orbits: list[list[int]]
+    degree_bound: int
+    mode: str
+    epsilon: Optional[Fraction] = None
+
+
+def _accounting(inst: ProblemInstance, spec: _SearchSpec
+                ) -> tuple[list[Monomial], list[list[int]], VariableCountReport]:
+    """spec's Gram basis, its grid of merged-orbit ids, and the search's
+    unknown counts, without building a column."""
+    table, standard, ids = _gram_orbits(inst, spec.gram_degree)
+    n, gram_degree, w = inst.n, spec.gram_degree, len(standard)
+    indicators = 1 + max(map(max, ids))
     mult_dims = [math.comb(n + e, e) for e in
                  (_multiplier_degree(p, gram_degree) for p in inst.equalities)]
-    return VariableCountReport(
+    return standard, ids, VariableCountReport(
         n=n, gram_degree=gram_degree, w_size=w, y_size=w * w,
         pair_orbit_count=len(table),
         indicator_count=indicators,
-        constraint_orbit_count=len(orbits),
+        constraint_orbit_count=len(spec.constraint_orbits),
         multiplier_dims=mult_dims,
         before_variables=w * (w + 1) // 2 + sum(mult_dims),
-        after_variables=indicators + free)
+        after_variables=indicators + spec.free_count)
 
 
-def _proof_setup(inst: ProblemInstance) -> tuple[int, list[list[int]]]:
-    """Raise as prove_invariant does on an instance it rejects; else its
-    Gram degree, inst.degree, and the constraint orbits."""
+def _proof_spec(inst: ProblemInstance) -> _SearchSpec:
+    """prove_invariant's search at Gram degree inst.degree, raising as it
+    does on an instance it rejects: one free scalar per monomial orbit of
+    each constraint's multiplier, whose term is the orbit sum times the
+    constraint."""
     if inst.target is None:
         raise InvalidInstance("prove mode needs a polynomial target")
     if not is_invariant(inst.group, inst.target):
@@ -304,64 +327,68 @@ def _proof_setup(inst: ProblemInstance) -> tuple[int, list[list[int]]]:
         if not is_invariant(inst.group, p):
             raise InvalidInstance(
                 "prove mode requires each equality constraint to be invariant")
-    return inst.degree, _constraint_orbits(inst)
+    n, group, eqs, d = inst.n, inst.group, inst.equalities, inst.degree
+    orbits = _constraint_orbits(inst)
+    owners = [(j, rep) for j, p in enumerate(eqs)  # (constraint index, orbit)
+              for rep in enumerate_monomial_orbits(
+                  group, _multiplier_degree(p, d)).representatives]
+
+    def orbit_sum(rep: Monomial) -> Polynomial:
+        return Polynomial(n, {m: Fraction(1) for m in monomial_orbit_elements(group, rep)})
+
+    def multipliers(values: Sequence[Fraction]):
+        return [(p, linear_combination(n, [(value, orbit_sum(rep)) for (i, rep), value
+                                           in zip(owners, values) if i == j]))
+                for j, p in enumerate(eqs)]
+
+    return _SearchSpec(
+        goal=inst.target + Polynomial.constant(n, inst.epsilon), gram_degree=d,
+        free_count=len(owners),
+        free_terms=lambda: [orbit_sum(rep) * eqs[j] for j, rep in owners],
+        multipliers=multipliers, constraint_orbits=orbits,
+        degree_bound=2 * d, mode=GENERAL, epsilon=inst.epsilon)
 
 
-def _refutation_setup(inst: ProblemInstance) -> tuple[int, list[list[int]]]:
-    """Raise as refute_invariant_system does on an instance it rejects;
-    else its Gram degree, inst.degree + k - 1 over a 2k-point domain, and
-    the constraint orbits."""
+def _refutation_spec(inst: ProblemInstance) -> _SearchSpec:
+    """refute_invariant_system's search, raising as it does on an instance
+    it rejects: Gram degree inst.degree + k - 1 over a 2k-point domain, and
+    one free scalar per constraint orbit, whose term is the sum of the
+    orbit's squared constraints."""
     if inst.target is not None:
         raise InvalidInstance("refute mode takes no polynomial target")
     if inst.domain_roots is None:
         raise InvalidInstance("refutation needs a finite product domain")
     if not inst.equalities:
         raise InvalidInstance("nothing to refute: no equality constraints")
-    return inst.degree + len(inst.domain_roots) // 2 - 1, _constraint_orbits(inst)
+    n, eqs, orbits = inst.n, inst.equalities, _constraint_orbits(inst)
+    gram_degree = inst.degree + len(inst.domain_roots) // 2 - 1
+
+    def multipliers(values: Sequence[Fraction]):
+        return [(eqs[i], c) for orbit, c in zip(orbits, values) for i in orbit]
+
+    return _SearchSpec(
+        goal=Polynomial.constant(n, -1), gram_degree=gram_degree,
+        free_count=len(orbits),
+        free_terms=lambda: [sum((eqs[i] * eqs[i] for i in orbit), Polynomial.zero(n))
+                            for orbit in orbits],
+        multipliers=multipliers, constraint_orbits=orbits,
+        degree_bound=max(2 * gram_degree, max(2 * p.degree() for p in eqs)),
+        mode=NORMAL_FORM)
 
 
 def variable_count_report(inst: ProblemInstance) -> VariableCountReport:
     """Unknown counts before and after symmetry reduction, as the search for
     inst sets them up, counted without building its columns; it rejects
     what the search rejects, and prove and refute attach the same report."""
-    if inst.target is None:  # one scalar per constraint orbit
-        gram_degree, orbits = _refutation_setup(inst)
-        free = len(orbits)
-    else:  # one scalar per monomial orbit of each multiplier
-        gram_degree, orbits = _proof_setup(inst)
-        free = sum(len(enumerate_monomial_orbits(
-            inst.group, _multiplier_degree(p, gram_degree))) for p in inst.equalities)
-    table, standard, ids = _gram_orbits(inst, gram_degree)
-    return _accounting(inst, table, standard, 1 + max(map(max, ids)), orbits, free)
-
-
-@dataclass
-class _SearchSpec:
-    """One certificate search: goal == sigma + sum of equality terms + ideal.
-
-    sigma is a Gram matrix over the standard monomials of degree <=
-    gram_degree, with one unknown per merged pair orbit.  free_terms
-    holds the unreduced equality term of each free scalar (the term the
-    scalar 1 stands for), and multipliers turns the scalars' exact values
-    into the certificate's (constraint, multiplier) pairs.
-    """
-
-    goal: Polynomial
-    gram_degree: int
-    free_terms: list[Polynomial]
-    multipliers: Callable[[Sequence[Fraction]], list[tuple[Polynomial, MultiplierLike]]]
-    constraint_orbits: list[list[int]]
-    degree_bound: int
-    mode: str
-    epsilon: Optional[Fraction] = None
+    spec = _refutation_spec(inst) if inst.target is None else _proof_spec(inst)
+    return _accounting(inst, spec)[2]
 
 
 def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     gb = inst.groebner
-    table, standard, ids = _gram_orbits(inst, spec.gram_degree)
-    k2 = 1 + max(map(max, ids))
-    accounting = _accounting(inst, table, standard, k2, spec.constraint_orbits,
-                             len(spec.free_terms))
+    standard, ids, accounting = _accounting(inst, spec)
+    check_variable_count(accounting.after_variables)
+    k2 = accounting.indicator_count
 
     def no_certificate(reason: str, outcome: SolveOutcome) -> PipelineResult:
         return PipelineResult("no-certificate-at-degree", reason=reason,
@@ -377,7 +404,7 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
             a_terms[r][tuple(map(add, a, b))] += 2
     # Each unknown's unreduced column: what its value 1 adds to the identity.
     columns = [Polynomial._of_clean(inst.n, {m: Fraction(c) for m, c in t.items()})
-               for t in a_terms] + spec.free_terms
+               for t in a_terms] + spec.free_terms()
 
     def normal(p: Polynomial) -> Mapping[Monomial, Fraction]:
         return p.terms if gb is None else reduce_polynomial(p, gb).terms
@@ -385,7 +412,7 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     unit = [{r: Fraction(1)} for r in range(k2)]
     system = FeasibilitySystem(basis=standard,
                                gram=[[unit[r] for r in row] for row in ids],
-                               linear_map=rows, rhs=rhs, k3=len(spec.free_terms))
+                               linear_map=rows, rhs=rhs, k3=spec.free_count)
     outcome = solve_feasibility(system)
     if not outcome.feasible:
         return no_certificate("dual-witness" if outcome.dual_witness
@@ -427,47 +454,13 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
 def prove_invariant(inst: ProblemInstance) -> PipelineResult:
     """Search for target + epsilon == sigma + sum lambda_j p_j (mod the ring),
     with sigma and every lambda_j invariant, at Gram degree inst.degree."""
-    d, orbits = _proof_setup(inst)
-    n = inst.n
-    free_terms: list[Polynomial] = []
-    owners: list[tuple[int, Polynomial]] = []  # (constraint index, orbit-sum poly)
-    for j, p in enumerate(inst.equalities):
-        table = enumerate_monomial_orbits(inst.group, _multiplier_degree(p, d))
-        for rep in table.representatives:
-            gen = Polynomial(n, {m: Fraction(1)
-                                 for m in monomial_orbit_elements(inst.group, rep)})
-            free_terms.append(gen * p)
-            owners.append((j, gen))
-
-    def multipliers(values: Sequence[Fraction]):
-        return [(p, linear_combination(n, [(value, gen) for (i, gen), value
-                                           in zip(owners, values) if i == j]))
-                for j, p in enumerate(inst.equalities)]
-
-    return _search(inst, _SearchSpec(
-        goal=inst.target + Polynomial.constant(n, inst.epsilon), gram_degree=d,
-        free_terms=free_terms, multipliers=multipliers,
-        constraint_orbits=orbits, degree_bound=2 * d,
-        mode=GENERAL, epsilon=inst.epsilon))
+    return _search(inst, _proof_spec(inst))
 
 
 def refute_invariant_system(inst: ProblemInstance) -> PipelineResult:
     """Search for -1 == sigma + sum_i c_i (sum of squared constraints in
     orbit i) + ideal, the normal form over a finite product domain."""
-    gram_degree, orbits = _refutation_setup(inst)
-    n, eqs = inst.n, inst.equalities
-    free_terms = [sum((eqs[i] * eqs[i] for i in orbit), Polynomial.zero(n))
-                  for orbit in orbits]
-
-    def multipliers(values: Sequence[Fraction]):
-        return [(eqs[i], c) for orbit, c in zip(orbits, values) for i in orbit]
-
-    return _search(inst, _SearchSpec(
-        goal=Polynomial.constant(n, -1), gram_degree=gram_degree,
-        free_terms=free_terms, multipliers=multipliers,
-        constraint_orbits=orbits,
-        degree_bound=max(2 * gram_degree, max(2 * p.degree() for p in eqs)),
-        mode=NORMAL_FORM))
+    return _search(inst, _refutation_spec(inst))
 
 
 # -- pseudoexpectations ------------------------------------------------------

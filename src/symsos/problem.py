@@ -85,96 +85,59 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
 
     A polynomial is signed terms; a term is atoms joined by `*`; an atom is
     a coefficient (integer, decimal, or a/b) or a variable power `xi^e`.
-    Each term is a coefficient and a sparse exponent map, added straight
-    into one dict.
+    One pass over the tokens, closed by an end token just past the last
+    one, reads an atom and then its separator; each term's coefficient and
+    exponents are added into one dict when a `+`, `-` or the end closes it.
+    An error is raised at the token that breaks the grammar.
     """
     toks = _tokens(text, line, offset)
     if not toks:
         raise ParseError("empty polynomial", line, offset + 1)
-    pos = 0
-
-    def peek(kind=None):
-        if pos >= len(toks):
-            return None
-        if kind is not None and toks[pos][0] != kind:
-            return None
-        return toks[pos]
-
-    def fail(message, at=None):
-        col = toks[at if at is not None else min(pos, len(toks) - 1)][2] \
-            if toks else offset + 1
-        if pos >= len(toks) and at is None:
-            col = toks[-1][2] + len(toks[-1][1])
-        raise ParseError(message, line, col)
-
-    def atom(exponents: dict[int, int]) -> Optional[Fraction]:
-        """Parse one atom: return a coefficient, or add a variable power
-        into exponents and return None."""
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            fail("expected a coefficient or variable")
-        kind, lex, col = tok
-        pos += 1
+    _, lex, col = toks[-1]
+    toks.append(("end", "", col + len(lex)))
+    total: dict = {}
+    first = toks[0][1]
+    pos = 1 if first in ("+", "-") else 0
+    coeff, mono = Fraction(-1 if first == "-" else 1), [0] * n
+    while True:
+        kind, lex, col = toks[pos]
         if kind == "num":
-            value = Fraction(lex)
-            if peek("op") and toks[pos][1] == "/":
-                pos += 1
-                den = peek("num")
-                if den is None:
-                    fail("expected denominator after '/'")
-                if Fraction(den[1]) == 0:
-                    raise ParseError("zero denominator", line, den[2])
-                value /= Fraction(den[1])
-                pos += 1
-            return value
-        if kind == "var":
+            coeff *= Fraction(lex)
+            if toks[pos + 1][1] == "/":
+                pos += 2
+                kind, lex, col = toks[pos]
+                if kind != "num":
+                    raise ParseError("expected denominator after '/'", line, col)
+                if not Fraction(lex):
+                    raise ParseError("zero denominator", line, col)
+                coeff /= Fraction(lex)
+        elif kind == "var":
             index = int(lex[1:])
             if not 1 <= index <= n:
                 raise ParseError(f"variable {lex} out of range for vars: {n}",
                                  line, col)
             exponent = 1
-            if peek("op") and toks[pos][1] == "^":
-                pos += 1
-                etok = peek("num")
-                if etok is None or "." in etok[1]:
-                    fail("expected integer exponent after '^'")
-                exponent = int(etok[1])
-                pos += 1
-            exponents[index - 1] = exponents.get(index - 1, 0) + exponent
-            return None
-        fail(f"expected a coefficient or variable, got {lex!r}", pos - 1)
-
-    def add_term(sign: int) -> None:
-        """Parse a term and add sign times it into total."""
-        nonlocal pos
-        exponents: dict[int, int] = {}
-        coeff = Fraction(sign)
-        while True:
-            value = atom(exponents)
-            if value is not None:
-                coeff *= value
-            if not (peek("op") and toks[pos][1] == "*"):
-                break
-            pos += 1
+            if toks[pos + 1][1] == "^":
+                pos += 2
+                kind, lex, col = toks[pos]
+                if kind != "num" or "." in lex:
+                    raise ParseError("expected integer exponent after '^'", line, col)
+                exponent = int(lex)
+            mono[index - 1] += exponent
+        else:
+            got = f", got {lex!r}" if lex else ""
+            raise ParseError(f"expected a coefficient or variable{got}", line, col)
+        kind, lex, col = toks[pos + 1]
+        pos += 2
+        if lex == "*":
+            continue
         if coeff:
-            mono = [0] * n
-            for i, e in exponents.items():
-                mono[i] = e
             accumulate_term(total, tuple(mono), coeff)
-
-    total: dict = {}
-    tok = peek("op")
-    if tok and tok[1] in "+-":
-        pos += 1
-    add_term(-1 if tok and tok[1] == "-" else 1)
-    while pos < len(toks):
-        tok = peek("op")
-        if tok is None or tok[1] not in "+-":
-            fail("expected '+' or '-' between terms")
-        pos += 1
-        add_term(-1 if tok[1] == "-" else 1)
-    return Polynomial._of_clean(n, total)
+        if kind == "end":
+            return Polynomial._of_clean(n, total)
+        if lex not in ("+", "-"):
+            raise ParseError("expected '+' or '-' between terms", line, col)
+        coeff, mono = Fraction(-1 if lex == "-" else 1), [0] * n
 
 
 def _parse_group(value: str, line: int, column: int) -> tuple[int, ...]:

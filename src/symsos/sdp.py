@@ -136,6 +136,14 @@ def float_view(system: FeasibilitySystem) -> tuple[np.ndarray, np.ndarray, np.nd
     return stack, amat, np.array(system.rhs, dtype=float)
 
 
+def check_variable_count(variables: int) -> None:
+    """Raise ResourceLimit when a system of this many unknowns exceeds
+    MAX_VARIABLES; a search checks its count before building a column."""
+    if variables > MAX_VARIABLES:
+        raise ResourceLimit(
+            f"{variables} variables exceed solver cap {MAX_VARIABLES}")
+
+
 def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
     """Search for a numeric solution; never raises on infeasibility.
 
@@ -145,9 +153,7 @@ def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
     at the first point whose S(y) has smallest eigenvalue >= MARGIN, or
     with a dual witness, or at the step cap or a failed factorisation.
     """
-    if system.variables > MAX_VARIABLES:
-        raise ResourceLimit(
-            f"{system.variables} variables exceed solver cap {MAX_VARIABLES}")
+    check_variable_count(system.variables)
     k2, dim = system.k2, system.gram_dim
     gmat, amat, rhs = float_view(system)
     try:

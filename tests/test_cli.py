@@ -290,6 +290,8 @@ def test_search_over_the_solver_cap_exits_3(tmp_path, capsys):
                     f"vars: 40\ndomain: {{0,1}}\neq: {xs} - 1/2\ndegree: 1\n")
     assert cli.main(["refute", problem]) == 3
     assert "exceed solver cap" in capsys.readouterr().err
+    assert cli.main(["orbits", problem]) == 0  # the report still counts them
+    assert "scalar unknowns after reduction:  862" in capsys.readouterr().out
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from symsos import linalg, pipeline, symmetry
 from symsos.certificates import (NORMAL_FORM, bit_size, serialize_certificate,
                                  verify)
-from symsos.errors import InvalidInstance, InvalidSystem
+from symsos.errors import InvalidInstance, InvalidSystem, ResourceLimit
 from symsos.groebner import GroebnerBasis, divide, reduce_polynomial
 from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              Pseudoexpectation, _distinct_rows, _match_columns,
@@ -20,7 +20,7 @@ from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              refute_invariant_system, variable_count_report)
 from symsos.poly import (MonomialBasis, Polynomial, accumulate_term, grlex_key,
                          monomials_up_to)
-from symsos.sdp import (FeasibilitySystem, NumericSolution, SolveOutcome,
+from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, NumericSolution, SolveOutcome,
                         solve_feasibility)
 from symsos.symmetry import (GramMatrix, GroupSpec, canonical_monomial,
                              enumerate_monomial_orbits, is_invariant)
@@ -325,6 +325,34 @@ def test_variable_count_report_builds_no_column(monkeypatch, case):
     assert calls == []
     assert search(inst).accounting == report
     assert calls  # the search builds them, seen through the same spies
+
+
+def test_search_over_the_solver_cap_builds_no_column(monkeypatch):
+    # no group: refute on 40 variables has 861 Gram unknowns and one free
+    # scalar, prove on 16 variables at degree 2 has 9,453 Gram unknowns
+    # and 969 free scalars; both are refused before any term is built.
+    refutation = ProblemInstance(
+        group=GroupSpec.trivial(40), domain_roots=BOOL, degree=1,
+        equalities=[sum_of_vars(40) - Polynomial.constant(40, frac(1, 2))])
+    proof = ProblemInstance(group=GroupSpec.trivial(16),
+                            equalities=[sum_of_vars(16) - Polynomial.constant(16, 8)],
+                            domain_roots=BOOL, target=Polynomial.constant(16, 1), degree=2)
+    calls = []
+
+    def spy(name, real):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(Polynomial, "__mul__", spy("__mul__", Polynomial.__mul__))
+    monkeypatch.setattr(pipeline, "reduce_polynomial",
+                        spy("reduce_polynomial", pipeline.reduce_polynomial))
+    for search, inst in ((refute_invariant_system, refutation), (prove_invariant, proof)):
+        with pytest.raises(ResourceLimit, match="exceed solver cap"):
+            search(inst)
+        assert variable_count_report(inst).after_variables > MAX_VARIABLES
+    assert calls == []
 
 
 def test_conflicting_rows_survive_matching():
@@ -961,7 +989,7 @@ def test_search_reduces_each_column_once(monkeypatch, search, inst):
             (r,) = form
             columns[r] = columns[r] + Polynomial.monomial(n, tuple(map(sum, zip(a, b))))
     rows, rhs = _match_columns(
-        [normal_form_by_monomial(c, gb) for c in columns + spec.free_terms],
+        [normal_form_by_monomial(c, gb) for c in columns + spec.free_terms()],
         normal_form_by_monomial(spec.goal, gb))
     assert (system.linear_map, system.rhs) == (rows, rhs)
 

@@ -69,6 +69,8 @@ def test_parse_polynomial_variants():
     assert parse_polynomial("2/4", 1) == Polynomial.constant(1, frac(1, 2))
     assert parse_polynomial("x1^0", 1) == Polynomial.constant(1, 1)
     assert parse_polynomial("1 - 1", 1) == Polynomial.zero(1)
+    assert parse_polynomial("+ x1", 1) == Polynomial.variable(1, 0)
+    assert parse_polynomial("3/2.5*x1", 1) == Polynomial.variable(1, 0) * frac(6, 5)
 
 
 def test_parse_polynomial_errors_carry_position():
@@ -217,6 +219,7 @@ PARSE_ERRORS = [
     ("x1 +   ", 10, "expected a coefficient or variable"),
     ("1.5/", 10, "expected denominator after '/'"),
     ("x2 - 3 4", 13, "expected '+' or '-' between terms"),
+    ("1/0.0", 8, "zero denominator"),
 ]
 
 

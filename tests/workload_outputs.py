@@ -6,8 +6,10 @@ For each instance in perfbench/workloads.py (imported, never changed) this
 writes the problem file and runs symsos from this checkout's src/ on it, in
 process: refute or prove --json (refute on the feasible instances, as the
 benchmark does), then verify --json and bitsize --json on the certificate
-when there is one, pseudoexpect --json and orbits --json.  Each run's exit
-code, stdout and stderr go to DIR/<instance>.<command>.out, and the
+when there is one, pseudoexpect --json and orbits --json, and reduce
+--json and reynolds --json, which print each parsed polynomial reduced or
+averaged, so the outputs also cover the problem-file parser.  Each run's
+exit code, stdout and stderr go to DIR/<instance>.<command>.out, and the
 certificate to DIR/<instance>.cert.json.  The problem files live in a
 temporary directory whose path is written as <tmp>, so the outputs of two
 checkouts (copy this file into the other one) compare with one
@@ -54,7 +56,7 @@ def write_outputs(directory: Path) -> None:
                     (directory / f"{name}.cert.json").write_bytes(cert.read_bytes())
                     for command in ("verify", "bitsize"):
                         outputs[command] = run([command, str(cert), "--json"], tmp)[1]
-                for command in ("pseudoexpect", "orbits"):
+                for command in ("pseudoexpect", "orbits", "reduce", "reynolds"):
                     outputs[command] = run([command, path, "--json"], tmp)[1]
                 for command, text in outputs.items():
                     (directory / f"{name}.{command}.out").write_text(text, encoding="utf-8")
