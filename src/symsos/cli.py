@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success/accepted, 1 rejected or no certificate found,
-2 usage, parse or unreadable-file error, 3 resource or numeric failure.
+2 usage, parse, invalid-input or unreadable-file error, 3 resource or
+numeric failure.  A command raises its errors; main alone maps each to
+exit 2 or 3 and one "error:" line on stderr.
 Certificate files are byte-identical across runs for identical inputs and
 flags: iteration orders are fixed and the solver makes one deterministic
 attempt from the least-norm solution of its linear rows.  The solver takes
@@ -25,7 +27,7 @@ from typing import Optional
 from . import __version__
 from .certificates import (bit_size, parse_certificate, serialize_certificate,
                            verify)
-from .errors import ParseError, ResourceLimit, SymsosError
+from .errors import InvalidInstance, ResourceLimit, SymsosError
 from .groebner import reduce_polynomial
 from .pipeline import (ProblemInstance, check_pseudoexpectation,
                        find_pseudoexpectation, prove_invariant,
@@ -104,17 +106,14 @@ def _map_polynomials(args, inst: ProblemInstance, fn) -> int:
 def _cmd_reduce(args) -> int:
     inst = _problem(args)
     if inst.groebner is None:
-        print("error: nothing to reduce by (no domain or groebner lines)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInstance("nothing to reduce by (no domain or groebner lines)")
     return _map_polynomials(args, inst, lambda p: reduce_polynomial(p, inst.groebner))
 
 
 def _cmd_reynolds(args) -> int:
     inst = _problem(args)
     if not inst.equalities and inst.target is None:
-        print("error: no polynomials to average", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInstance("no polynomials to average")
     return _map_polynomials(args, inst, lambda p: reynolds_polynomial(inst.group, p))
 
 
@@ -268,17 +267,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        # An unreadable input or unwritable output path.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ResourceLimit, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except SymsosError as exc:
+    except (SymsosError, OSError, UnicodeDecodeError) as exc:
+        # Bad input, or an unreadable input or unwritable output path.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

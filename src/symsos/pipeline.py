@@ -76,11 +76,10 @@ from .poly import (Monomial, MonomialBasis, Polynomial, grlex_key,
                    linear_combination, monomials_up_to)
 from .sdp import (FeasibilitySystem, SolveOutcome, check_variable_count, combination,
                   float_view, rationalize, solve_feasibility)
-from .symmetry import (GroupSpec, canonical_monomial,
-                       enumerate_monomial_orbits, enumerate_pair_orbits,
-                       is_invariant, is_invariant_system,
-                       monomial_orbit_elements, moving_swaps,
-                       orbit_indicator_matrices, swapped, swapped_monomial)
+from .symmetry import (GroupSpec, canonical_monomial, enumerate_monomial_orbits,
+                       enumerate_pair_orbits, is_invariant, is_invariant_system,
+                       monomial_orbit_elements, moving_swaps, orbit_indicator_matrices,
+                       reynolds_polynomial, swapped, swapped_monomial)
 
 DEFAULT_EPSILON = Fraction(1, 2 ** 20)
 
@@ -561,8 +560,8 @@ def find_pseudoexpectation(inst: ProblemInstance) -> Optional[Pseudoexpectation]
 
 def point_pseudoexpectation(inst: ProblemInstance,
                             points: Sequence[Sequence]) -> Pseudoexpectation:
-    """Exact pseudoexpectation of degree 2 * inst.degree averaging
-    evaluation over points and orbits.
+    """Exact pseudoexpectation of degree 2 * inst.degree: the moment of
+    x^rep is the mean over points of reynolds_polynomial(group, x^rep).
 
     Every point must satisfy the constraints and the domain equations; the
     result is symmetric by construction.
@@ -581,12 +580,8 @@ def point_pseudoexpectation(inst: ProblemInstance,
                     raise InvalidInstance(f"point {pt} is outside the domain")
     moments = {}
     for rep in _moment_representatives(inst, deg):
-        members = list(monomial_orbit_elements(inst.group, rep))
-        total = Fraction(0)
-        for pt in pts:
-            for m in members:
-                total += Polynomial.monomial(n, m).evaluate(pt)
-        moments[rep] = total / (len(pts) * len(members))
+        average = reynolds_polynomial(inst.group, Polynomial.monomial(n, rep))
+        moments[rep] = sum(average.evaluate(pt) for pt in pts) / len(pts)
     return Pseudoexpectation(group=inst.group, degree=deg, moments=moments,
                              numeric=False)
 

@@ -2,7 +2,8 @@
 
 Each non-blank line is `key: value`; `#` starts a comment.  `eq:` and
 `groebner:` may repeat, every other key may appear once.  Polynomials use
-1-indexed variables and exact coefficients, e.g. `3/2*x1^2*x3 - x2 + 1`.
+1-indexed variables and exact coefficients, e.g. `3/2*x1^2*x3 - x2 + 1`;
+a polynomial body is tokenized by one regex scan and read in one pass.
 The full grammar is spelled out as EBNF in the README.
 """
 
@@ -23,7 +24,8 @@ _SCALAR_KEYS = {"vars", "group", "domain", "target", "degree", "epsilon"}
 _REPEAT_KEYS = {"eq", "groebner"}
 
 _NUMBER = r"[0-9]+(?:\.[0-9]+)?"
-_TOKEN = re.compile(rf"\s*(?:(?P<num>{_NUMBER})|(?P<var>x[0-9]+)|(?P<op>[*^/+-]))")
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<num>{_NUMBER})|(?P<var>x[0-9]+)|(?P<op>[*^/+-])|(?P<bad>\S))")
 _RATIONAL = re.compile(rf"(?P<num>-?{_NUMBER})(?:\s*/\s*(?P<den>{_NUMBER}))?")
 
 
@@ -50,22 +52,6 @@ class ProblemFile:
         return ProblemInstance(**kwargs)
 
 
-def _tokens(text: str, line: int, offset: int):
-    """Tokenize a polynomial body into (kind, lexeme, column) triples."""
-    pos, end = 0, len(text.rstrip())
-    out = []
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            col = offset + pos + len(text[pos:]) - len(text[pos:].lstrip()) + 1
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}",
-                             line, col)
-        kind = m.lastgroup
-        out.append((kind, m.group(kind), offset + m.start(kind) + 1))
-        pos = m.end()
-    return out
-
-
 def parse_rational(text: str, line: Optional[int] = None,
                    column: Optional[int] = None) -> Fraction:
     """Exact value of a rational literal, an optional "-" and a number or
@@ -85,12 +71,18 @@ def parse_polynomial(text: str, n: int, line: int = 0, offset: int = 0) -> Polyn
 
     A polynomial is signed terms; a term is atoms joined by `*`; an atom is
     a coefficient (integer, decimal, or a/b) or a variable power `xi^e`.
-    One pass over the tokens, closed by an end token just past the last
-    one, reads an atom and then its separator; each term's coefficient and
-    exponents are added into one dict when a `+`, `-` or the end closes it.
-    An error is raised at the token that breaks the grammar.
+    One _TOKEN scan finds the tokens; a character that starts none is an
+    error before any grammar check.  One pass over the tokens, closed by an
+    end token just past the last one, reads an atom and then its separator;
+    each term's coefficient and exponents are added into one dict when a
+    `+`, `-` or the end closes it.  An error is raised at the token that
+    breaks the grammar.
     """
-    toks = _tokens(text, line, offset)
+    toks = [(m.lastgroup, m[m.lastgroup], offset + m.start(m.lastgroup) + 1)
+            for m in _TOKEN.finditer(text)]
+    bad = next((t for t in toks if t[0] == "bad"), None)
+    if bad is not None:
+        raise ParseError(f"unexpected character {bad[1]!r}", line, bad[2])
     if not toks:
         raise ParseError("empty polynomial", line, offset + 1)
     _, lex, col = toks[-1]

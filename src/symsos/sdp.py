@@ -13,7 +13,8 @@ still land inside the cone; or when its primal iterate is a dual witness
 that max t < 0; or at the step cap or a failed factorisation, when it keeps
 the best point seen if that passes the tolerance test.  It is one
 deterministic attempt with no settings: its constants are below.
-WITNESS_RADIUS is 1e5, not 1e6, because the primal residual can stall
+WITNESS_RADIUS, a distance from y0 in units of y0's scale max(1, max |y0|),
+is 1e5, not 1e6, because the primal residual can stall
 near 1e-6: on the feasible sum x_i = n/2 over {0,1}^n at d = 2 (n = 6, 8,
 10) the Schur complement's condition number reaches 1e15 to 1e17 and a
 witness takes 16, 20 and 15 steps, against 8 to 11 at d = 1, even over
@@ -47,7 +48,7 @@ TOLERANCE = 1e-9  # scale-relative feasibility tolerance of a numeric point
 MARGIN = 1e-3  # smallest eigenvalue of S(y) at which the search stops
 MAX_STEPS = 60  # interior-point step cap
 STEP_FRACTION = 0.95  # share of the step to the cone's boundary taken
-WITNESS_RADIUS = 1e5  # a dual witness rules out solutions this close to y0
+WITNESS_RADIUS = 1e5  # a witness rules out solutions this close to y0, per unit of scale
 DENOMINATOR_BOUND = 2 ** 32  # largest denominator rationalize keeps
 
 
@@ -172,7 +173,7 @@ def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
     except np.linalg.LinAlgError:
         return SolveOutcome(False, None, math.inf, math.inf, 0)
     del gmat  # only ops is needed from here on
-    exit_, z, steps, best = _phase_one(s0, eig, ops)
+    exit_, z, steps, best = _phase_one(s0, eig, ops, WITNESS_RADIUS * scale)
     if exit_ == "witness" or best < -TOLERANCE * scale:
         return SolveOutcome(False, None, lin, max(0.0, -best), steps,
                             dual_witness=exit_ == "witness")
@@ -206,8 +207,8 @@ def _least_norm(amat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return y0, right[rank:].T
 
 
-def _phase_one(s0: np.ndarray, eig0: float,
-               ops: np.ndarray) -> tuple[str, np.ndarray, int, float]:
+def _phase_one(s0: np.ndarray, eig0: float, ops: np.ndarray,
+               radius: float) -> tuple[str, np.ndarray, int, float]:
     """Primal-dual interior-point steps on max t s.t.
     Z = s0 + sum_j z_j ops[j] - t I PSD, with u = (z, t) and ops[-1] = -I,
     so Z = s0 + sum_i u_i ops[i]; eig0 is s0's smallest eigenvalue.
@@ -216,11 +217,10 @@ def _phase_one(s0: np.ndarray, eig0: float,
     u starts at z = 0, t = eig0 - 1 and stays feasible.  The primal
     iterate X (PSD, trace 1, <ops[j], X> = 0 once feasible) bounds t:
     every feasible (z, t) has t <= <s0, X> + |z| |r| with r the vector of
-    <ops[j], X> over the directions.  So <s0, X> < 0 with
-    WITNESS_RADIUS |r| <= -<s0, X> is a dual witness: no solution lies
-    within WITNESS_RADIUS of y0.  Returns the exit ("feasible", "witness"
-    or "stopped"), the z with the largest lambda_min(S) seen, the steps
-    taken, and that eigenvalue.
+    <ops[j], X> over the directions.  So <s0, X> < 0 with radius |r| <=
+    -<s0, X> is a dual witness: no solution lies within radius of y0.
+    Returns the exit ("feasible", "witness" or "stopped"), the z with the
+    largest lambda_min(S) seen, the steps taken, and that eigenvalue.
     """
     m, dim = ops.shape[0] - 1, s0.shape[0]
     eye = np.eye(dim)
@@ -242,7 +242,7 @@ def _phase_one(s0: np.ndarray, eig0: float,
                 return "feasible", best_z, step, best
             bound = float(np.sum(s0 * x))
             residual = float(np.linalg.norm(flat[:m] @ x.ravel()))
-            if bound < 0 and WITNESS_RADIUS * residual <= -bound:
+            if bound < 0 and radius * residual <= -bound:
                 return "witness", best_z, step, best
             if step == MAX_STEPS:
                 break

@@ -266,7 +266,8 @@ def test_reduce_command(tmp_path, capsys):
 def test_reduce_without_basis_is_usage_error(tmp_path, capsys):
     problem = write(tmp_path, "r.sos", "vars: 1\neq: x1\ntarget: refute\n")
     assert cli.main(["reduce", problem]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: nothing to reduce by (no domain or groebner lines)\n")
 
 
 def test_reynolds_command(tmp_path, capsys):

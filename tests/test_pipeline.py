@@ -485,6 +485,19 @@ def test_prove_literal_square_at_default_epsilon(n):
     assert verify(result.certificate).accepted
 
 
+@pytest.mark.parametrize("c", [10 ** 5, 10 ** 7, 10 ** 9, 10 ** 12])
+def test_prove_a_target_of_large_coefficients(c):
+    # c*x1^2 + 1 certifies c*x1 + 1 modulo x1^2 - x1; that solution lies
+    # about c/2 from the least-norm point, so a witness radius that ignores
+    # y0's scale refuted it from c = 10^7 on
+    target = Polynomial(1, {(1,): frac(c), (0,): frac(1)})
+    inst = ProblemInstance(group=GroupSpec.symmetric(1), equalities=[],
+                           domain_roots=BOOL, target=target, degree=1)
+    result = prove_invariant(inst)
+    assert result.certified, result.reason
+    assert verify(result.certificate).accepted
+
+
 def test_prove_minus_one_fails_on_satisfiable():
     inst = ProblemInstance(group=GroupSpec.symmetric(2), equalities=[],
                            domain_roots=BOOL, target=Polynomial.constant(2, -1),

@@ -220,6 +220,8 @@ PARSE_ERRORS = [
     ("1.5/", 10, "expected denominator after '/'"),
     ("x2 - 3 4", 13, "expected '+' or '-' between terms"),
     ("1/0.0", 8, "zero denominator"),
+    ("x1 x2 &", 12, "unexpected character '&'"),  # the bad character wins
+    ("x1 + 2/0 & x2", 15, "unexpected character '&'"),  # over an earlier error
 ]
 
 
