@@ -145,15 +145,16 @@ def _run_search(args, mode: str) -> int:
         "total_bits": report.total_bits,
     }
     lines = [
-        f"certified: {cert.target} (mode {cert.mode}, "
-        f"degree bound {cert.degree_bound})",
         f"certificate: {out_path}",
         f"max coefficient bits: numerator {report.max_numerator_bits}, "
         f"denominator {report.max_denominator_bits}",
     ]
     if mode == "prove":
         payload["epsilon"] = str(result.epsilon)
-        lines.insert(1, f"epsilon: {result.epsilon}")
+        lines.insert(0, f"epsilon: {result.epsilon}")
+    if not args.json:  # the target can be long, and --json does not print it
+        lines.insert(0, f"certified: {cert.target} (mode {cert.mode}, "
+                        f"degree bound {cert.degree_bound})")
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -182,8 +183,9 @@ def _cmd_verify(args) -> int:
     cert = parse_certificate(_read(args.file))
     outcome = verify(cert)
     if outcome.accepted:
-        _emit(args, {"status": "accepted", "target": str(cert.target)},
-              [f"certified: {cert.target} (mode {cert.mode}, "
+        target = str(cert.target)
+        _emit(args, {"status": "accepted", "target": target},
+              [f"certified: {target} (mode {cert.mode}, "
                f"degree bound {cert.degree_bound})"])
         return EXIT_OK
     payload = {"status": "rejected", "failure": outcome.failure}

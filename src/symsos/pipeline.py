@@ -54,13 +54,15 @@ must equal it.
 find_pseudoexpectation searches the dual side at degree 2 * inst.degree;
 its output is numeric-only evidence (never a theorem) and is flagged as
 such.  It solves the moment system that check_pseudoexpectation evaluates
-within CHECK_TOLERANCE, both built by _moment_system one orbit at a time.
+within CHECK_TOLERANCE.  _moment_system builds that system one orbit at a
+time, once per instance and degree, and keeps it on the instance, so a
+find and a check on one instance share one build.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -101,6 +103,10 @@ class ProblemInstance:
     target: Optional[Polynomial] = None  # None means: refute (target -1)
     degree: int = 1
     epsilon: Fraction = DEFAULT_EPSILON
+    # _moment_system's (representatives, system) per degree, built on first
+    # use, so that find and check share one; dataclasses.replace starts empty.
+    _moment_systems: dict = field(default_factory=dict, init=False, compare=False,
+                                  repr=False)
 
     def __post_init__(self):
         n = self.group.n
@@ -475,8 +481,7 @@ def _moment_representatives(inst: ProblemInstance, deg: int) -> list[Monomial]:
 def _first_members(group: GroupSpec, degree: int) -> list[Monomial]:
     """The first monomial in grlex order of each orbit of degree <= degree
     (each block's exponents ascending), in grlex order."""
-    blocks = group.blocks()
-    return sorted((tuple(e for blk in blocks for e in reversed(rep[blk.start:blk.stop]))
+    return sorted((tuple(e for sl in group.block_slices for e in reversed(rep[sl]))
                    for rep in enumerate_monomial_orbits(group, degree).representatives),
                   key=grlex_key)
 
@@ -496,7 +501,10 @@ def _moment_system(inst: ProblemInstance, deg: int
     orbit is reduced once, the rows of g p at m are those of p at g^-1 m
     (one constraint per orbit gives them all), and an invariant p takes
     one shift per monomial orbit, the first of the walk over every shift.
+    The result is built once per instance and degree and kept on inst.
     """
+    if deg in inst._moment_systems:
+        return inst._moment_systems[deg]
     n, group, gb = inst.n, inst.group, inst.groebner
     reps = _moment_representatives(inst, deg)
     slot = {r: i for i, r in enumerate(reps)}
@@ -537,7 +545,9 @@ def _moment_system(inst: ProblemInstance, deg: int
                   else monomials_up_to(n, shift_degree))
         rows += [(moment_row(m, p), Fraction(0)) for m in shifts]
     rows, rhs = _distinct_rows(rows)
-    return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs, k3=0)
+    inst._moment_systems[deg] = (
+        reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs, k3=0))
+    return inst._moment_systems[deg]
 
 
 def find_pseudoexpectation(inst: ProblemInstance) -> Optional[Pseudoexpectation]:

@@ -124,12 +124,18 @@ class SolveOutcome:
 def float_view(system: FeasibilitySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The system in floating point: S as one (k2, W * W) array whose row r
     holds a[r]'s coefficient in each entry, row-major; A as a dense
-    (k1, k2 + k3) array; and rhs.  One pass over the nonzeros;
+    (k1, k2 + k3) array; and rhs.  Grids share one form object among the
+    entries of an orbit, so each distinct form object becomes one column,
+    one pass over its nonzeros, and one gather of those columns fills S;
     numerator / denominator is float(c)."""
-    stack = np.zeros((system.k2, system.gram_dim ** 2))
-    for ij, form in enumerate(form for row in system.gram for form in row):
+    entries = [form for row in system.gram for form in row]
+    distinct = {id(form): form for form in entries}
+    column = {key: j for j, key in enumerate(distinct)}
+    table = np.zeros((system.k2, len(distinct)))
+    for j, form in enumerate(distinct.values()):
         for r, c in form.items():
-            stack[r, ij] = c.numerator / c.denominator
+            table[r, j] = c.numerator / c.denominator
+    stack = np.take(table, [column[id(form)] for form in entries], axis=1)
     amat = np.zeros((system.k1, system.variables))
     for i, row in enumerate(system.linear_map):
         for j, c in row.items():

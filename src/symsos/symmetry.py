@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -49,6 +50,11 @@ class GroupSpec:
     @property
     def n(self) -> int:
         return sum(self.block_sizes)
+
+    @cached_property
+    def block_slices(self) -> tuple[slice, ...]:
+        """Each block's slice of an exponent tuple, computed once per group."""
+        return tuple(slice(blk.start, blk.stop) for blk in self.blocks())
 
     def blocks(self) -> list[range]:
         out, start = [], 0
@@ -79,12 +85,16 @@ def swapped(p: Polynomial, i: int) -> Polynomial:
 
 
 def canonical_monomial(group: GroupSpec, mono: Monomial) -> Monomial:
-    """Orbit representative: exponents sorted descending within each block."""
+    """Orbit representative: exponents sorted descending within each block,
+    one sort of the block's slice each."""
     if group.n != len(mono):
         raise DimensionMismatch("group and monomial arity differ")
+    slices = group.block_slices
+    if len(slices) == 1:
+        return tuple(sorted(mono, reverse=True))
     out: list[int] = []
-    for blk in group.blocks():
-        out.extend(sorted((mono[i] for i in blk), reverse=True))
+    for sl in slices:
+        out += sorted(mono[sl], reverse=True)
     return tuple(out)
 
 
@@ -98,8 +108,8 @@ def _multiset_orbit_size(values: Iterable) -> int:
 
 def monomial_orbit_size(group: GroupSpec, mono: Monomial) -> int:
     out = 1
-    for blk in group.blocks():
-        out *= _multiset_orbit_size(mono[i] for i in blk)
+    for sl in group.block_slices:
+        out *= _multiset_orbit_size(mono[sl])
     return out
 
 
@@ -122,7 +132,7 @@ def _distinct_arrangements(items: Sequence) -> Iterator[tuple]:
 
 
 def monomial_orbit_elements(group: GroupSpec, mono: Monomial) -> Iterator[Monomial]:
-    per_block = [_distinct_arrangements([mono[i] for i in blk]) for blk in group.blocks()]
+    per_block = [_distinct_arrangements(mono[sl]) for sl in group.block_slices]
     for combo in itertools.product(*[list(g) for g in per_block]):
         out: list[int] = []
         for part in combo:

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from symsos import cli
+from symsos import cli, pipeline
 from symsos.certificates import parse_certificate, serialize_certificate
+from symsos.sdp import FeasibilitySystem
 
 KNAPSACK2 = "vars: 2\ngroup: S(2)\ndomain: {0,1}\neq: x1 + x2 - 5/2\ntarget: refute\n"
 SATISFIABLE = "vars: 2\ngroup: S(2)\ndomain: {0,1}\neq: x1 + x2 - 1\ntarget: refute\n"
@@ -119,6 +120,32 @@ def test_pseudoexpect_none_for_contradiction(tmp_path, capsys):
                     "vars: 1\ndomain: {0,1}\neq: 1\ntarget: refute\ndegree: 2\n")
     assert cli.main(["pseudoexpect", problem]) == 1
     assert "no pseudoexpectation found" in capsys.readouterr().out
+
+
+def built_systems(monkeypatch):
+    """Every FeasibilitySystem the pipeline builds, in order."""
+    built = []
+
+    def record(**fields):
+        built.append(FeasibilitySystem(**fields))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "FeasibilitySystem", record)
+    return built
+
+
+def test_pseudoexpect_builds_one_moment_system_per_command(tmp_path, capsys,
+                                                           monkeypatch):
+    # find and check share one build; the next command keeps nothing of it
+    problem = write(tmp_path, "k3.sos", KNAPSACK3)
+    built = built_systems(monkeypatch)
+    assert cli.main(["pseudoexpect", problem, "--json"]) == 0
+    assert len(built) == 1
+    first = capsys.readouterr().out
+    assert json.loads(first)["valid_within_tolerance"] is True
+    assert cli.main(["pseudoexpect", problem, "--json"]) == 0
+    assert len(built) == 2 and built[0] is not built[1]
+    assert capsys.readouterr().out == first
 
 
 def test_orbits_report(tmp_path, capsys):

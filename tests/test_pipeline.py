@@ -1115,6 +1115,31 @@ def test_moment_system_reduces_once_per_monomial_orbit(monkeypatch):
     assert 0 < len(seen) <= len(enumerate_monomial_orbits(inst.group, 4))
 
 
+def test_an_instance_keeps_its_moment_system_and_replace_drops_it():
+    inst = balanced(6, 1)
+    reps, system = pipeline._moment_system(inst, 2)
+    assert pipeline._moment_system(inst, 2)[1] is system
+    assert list(inst._moment_systems) == [2]
+    for other in (replace(inst), replace(inst, degree=2)):
+        assert other._moment_systems == {}
+        assert pipeline._moment_system(other, 2)[1] is not system
+    assert replace(inst) == inst  # the memo takes no part in equality
+
+
+def test_a_check_on_another_instance_is_a_fresh_check():
+    # the same group and degree with another constraint: the memo of the
+    # instance that found pe must not answer for the other
+    inst = balanced(6, 1)
+    pe = find_pseudoexpectation(inst)
+    assert pe is not None and check_pseudoexpectation(inst, pe)
+
+    def two_ones():
+        return replace(inst, equalities=[sum_of_vars(6) - Polynomial.constant(6, 2)])
+    other = two_ones()
+    assert check_pseudoexpectation(other, pe) == check_pseudoexpectation(two_ones(), pe)
+    assert not check_pseudoexpectation(other, pe)
+
+
 def test_a_ring_the_group_moves_is_rejected():
     # x2's generator has other roots: S(2) maps the ideal elsewhere, though
     # it maps the leading monomials x1^2, x2^2 onto each other

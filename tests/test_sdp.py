@@ -5,13 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symsos import sdp
+from symsos import pipeline, sdp
 from symsos.errors import DimensionMismatch, ResourceLimit
+from symsos.pipeline import refute_invariant_system
 from symsos.poly import MonomialBasis
 from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, NumericSolution,
                         SolveOutcome, combination, rationalize,
                         simplest_in_interval, solve_feasibility)
 from symsos.symmetry import GramMatrix
+
+from .test_pipeline import balanced, two_plus_one
 
 
 def frac(a, b=1):
@@ -145,6 +148,50 @@ def test_psd_stack_is_float_of_each_entry():
     assert amat.tolist() == [[float(row.get(j, 0)) for j in range(k2 + k3)]
                              for row in rows]
     assert floats.tolist() == [float(v) for v in rhs]
+
+
+def reference_stack(system):
+    """S as float_view lays it out, filled one grid entry at a time."""
+    stack = np.zeros((system.k2, system.gram_dim ** 2))
+    for ij, form in enumerate(form for row in system.gram for form in row):
+        for r, c in form.items():
+            stack[r, ij] = float(c)
+    return stack
+
+
+def assert_stack_is_per_entry(system):
+    stack = sdp.float_view(system)[0]
+    assert np.array_equal(stack, reference_stack(system))
+    assert stack.flags.c_contiguous  # laid out as the per-entry fill was
+
+
+def test_float_view_of_a_search_system(monkeypatch):
+    # the search shares one {r: 1} among all entries of id r
+    seen = []
+    monkeypatch.setattr(pipeline, "solve_feasibility",
+                        lambda system: seen.append(system) or solve_feasibility(system))
+    refute_invariant_system(balanced(4, 2))
+    system, = seen
+    assert system.k2 > 1
+    assert_stack_is_per_entry(system)
+
+
+def test_float_view_of_a_moment_system():
+    # moment entries share one form per canonical monomial, some of several terms
+    system = pipeline._moment_system(two_plus_one(), 6)[1]
+    assert any(len(form) > 1 for row in system.gram for form in row)
+    assert_stack_is_per_entry(system)
+
+
+def test_float_view_of_equal_but_distinct_forms():
+    shared = {0: frac(1, 3), 2: frac(-5, 7)}
+    grid = [[{0: frac(1, 3), 2: frac(-5, 7)}, shared, {1: frac(2)}],
+            [shared, {0: frac(1, 3), 2: frac(-5, 7)}, {}],
+            [{1: frac(2)}, {}, {0: frac(10 ** 20, 3), 1: frac(-1, 9), 2: frac(0)}]]
+    system = FeasibilitySystem(basis=MonomialBasis(2, 1), gram=grid,
+                               linear_map=[{1: frac(1)}], rhs=[frac(1)], k3=0)
+    assert system.k2 == 3
+    assert_stack_is_per_entry(system)
 
 
 def test_solver_deterministic():

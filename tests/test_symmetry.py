@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symsos.errors import DimensionMismatch
 from symsos.linalg import psd_certificate
 from symsos.pipeline import ProblemInstance, _gram_orbits
 from symsos.poly import MonomialBasis, Polynomial, grlex_key, monomials_up_to
@@ -98,6 +99,30 @@ def test_swapped_is_the_transposition(data):
     monomial = st.tuples(*[st.integers(0, 2)] * group.n)
     p = Polynomial(group.n, data.draw(st.dictionaries(monomial, st.fractions(), max_size=5)))
     assert swapped(p, i) == act_on_polynomial(transposition(group, i), p)
+
+
+@st.composite
+def block_monomials(draw):
+    """A block group and a monomial of its arity."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    mono = draw(st.tuples(*[st.integers(0, 3)] * sum(sizes)))
+    return GroupSpec(tuple(sizes)), mono
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(block_monomials())
+def test_canonical_monomial_sorts_each_block(case):
+    group, mono = case
+    reference = []
+    for blk in group.blocks():
+        reference.extend(sorted((mono[i] for i in blk), reverse=True))
+    assert canonical_monomial(group, mono) == tuple(reference)
+
+
+def test_canonical_monomial_rejects_another_arity():
+    for group in (GroupSpec.symmetric(3), GroupSpec((2, 2))):
+        with pytest.raises(DimensionMismatch, match="arity differ"):
+            canonical_monomial(group, (1, 0))
 
 
 def test_canonical_monomial_is_orbit_invariant():
