@@ -105,6 +105,8 @@ class ProblemInstance:
     epsilon: Fraction = DEFAULT_EPSILON
     # _moment_system's (representatives, system) per degree, built on first
     # use, so that find and check share one; dataclasses.replace starts empty.
+    # It is keyed on degree alone: change no field of an instance after a
+    # find or check (make a new one with dataclasses.replace instead).
     _moment_systems: dict = field(default_factory=dict, init=False, compare=False,
                                   repr=False)
 

@@ -89,11 +89,8 @@ def canonical_monomial(group: GroupSpec, mono: Monomial) -> Monomial:
     one sort of the block's slice each."""
     if group.n != len(mono):
         raise DimensionMismatch("group and monomial arity differ")
-    slices = group.block_slices
-    if len(slices) == 1:
-        return tuple(sorted(mono, reverse=True))
     out: list[int] = []
-    for sl in slices:
+    for sl in group.block_slices:
         out += sorted(mono[sl], reverse=True)
     return tuple(out)
 
