@@ -7,7 +7,11 @@ when S(y0) already passes the tolerance test.  Otherwise it runs one
 primal-dual interior-point method (the HKM direction of Helmberg, Rendl,
 Vanderbei and Wolkowicz, with Mehrotra's predictor-corrector) on the
 phase-1 problem max t s.t. S(y0 + N z) - t I PSD, with N the directions of
-the rows' null space that move S.  It stops at the first point whose
+the rows' null space that move S.  It runs on V^T S V, M x M and
+block-diagonal, with a weight per row: _symmetry_blocks finds V and the
+weights from the grid's own matrices, and every trace is weighted, so
+the iterates are the dense ones at O(M^3) a step, with M set by the
+orbits, not by n.  It stops at the first point whose
 smallest eigenvalue clears MARGIN, so that rationalize's coarse windows
 still land inside the cone; or when its primal iterate is a dual witness
 that max t < 0; or at the step cap or a failed factorisation, when it keeps
@@ -17,7 +21,7 @@ WITNESS_RADIUS, a distance from y0 in units of y0's scale max(1, max |y0|),
 is 1e5, not 1e6, because the primal residual can stall
 near 1e-6: on the feasible sum x_i = n/2 over {0,1}^n at d = 2 (n = 6, 8,
 10) the Schur complement's condition number reaches 1e15 to 1e17 and a
-witness takes 16, 20 and 15 steps, against 8 to 11 at d = 1, even over
+witness takes 16, 18 and 14 steps, against 8 to 11 at d = 1, even over
 standard monomials, where no PSD direction reduces to zero.  Floats live
 only in this file and in linalg's PSD hint, whose answer they cannot
 change, and float_view is the one place a system becomes floats.  The
@@ -49,6 +53,7 @@ MARGIN = 1e-3  # smallest eigenvalue of S(y) at which the search stops
 MAX_STEPS = 60  # interior-point step cap
 STEP_FRACTION = 0.95  # share of the step to the cone's boundary taken
 WITNESS_RADIUS = 1e5  # a witness rules out solutions this close to y0, per unit of scale
+SPLIT = 1e-8  # eigenvalues closer than this, relative to the largest, are equal
 DENOMINATOR_BOUND = 2 ** 32  # largest denominator rationalize keeps
 
 
@@ -159,6 +164,7 @@ def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
     along the directions of the rows' null space that change S, and stops
     at the first point whose S(y) has smallest eigenvalue >= MARGIN, or
     with a dual witness, or at the step cap or a failed factorisation.
+    It runs on V^T S V, with V and the weights from _symmetry_blocks.
     """
     check_variable_count(system.variables)
     k2, dim = system.k2, system.gram_dim
@@ -175,11 +181,15 @@ def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
         if eig >= -TOLERANCE * scale:
             sol = NumericSolution([float(v) for v in y0], eig, lin, 0)
             return SolveOutcome(True, sol, lin, max(0.0, -eig), 0)
-        ops, back = _directions(null[:k2].T @ gmat, dim)
+        basis, weights = _symmetry_blocks(gmat, dim)
+        if len(weights) < dim:
+            gmat = (basis.T @ (gmat.reshape(k2, dim, dim) @ basis)).reshape(k2, -1)
+            s0 = (y0[:k2] @ gmat).reshape(len(weights), -1)
+        ops, back = _directions(null[:k2].T @ gmat, weights)
     except np.linalg.LinAlgError:
         return SolveOutcome(False, None, math.inf, math.inf, 0)
     del gmat  # only ops is needed from here on
-    exit_, z, steps, best = _phase_one(s0, eig, ops, WITNESS_RADIUS * scale)
+    exit_, z, steps, best = _phase_one(s0, eig, ops, weights, WITNESS_RADIUS * scale)
     if exit_ == "witness" or best < -TOLERANCE * scale:
         return SolveOutcome(False, None, lin, max(0.0, -best), steps,
                             dual_witness=exit_ == "witness")
@@ -188,18 +198,84 @@ def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
     return SolveOutcome(True, sol, lin, max(0.0, -best), steps)
 
 
-def _directions(fmat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _symmetry_blocks(stack: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """V, a W x M array with orthonormal columns, and a weight per column,
+    that block-diagonalise the matrix algebra the grid's matrices E_r
+    (stack's rows) generate: for each E in it, V^T E V is block-diagonal,
+    and E is orthogonally similar to the sum of those blocks, each
+    repeated its rows' weight times.  So E's eigenvalues are V^T E V's,
+    each counted its weight times, and trace(E F) is the weighted trace of
+    V^T E V V^T F V.
+
+    This is numerical block diagonalisation (Murota, Kanno, Kojima and
+    Kojima, Japan J. Indust. Appl. Math. 2010).  The eigenspaces of a
+    generic a = sum_r sin(r + 1) E_r are the groups of equal eigenvalues;
+    a block is the groups that b v reaches, for b = sum_r cos(3 r + 1) E_r
+    and v the first eigenvector of its first group, and each of its groups
+    gives one column, v or the unit projection of b v onto the group,
+    weighted by the groups' common size.  The result is checked: the
+    weighted eigenvalues of V^T b V must be b's.  A grid with no symmetry,
+    a failed check or a failed eigh gives V = I and weights 1.
+    """
+    unit = np.eye(dim), np.ones(dim)
+    r = np.arange(stack.shape[0])
+    a = (np.sin(r + 1.0) @ stack).reshape(dim, dim)
+    b = (np.cos(3.0 * r + 1.0) @ stack).reshape(dim, dim)
+    try:
+        values, vectors = np.linalg.eigh(a)
+        spectrum = np.linalg.eigvalsh(b)
+    except np.linalg.LinAlgError:
+        return unit
+    starts = np.flatnonzero(np.diff(values, prepend=-math.inf)
+                            > SPLIT * np.abs(values).max())
+    if len(starts) == dim:  # every eigenvalue simple: no symmetry to use
+        return unit
+    ends = np.append(starts[1:], dim)
+    tol = SPLIT * np.abs(spectrum).max()
+    columns, weights, blocks = [], [], []
+    free = np.ones(len(starts), dtype=bool)  # groups in no block yet
+    for g in range(len(starts)):
+        if not free[g]:
+            continue
+        first = vectors[:, starts[g]]
+        reach = vectors.T @ (b @ first)  # b v in the eigenvector basis
+        members = free & (np.add.reduceat(reach ** 2, starts) > tol ** 2)
+        members[g] = True
+        size = ends[g] - starts[g]
+        if np.any(ends[members] - starts[members] != size):
+            return unit
+        free &= ~members
+        blocks.append(slice(len(columns), len(columns) + int(members.sum())))
+        for h in np.flatnonzero(members):
+            part = first if h == g else \
+                vectors[:, starts[h]:ends[h]] @ reach[starts[h]:ends[h]]
+            columns.append(part / np.linalg.norm(part))
+            weights.append(size)
+    basis = np.array(columns).T
+    compressed = basis.T @ b @ basis
+    weighted = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(compressed[s, s]),
+                                                 weights[s.start]) for s in blocks]))
+    if np.abs(weighted - spectrum).max() > tol:
+        return unit
+    return basis, np.array(weights, dtype=float)
+
+
+def _directions(fmat: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The phase-1 operators and the map back to fmat's row coordinates.
 
-    fmat holds, as rows, the flattened change of S along each null-space
-    direction.  The operators are the changes along an orthonormal basis
-    of the directions that move S, then -I for t; back maps coordinates in
-    that basis to coordinates of fmat's rows.
+    fmat holds, as rows, the flattened change of the M x M block matrix
+    along each null-space direction, row i of each block counted weights[i]
+    times.  The operators are the changes along a basis of the directions
+    that move S, orthonormal in that weighted trace, then -I for t; back
+    maps coordinates in that basis to coordinates of fmat's rows.
     """
-    left, sv, right = np.linalg.svd(fmat, full_matrices=False)
+    dim = len(weights)
+    root = np.repeat(np.sqrt(weights), dim)
+    left, sv, right = np.linalg.svd(fmat * root, full_matrices=False)
     rank = int(np.sum(sv > sv.max(initial=0.0) * 1e-12))
     ops = np.empty((rank + 1, dim, dim))
-    np.multiply(sv[:rank, None], right[:rank], out=ops[:rank].reshape(rank, dim * dim))
+    np.multiply(sv[:rank, None], right[:rank] / root,
+                out=ops[:rank].reshape(rank, dim * dim))
     ops[rank] = -np.eye(dim)
     return ops, left[:, :rank]
 
@@ -213,11 +289,13 @@ def _least_norm(amat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return y0, right[rank:].T
 
 
-def _phase_one(s0: np.ndarray, eig0: float, ops: np.ndarray,
+def _phase_one(s0: np.ndarray, eig0: float, ops: np.ndarray, weights: np.ndarray,
                radius: float) -> tuple[str, np.ndarray, int, float]:
     """Primal-dual interior-point steps on max t s.t.
     Z = s0 + sum_j z_j ops[j] - t I PSD, with u = (z, t) and ops[-1] = -I,
-    so Z = s0 + sum_i u_i ops[i]; eig0 is s0's smallest eigenvalue.
+    so Z = s0 + sum_i u_i ops[i]; eig0 is s0's smallest eigenvalue.  Every
+    matrix is M x M block-diagonal, row i counted weights[i] times, so each
+    trace inner product <A, B> is sum_i weights[i] (A * B)[i].sum().
 
     HKM direction with Mehrotra's predictor-corrector.  The dual iterate
     u starts at z = 0, t = eig0 - 1 and stays feasible.  The primal
@@ -229,14 +307,17 @@ def _phase_one(s0: np.ndarray, eig0: float, ops: np.ndarray,
     largest lambda_min(S) seen, the steps taken, and that eigenvalue.
     """
     m, dim = ops.shape[0] - 1, s0.shape[0]
+    size = weights.sum()  # W, the trace of I
+    row = weights[:, None]
+    root = np.sqrt(row)
     eye = np.eye(dim)
     flat = ops.reshape(m + 1, dim * dim)
+    wflat = (ops * row).reshape(m + 1, dim * dim)  # <ops[i], Y> = wflat[i] @ Y
     goal = np.zeros(m + 1)
     goal[m] = 1.0
-    scaled = np.empty_like(ops)
     u = np.zeros(m + 1)
     u[m] = eig0 - 1.0
-    x = eye / dim
+    x = eye / size
     best, best_z, step = -math.inf, u[:m].copy(), 0
     try:
         for step in range(MAX_STEPS + 1):
@@ -246,49 +327,49 @@ def _phase_one(s0: np.ndarray, eig0: float, ops: np.ndarray,
                 best, best_z = eig, u[:m].copy()
             if best >= MARGIN:
                 return "feasible", best_z, step, best
-            bound = float(np.sum(s0 * x))
-            residual = float(np.linalg.norm(flat[:m] @ x.ravel()))
+            bound = float(np.sum(s0 * x * row))
+            residual = float(np.linalg.norm(wflat[:m] @ x.ravel()))
             if bound < 0 and radius * residual <= -bound:
                 return "witness", best_z, step, best
             if step == MAX_STEPS:
                 break
             z = s - u[m] * eye
-            lz_inv = np.linalg.inv(np.linalg.cholesky(z))
-            lx = np.linalg.cholesky(x)
-            lx_inv = np.linalg.inv(lx)
+            factors = np.linalg.cholesky(np.stack((z, x)))
+            inverses = np.linalg.inv(factors)
+            lz_inv, lx = inverses[0], factors[1]
             z_inv = lz_inv.T @ lz_inv
-            for op, out in zip(ops, scaled):  # one direction at a time
-                np.matmul(lz_inv @ op, lx, out=out)
-            schur = scaled.reshape(m + 1, -1) @ scaled.reshape(m + 1, -1).T
-            primal_residual = goal + flat @ x.ravel()  # b - A(X), A(Y) = -<ops, Y>
-            mu = float(np.sum(x * z)) / dim
+            scaled = (np.matmul(lz_inv @ ops, lx) * root).reshape(m + 1, -1)
+            schur = scaled @ scaled.T
+            primal_residual = goal + wflat @ x.ravel()  # b - A(X), A(Y) = -<ops, Y>
+            mu = float(np.sum(x * z * row)) / size
 
             def direction(r_zinv: np.ndarray):
                 """The step solving A(dX) = b - A(X), dZ = -A^T(du) and
-                X dZ + dX Z = R, given R Z^-1."""
-                du = np.linalg.solve(schur, primal_residual + flat @ r_zinv.ravel())
+                X dZ + dX Z = R, given R Z^-1; with the longest steps
+                that keep Z + dZ and X + dX PSD."""
+                du = np.linalg.solve(schur, primal_residual + wflat @ r_zinv.ravel())
                 dz = np.tensordot(du, ops, axes=1)
                 dx = r_zinv - x @ dz @ z_inv
-                return du, (dx + dx.T) / 2.0, dz
+                dx = (dx + dx.T) / 2.0
+                return du, dx, dz, *_max_steps(inverses, np.stack((dz, dx)))
 
-            du, dx, dz = direction(-x)
-            ap = min(1.0, _max_step(lx_inv, dx))
-            ad = min(1.0, _max_step(lz_inv, dz))
-            gap = float(np.sum((x + ap * dx) * (z + ad * dz))) / dim
+            du, dx, dz, ad, ap = direction(-x)
+            gap = float(np.sum((x + min(1.0, ap) * dx) * (z + min(1.0, ad) * dz)
+                               * row)) / size
             sigma = min(1.0, (gap / mu) ** 3)
-            du, dx, dz = direction(sigma * mu * z_inv - x - dx @ dz @ z_inv)
-            x = x + min(1.0, STEP_FRACTION * _max_step(lx_inv, dx)) * dx
-            u = u + min(1.0, STEP_FRACTION * _max_step(lz_inv, dz)) * du
+            du, dx, dz, ad, ap = direction(sigma * mu * z_inv - x - dx @ dz @ z_inv)
+            x = x + min(1.0, STEP_FRACTION * ap) * dx
+            u = u + min(1.0, STEP_FRACTION * ad) * du
     except np.linalg.LinAlgError:
         pass
     return "stopped", best_z, step, best
 
 
-def _max_step(chol_inv: np.ndarray, d: np.ndarray) -> float:
-    """The largest alpha with L L^T + alpha d PSD (inf if there is none),
-    given L^-1."""
-    low = float(np.linalg.eigvalsh(chol_inv @ d @ chol_inv.T)[0])
-    return math.inf if low >= 0 else -1.0 / low
+def _max_steps(chol_inv: np.ndarray, d: np.ndarray) -> list[float]:
+    """For each k, the largest alpha with L_k L_k^T + alpha d[k] PSD (inf if
+    there is none), given the stacked L_k^-1."""
+    low = np.linalg.eigvalsh(chol_inv @ d @ chol_inv.transpose(0, 2, 1))[:, 0]
+    return [math.inf if v >= 0 else -1.0 / v for v in low.tolist()]
 
 
 # -- exact rounding ----------------------------------------------------------

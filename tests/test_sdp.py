@@ -1,20 +1,28 @@
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symsos import pipeline, sdp
 from symsos.errors import DimensionMismatch, ResourceLimit
-from symsos.pipeline import refute_invariant_system
-from symsos.poly import MonomialBasis
+from symsos.pipeline import ProblemInstance, prove_invariant, refute_invariant_system
+from symsos.poly import MonomialBasis, Polynomial
+from symsos.problem import parse_problem
 from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, NumericSolution,
                         SolveOutcome, combination, rationalize,
                         simplest_in_interval, solve_feasibility)
-from symsos.symmetry import GramMatrix
+from symsos.symmetry import GramMatrix, GroupSpec
 
-from .test_pipeline import balanced, two_plus_one
+from .test_pipeline import BOOL, balanced, captured_system, sum_of_vars, two_plus_one
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def frac(a, b=1):
@@ -278,3 +286,116 @@ def test_end_to_end_solve_then_rationalize():
     assert rat.ok
     assert rat.values[0] - rat.values[1] == 1
     assert rat.values[0] >= 0
+
+
+def grid_stack(monkeypatch, inst):
+    """The float stack and size of the grid the refutation hands the solver."""
+    system = captured_system(monkeypatch, inst)[1]
+    return sdp.float_view(system)[0], system.gram_dim
+
+
+def equal_sum(blocks, d):
+    """sum x_i = n/2 over {0,1}^n under the block group S(blocks[0]) x ..."""
+    n = sum(blocks)
+    return ProblemInstance(group=GroupSpec(blocks), degree=d, domain_roots=BOOL,
+                           equalities=[sum_of_vars(n) - Polynomial.constant(n, frac(n, 2))])
+
+
+def spectrum_of_blocks(mat, weights):
+    """The eigenvalues of block-diagonal mat, each counted its rows' weight."""
+    values, vectors = np.linalg.eigh(mat)
+    counts = np.rint(weights @ vectors ** 2).astype(int)
+    return np.sort(np.repeat(values, counts))
+
+
+# S(n) on the subsets of size <= d: one block per k <= min(d, n - k), of
+# min(d, n - k) - k + 1 rows, each of weight C(n, k) - C(n, k - 1).
+@pytest.mark.parametrize("blocks,d,weights", [
+    ((4,), 1, [1, 1, 3]), ((8,), 1, [1, 1, 7]), ((16,), 1, [1, 1, 15]),
+    ((4,), 2, [1, 1, 1, 2, 3, 3]), ((6,), 2, [1, 1, 1, 5, 5, 9]),
+    ((8,), 2, [1, 1, 1, 7, 7, 20]), ((12,), 2, [1, 1, 1, 11, 11, 54]),
+    ((4, 4), 1, [1, 1, 1, 3, 3])])
+def test_symmetry_blocks_of_the_cube(monkeypatch, blocks, d, weights):
+    stack, dim = grid_stack(monkeypatch, equal_sum(blocks, d))
+    basis, found = sdp._symmetry_blocks(stack, dim)
+    assert sorted(found) == weights and sum(weights) == dim
+    assert np.allclose(basis.T @ basis, np.eye(len(weights)), atol=1e-12)
+    rng = random.Random(dim)
+    for _ in range(3):  # elements of the grid's span: the same spectrum on the blocks
+        mat = (np.array([rng.uniform(-1, 1) for _ in stack]) @ stack).reshape(dim, dim)
+        assert np.allclose(spectrum_of_blocks(basis.T @ mat @ basis, found),
+                           np.linalg.eigvalsh(mat), atol=1e-9)
+
+
+def test_no_symmetry_gives_the_identity(monkeypatch):
+    inst = ProblemInstance(group=GroupSpec.trivial(3), degree=1, domain_roots=BOOL,
+                           equalities=[sum_of_vars(3) - Polynomial.constant(3, 1)])
+    stack, dim = grid_stack(monkeypatch, inst)
+    basis, weights = sdp._symmetry_blocks(stack, dim)
+    assert np.array_equal(basis, np.eye(dim)) and np.array_equal(weights, np.ones(dim))
+
+
+def test_an_accidental_degeneracy_fails_the_check():
+    # a = sin(1) E_0 + sin(2) E_1 is sin(1) I, a double eigenvalue that
+    # no symmetry makes: b = cos(1) E_0 + cos(4) E_1 has two, so V = I
+    stack = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, math.sin(1) / math.sin(2)]])
+    basis, weights = sdp._symmetry_blocks(stack, 2)
+    assert np.array_equal(basis, np.eye(2)) and np.array_equal(weights, np.ones(2))
+
+
+def test_phase_one_on_weighted_rows_takes_the_dense_steps():
+    # diag(-3, 2, 2) - t I written as diag(-3, 2) with weights (1, 2): max t = -3
+    dense = sdp._phase_one(np.diag([-3.0, 2.0, 2.0]), -3.0, -np.eye(3)[None],
+                           np.ones(3), 1e5)
+    blocked = sdp._phase_one(np.diag([-3.0, 2.0]), -3.0, -np.eye(2)[None],
+                             np.array([1.0, 2.0]), 1e5)
+    assert dense[0] == "witness" and dense[2] > 0
+    assert blocked[0] == dense[0] and blocked[2] == dense[2]
+    assert blocked[3] == pytest.approx(dense[3], rel=1e-12)
+
+
+def workload_instance(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+    inst = next(inst for make in WORKLOADS.values() for inst in make()
+                if inst.name == name)
+    return parse_problem(inst.problem_text()).instance()
+
+
+@pytest.mark.parametrize("name,search", [("refute-d2-n6", refute_invariant_system),
+                                         ("e2-6x6-d1-slack1", prove_invariant),
+                                         ("balanced-d1-n16", refute_invariant_system)])
+def test_the_blocks_take_the_dense_steps(monkeypatch, name, search):
+    system = captured_system(monkeypatch, workload_instance(monkeypatch, name), search)[1]
+    assert len(sdp._symmetry_blocks(sdp.float_view(system)[0], system.gram_dim)[1]) \
+        < system.gram_dim
+    blocked = solve_feasibility(system)
+    monkeypatch.setattr(sdp, "_symmetry_blocks",
+                        lambda stack, dim: (np.eye(dim), np.ones(dim)))
+    dense = solve_feasibility(system)
+    assert dense.iterations > 0
+    assert (blocked.feasible, blocked.dual_witness, blocked.iterations) == \
+        (dense.feasible, dense.dual_witness, dense.iterations)
+    if dense.solution is not None:  # a witness has no point
+        scale = max(map(abs, dense.solution.values))
+        assert np.allclose(blocked.solution.values, dense.solution.values,
+                           rtol=0, atol=1e-8 * scale)
+
+
+def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # refute sum x_i = 33/2 on {0,1}^16 under S(16) at d = 2 (W = 137): the
+    # solve runs on 6 block rows, too few for OpenBLAS to split
+    n = 16
+    problem = tmp_path / "refute.sos"
+    problem.write_text(f"vars: {n}\ngroup: S({n})\ndomain: {{0,1}}\n"
+                       f"eq: {' + '.join(f'x{i}' for i in range(1, n + 1))} - 33/2\n"
+                       "target: refute\ndegree: 2\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        cert = tmp_path / f"threads-{threads}.cert.json"
+        subprocess.run([sys.executable, "-m", "symsos.cli", "refute", str(problem), "-o", str(cert)],
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                       capture_output=True, timeout=120, check=True)
+        digests.append(hashlib.sha256(cert.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
