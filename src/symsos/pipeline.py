@@ -28,13 +28,14 @@ the equality terms is one linear combination of them: the cofactors are
 the quotients of the goal minus that combination on the ring's
 generators, with no expansion of sigma and no multiplier times its
 constraint, and verify is the one place sigma is expanded.  When the
-solver finds no point, the result says why: "dual-witness" when its
-primal iterate is numeric evidence that no certificate exists at this
-degree, "solver-stopped" when it stopped at its step cap or a failed
-factorisation without deciding.  The variable-count
-report builds the same _SearchSpec, so it rejects what the search rejects,
-and counts the unknowns as the search does, without building a column.  A returned certificate is always exact and has been verified;
-everything numeric is quarantined in the solver.
+solver finds no point, the result's reason is the solver's exit:
+"dual-witness" when its primal iterate is numeric evidence that no
+certificate exists at this degree, "solver-stopped" when it stopped at
+its step cap or a failed factorisation without a point.  The
+variable-count report builds the same _SearchSpec, so it rejects what the
+search rejects, and counts the unknowns as the search does, without
+building a column.  A returned certificate is always exact and has been
+verified; everything numeric is quarantined in the solver.
 
 The Gram basis, and the moment matrix's basis on the dual side, are the
 ring's standard monomials, those that no generator's leading monomial
@@ -94,7 +95,7 @@ RATIONALIZE_WINDOWS = (Fraction(1, 10 ** 3), Fraction(1, 10 ** 5),
                        Fraction(1, 10 ** 7), Fraction(1, 10 ** 10))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
     group: GroupSpec
     equalities: list[Polynomial]
@@ -105,8 +106,6 @@ class ProblemInstance:
     epsilon: Fraction = DEFAULT_EPSILON
     # _moment_system's (representatives, system) per degree, built on first
     # use, so that find and check share one; dataclasses.replace starts empty.
-    # It is keyed on degree alone: change no field of an instance after a
-    # find or check (make a new one with dataclasses.replace instead).
     _moment_systems: dict = field(default_factory=dict, init=False, compare=False,
                                   repr=False)
 
@@ -128,7 +127,7 @@ class ProblemInstance:
         if self.domain_roots is not None:  # invariant by construction
             ring = finite_domain_basis(n, self.domain_roots)
             if self.groebner is None:
-                self.groebner = ring
+                object.__setattr__(self, "groebner", ring)
             elif self.groebner != ring:
                 raise InvalidInstance("give either domain_roots or groebner, not both")
         elif self.groebner is not None:
@@ -416,19 +415,17 @@ def _search(inst: ProblemInstance, spec: _SearchSpec) -> PipelineResult:
     def normal(p: Polynomial) -> Mapping[Monomial, Fraction]:
         return p.terms if gb is None else reduce_polynomial(p, gb).terms
     rows, rhs = _match_columns([normal(c) for c in columns], normal(spec.goal))
-    unit = [{r: Fraction(1)} for r in range(k2)]
-    system = FeasibilitySystem(basis=standard,
-                               gram=[[unit[r] for r in row] for row in ids],
-                               linear_map=rows, rhs=rhs, k3=spec.free_count)
+    system = FeasibilitySystem(
+        basis=standard, forms=[{r: Fraction(1)} for r in range(k2)], grid=ids,
+        linear_map=rows, rhs=rhs, k3=spec.free_count)
     outcome = solve_feasibility(system)
     if not outcome.feasible:
-        return no_certificate("dual-witness" if outcome.dual_witness
-                              else "solver-stopped", outcome)
+        return no_certificate(outcome.exit, outcome)
     # verify is the one exact check; a sigma that is not PSD tries a finer window.
     # The certificate's sigma is over the whole basis, zero off the standard rows.
     basis = MonomialBasis(inst.n, spec.gram_degree)
     for window in RATIONALIZE_WINDOWS:
-        rat = rationalize(outcome.solution, system, window=window)
+        rat = rationalize(outcome.values, system, window=window)
         if not rat.ok:
             continue
         sigma = combination(system, rat.values[:k2], basis)
@@ -492,11 +489,12 @@ def _moment_system(inst: ProblemInstance, deg: int
                    ) -> tuple[list[Monomial], FeasibilitySystem]:
     """The moment system of a symmetric degree-deg functional L.
 
-    L's unknowns are its values L_r on the representatives.  gram is the
-    moment matrix over the standard monomials of degree <= deg/2, entry
-    (a, b) the sparse form L(x^(a + b)) over the unknowns.  That loses
-    nothing: L is defined through reduction, so L(q^2) = L(NF(q)^2) for
-    every q, and NF(q) lies in their span.  The rows are the distinct
+    L's unknowns are its values L_r on the representatives.  The grid is
+    the moment matrix over the standard monomials of degree <= deg/2,
+    entry (a, b) the index in forms of the sparse form L(x^(a + b)) over
+    the unknowns, one form per canonical monomial.  That loses nothing: L
+    is defined through reduction, so L(q^2) = L(NF(q)^2) for every q, and
+    NF(q) lies in their span.  The rows are the distinct
     equations L(1) = 1 and L(m p) = 0 for every monomial m of degree <=
     deg - deg p and each constraint p, each filled sparse.  The group maps
     the ring onto itself, so L(x^m) depends only on the orbit of m: each
@@ -510,32 +508,35 @@ def _moment_system(inst: ProblemInstance, deg: int
     n, group, gb = inst.n, inst.group, inst.groebner
     reps = _moment_representatives(inst, deg)
     slot = {r: i for i, r in enumerate(reps)}
-    forms: dict[Monomial, dict[int, Fraction]] = {}
+    forms: list[dict[int, Fraction]] = []
+    index: dict[Monomial, int] = {}  # canonical monomial -> its form in forms
 
-    def moment_of(mono: Monomial) -> dict[int, Fraction]:
-        """L(mono) as coefficients on the unknowns."""
+    def moment_of(mono: Monomial) -> int:
+        """The index in forms of L(mono) as coefficients on the unknowns."""
         canon = canonical_monomial(group, mono)
-        form = forms.get(canon)
-        if form is None:
-            form = forms[canon] = {}
+        if canon not in index:
+            index[canon] = len(forms)
+            form: dict[int, Fraction] = {}
             normal = ({canon: Fraction(1)} if gb is None else
                       reduce_polynomial(Polynomial.monomial(n, canon), gb).terms)
             for m, coeff in normal.items():
                 r = slot[canonical_monomial(group, m)]
                 form[r] = form.get(r, 0) + coeff
-        return form
+            forms.append(form)
+        return index[canon]
 
     half = _standard(MonomialBasis(n, deg // 2), inst.groebner)
-    gram: list[list] = [[None] * len(half) for _ in half]
+    grid = [[0] * len(half) for _ in half]
     for i, a in enumerate(half):
         for j in range(i, len(half)):
-            gram[i][j] = gram[j][i] = moment_of(tuple(map(add, a, half[j])))
+            grid[i][j] = grid[j][i] = moment_of(tuple(map(add, a, half[j])))
+    entries = forms[:]  # the grid's forms; the rows below add more
 
     def moment_row(shift: Monomial, p: Polynomial) -> list[tuple[int, Fraction]]:
         """L(x^shift * p) as its nonzero (unknown, coefficient) pairs."""
         row: dict[int, Fraction] = {}
         for mono, coeff in p.terms.items():
-            for r, c in moment_of(tuple(map(add, shift, mono))).items():
+            for r, c in forms[moment_of(tuple(map(add, shift, mono)))].items():
                 row[r] = row.get(r, 0) + coeff * c
         return sorted((r, c) for r, c in row.items() if c)
 
@@ -547,8 +548,8 @@ def _moment_system(inst: ProblemInstance, deg: int
                   else monomials_up_to(n, shift_degree))
         rows += [(moment_row(m, p), Fraction(0)) for m in shifts]
     rows, rhs = _distinct_rows(rows)
-    inst._moment_systems[deg] = (
-        reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs, k3=0))
+    inst._moment_systems[deg] = reps, FeasibilitySystem(
+        basis=half, forms=entries, grid=grid, linear_map=rows, rhs=rhs, k3=0)
     return inst._moment_systems[deg]
 
 
@@ -564,7 +565,7 @@ def find_pseudoexpectation(inst: ProblemInstance) -> Optional[Pseudoexpectation]
     outcome = solve_feasibility(system)
     if not outcome.feasible:
         return None
-    values = outcome.solution.values
+    values = outcome.values
     return Pseudoexpectation(group=inst.group, degree=deg,
                              moments={r: values[i] for i, r in enumerate(reps)},
                              numeric=True)

@@ -1,36 +1,38 @@
 """Desk-scale semidefinite feasibility, and the numeric-to-exact bridge.
 
-The systems solved here are tiny after symmetry reduction; each holds
-S(y) as one W x W grid of sparse forms over its unknowns.  The solver
-starts from y0, the least-norm solution of the linear rows, and keeps it
-when S(y0) already passes the tolerance test.  Otherwise it runs one
-primal-dual interior-point method (the HKM direction of Helmberg, Rendl,
-Vanderbei and Wolkowicz, with Mehrotra's predictor-corrector) on the
-phase-1 problem max t s.t. S(y0 + N z) - t I PSD, with N the directions of
-the rows' null space that move S.  It runs on V^T S V, M x M and
-block-diagonal, with a weight per row: _symmetry_blocks finds V and the
-weights from the grid's own matrices, and every trace is weighted, so
-the iterates are the dense ones at O(M^3) a step, with M set by the
-orbits, not by n.  It stops at the first point whose
-smallest eigenvalue clears MARGIN, so that rationalize's coarse windows
-still land inside the cone; or when its primal iterate is a dual witness
-that max t < 0; or at the step cap or a failed factorisation, when it keeps
-the best point seen if that passes the tolerance test.  It is one
-deterministic attempt with no settings: its constants are below.
-WITNESS_RADIUS, a distance from y0 in units of y0's scale max(1, max |y0|),
-is 1e5, not 1e6, because the primal residual can stall
-near 1e-6: on the feasible sum x_i = n/2 over {0,1}^n at d = 2 (n = 6, 8,
-10) the Schur complement's condition number reaches 1e15 to 1e17 and a
-witness takes 16, 18 and 14 steps, against 8 to 11 at d = 1, even over
-standard monomials, where no PSD direction reduces to zero.  Floats live
-only in this file and in linalg's PSD hint, whose answer they cannot
-change, and float_view is the one place a system becomes floats.  The
-linear rows stay sparse: rationalize() rounds a numeric
-solution back to exact rationals and re-closes the linear system exactly
-(the rounding and projection of Peyrl and Parrilo, TCS 2008) over the
-rows as given: the residual, linalg's sparse integer minimum-norm
-correction and the exact re-check; the one exact PSD check of the result
-is certificates.verify, run by the caller on the finished certificate.
+The systems solved here are tiny after symmetry reduction; each holds S(y)
+as its distinct sparse forms over the unknowns and one W x W grid of
+indices into them.  The solver starts from y0, the least-norm solution of
+the linear rows, and keeps it when S(y0) already passes the tolerance
+test.  Otherwise it runs one primal-dual interior-point method (the HKM
+direction of Helmberg, Rendl, Vanderbei and Wolkowicz, with Mehrotra's
+predictor-corrector) on the phase-1 problem max t s.t. S(y0 + N z) - t I
+PSD, with N the directions of the rows' null space that move S.  It runs
+on V^T S V, M x M and block-diagonal, with a weight per row:
+_symmetry_blocks finds V and the weights from the grid's own matrices, and
+every trace is weighted, so the iterates are the dense ones at O(M^3) a
+step, with M set by the orbits, not by n.  It stops at the first point
+whose smallest eigenvalue clears MARGIN, so that rationalize's coarse
+windows still land inside the cone; or when its primal iterate is a dual
+witness that max t < 0; or at the step cap or a failed factorisation, when
+it keeps the best point seen if that passes the tolerance test.  A solve
+returns one SolveOutcome: its exit ("y0", "margin", "dual-witness" or
+"solver-stopped") and its point, if that passes the tolerance test.  It is
+one deterministic attempt with no settings: its constants are below.
+WITNESS_RADIUS, a distance from y0 in units of y0's scale max(1, max
+|y0|), is 1e5, not 1e6, because the primal residual can stall near 1e-6:
+on the feasible sum x_i = n/2 over {0,1}^n at d = 2 (n = 6, 8, 10) the
+Schur complement's condition number reaches 1e15 to 1e17 and a witness
+takes 16, 18 and 14 steps, against 8 to 11 at d = 1, even over standard
+monomials, where no PSD direction reduces to zero.  Floats live only in
+this file and in linalg's PSD hint, whose answer they cannot change, and
+float_view is the one place a system becomes floats.  The linear rows stay
+sparse: rationalize() rounds a numeric solution back to exact rationals
+and re-closes the linear system exactly (the rounding and projection of
+Peyrl and Parrilo, TCS 2008) over the rows as given: the residual and
+linalg's sparse integer minimum-norm correction, which checks itself
+exactly; the one exact check of the result is certificates.verify, run by
+the caller on the finished certificate.
 """
 
 from __future__ import annotations
@@ -61,18 +63,19 @@ DENOMINATOR_BOUND = 2 ** 32  # largest denominator rationalize keeps
 class FeasibilitySystem:
     """Find (a, b) with S(a) PSD and A (a, b) = rhs.
 
-    gram is S, a symmetric W x W grid over basis, the W monomials that
-    index its rows, whose entry (i, j) is a sparse form {r: c}, so
-    S(a)[i][j] = sum c * a[r]; k2, the number of PSD unknowns a, is read
-    off it.  b holds the k3 free scalars, columns k2 to k2 + k3 - 1; k3 is
-    given, not read off the rows, because a free scalar's column can be
-    all zero.  linear_map is A as its k1 sparse rows {column: c}, nonzero
+    S is a symmetric W x W grid over basis, the W monomials that index its
+    rows: grid[i][j] is the index in forms of entry (i, j), a sparse form
+    {r: c}, so S(a)[i][j] = sum c * a[r]; k2, the number of PSD unknowns
+    a, is read off the forms.  b holds the k3 free scalars, columns k2 to
+    k2 + k3 - 1; k3 is given, not read off the rows, because a free
+    scalar's column can be all zero.  linear_map is A as its k1 sparse rows {column: c}, nonzero
     coefficients only, one per distinct coefficient equation (one per
     monomial orbit for invariant data).
     """
 
     basis: Sequence[Monomial]
-    gram: list[list[dict[int, Fraction]]]
+    forms: list[dict[int, Fraction]]
+    grid: list[list[int]]
     linear_map: list[dict[int, Fraction]]
     rhs: list[Fraction]
     k3: int
@@ -80,12 +83,13 @@ class FeasibilitySystem:
 
     def __post_init__(self):
         dim = len(self.basis)
-        if len(self.gram) != dim or any(len(row) != dim for row in self.gram):
+        if len(self.grid) != dim or any(len(row) != dim for row in self.grid):
             raise DimensionMismatch("gram grid does not match basis size")
-        if any(self.gram[i][j] != self.gram[j][i] for i in range(dim) for j in range(i)):
+        if any(not 0 <= k < len(self.forms) for row in self.grid for k in row):
+            raise DimensionMismatch("gram grid index outside forms")
+        if any(self.grid[i][j] != self.grid[j][i] for i in range(dim) for j in range(i)):
             raise ValueError("gram grid is not symmetric")
-        self.k2 = 1 + max((r for row in self.gram for form in row for r in form),
-                          default=-1)
+        self.k2 = 1 + max((r for form in self.forms for r in form), default=-1)
         if not self.k2:
             raise ValueError("need at least one PSD unknown")
         if self.k3 < 0:
@@ -109,38 +113,40 @@ class FeasibilitySystem:
 
 
 @dataclass
-class NumericSolution:
-    values: list[float]
-    psd_min_eigenvalue_estimate: float
-    linear_residual_norm: float
-    iterations: int
-
-
-@dataclass
 class SolveOutcome:
-    feasible: bool
-    solution: Optional[NumericSolution]
-    best_linear_residual: float
-    best_psd_deficit: float
+    """How a solve ended, and its point.
+
+    exit is "y0" (y0 passed the tolerance test), "margin" (a point's
+    smallest eigenvalue cleared MARGIN), "dual-witness" (the rows
+    contradict each other, or the primal iterate showed max t < 0) or
+    "solver-stopped" (the step cap or a failed factorisation).  values is
+    the point whenever it passes the tolerance test, else None.
+    min_eigenvalue is S's smallest eigenvalue at the best point seen and
+    linear_residual the rows' largest residual, which every step keeps.
+    """
+
+    exit: str
+    values: Optional[list[float]]
+    min_eigenvalue: float
+    linear_residual: float
     iterations: int
-    dual_witness: bool = False  # not feasible, with numeric evidence why
+
+    @property
+    def feasible(self) -> bool:
+        return self.values is not None
 
 
 def float_view(system: FeasibilitySystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The system in floating point: S as one (k2, W * W) array whose row r
     holds a[r]'s coefficient in each entry, row-major; A as a dense
-    (k1, k2 + k3) array; and rhs.  Grids share one form object among the
-    entries of an orbit, so each distinct form object becomes one column,
-    one pass over its nonzeros, and one gather of those columns fills S;
-    numerator / denominator is float(c)."""
-    entries = [form for row in system.gram for form in row]
-    distinct = {id(form): form for form in entries}
-    column = {key: j for j, key in enumerate(distinct)}
-    table = np.zeros((system.k2, len(distinct)))
-    for j, form in enumerate(distinct.values()):
+    (k1, k2 + k3) array; and rhs.  Each form becomes one column, one pass
+    over its nonzeros, and one gather of those columns through the grid
+    fills S; numerator / denominator is float(c)."""
+    table = np.zeros((system.k2, len(system.forms)))
+    for j, form in enumerate(system.forms):
         for r, c in form.items():
             table[r, j] = c.numerator / c.denominator
-    stack = np.take(table, [column[id(form)] for form in entries], axis=1)
+    stack = np.take(table, np.ravel(system.grid), axis=1)
     amat = np.zeros((system.k1, system.variables))
     for i, row in enumerate(system.linear_map):
         for j, c in row.items():
@@ -177,25 +183,21 @@ def solve_feasibility(system: FeasibilitySystem) -> SolveOutcome:
         lin = float(np.max(np.abs(amat @ y0 - rhs), initial=0.0))
         scale = max(1.0, float(np.max(np.abs(y0), initial=0.0)))
         if lin > TOLERANCE * scale:  # the rows contradict each other
-            return SolveOutcome(False, None, lin, max(0.0, -eig), 0, dual_witness=True)
+            return SolveOutcome("dual-witness", None, eig, lin, 0)
         if eig >= -TOLERANCE * scale:
-            sol = NumericSolution([float(v) for v in y0], eig, lin, 0)
-            return SolveOutcome(True, sol, lin, max(0.0, -eig), 0)
+            return SolveOutcome("y0", [float(v) for v in y0], eig, lin, 0)
         basis, weights = _symmetry_blocks(gmat, dim)
         if len(weights) < dim:
             gmat = (basis.T @ (gmat.reshape(k2, dim, dim) @ basis)).reshape(k2, -1)
             s0 = (y0[:k2] @ gmat).reshape(len(weights), -1)
         ops, back = _directions(null[:k2].T @ gmat, weights)
     except np.linalg.LinAlgError:
-        return SolveOutcome(False, None, math.inf, math.inf, 0)
+        return SolveOutcome("solver-stopped", None, -math.inf, math.inf, 0)
     del gmat  # only ops is needed from here on
     exit_, z, steps, best = _phase_one(s0, eig, ops, weights, WITNESS_RADIUS * scale)
-    if exit_ == "witness" or best < -TOLERANCE * scale:
-        return SolveOutcome(False, None, lin, max(0.0, -best), steps,
-                            dual_witness=exit_ == "witness")
-    y = y0 + null @ (back @ z)
-    sol = NumericSolution([float(v) for v in y], best, lin, steps)
-    return SolveOutcome(True, sol, lin, max(0.0, -best), steps)
+    if exit_ == "dual-witness" or best < -TOLERANCE * scale:
+        return SolveOutcome(exit_, None, best, lin, steps)
+    return SolveOutcome(exit_, [float(v) for v in y0 + null @ (back @ z)], best, lin, steps)
 
 
 def _symmetry_blocks(stack: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +305,9 @@ def _phase_one(s0: np.ndarray, eig0: float, ops: np.ndarray, weights: np.ndarray
     every feasible (z, t) has t <= <s0, X> + |z| |r| with r the vector of
     <ops[j], X> over the directions.  So <s0, X> < 0 with radius |r| <=
     -<s0, X> is a dual witness: no solution lies within radius of y0.
-    Returns the exit ("feasible", "witness" or "stopped"), the z with the
-    largest lambda_min(S) seen, the steps taken, and that eigenvalue.
+    Returns the exit ("margin", "dual-witness" or "solver-stopped"), the z
+    with the largest lambda_min(S) seen, the steps taken, and that
+    eigenvalue.
     """
     m, dim = ops.shape[0] - 1, s0.shape[0]
     size = weights.sum()  # W, the trace of I
@@ -326,11 +329,11 @@ def _phase_one(s0: np.ndarray, eig0: float, ops: np.ndarray, weights: np.ndarray
             if eig > best:
                 best, best_z = eig, u[:m].copy()
             if best >= MARGIN:
-                return "feasible", best_z, step, best
+                return "margin", best_z, step, best
             bound = float(np.sum(s0 * x * row))
             residual = float(np.linalg.norm(wflat[:m] @ x.ravel()))
             if bound < 0 and radius * residual <= -bound:
-                return "witness", best_z, step, best
+                return "dual-witness", best_z, step, best
             if step == MAX_STEPS:
                 break
             z = s - u[m] * eye
@@ -362,7 +365,7 @@ def _phase_one(s0: np.ndarray, eig0: float, ops: np.ndarray, weights: np.ndarray
             u = u + min(1.0, STEP_FRACTION * ad) * du
     except np.linalg.LinAlgError:
         pass
-    return "stopped", best_z, step, best
+    return "solver-stopped", best_z, step, best
 
 
 def _max_steps(chol_inv: np.ndarray, d: np.ndarray) -> list[float]:
@@ -398,24 +401,25 @@ class RationalizeOutcome:
     failure: Optional[str] = None
 
 
-def rationalize(solution: NumericSolution, system: FeasibilitySystem, *,
+def rationalize(values: Sequence[float], system: FeasibilitySystem, *,
                 window: Fraction) -> RationalizeOutcome:
-    """Round a numeric solution to exact rationals that solve the linear
+    """Round a numeric point to exact rationals that solve the linear
     system exactly.
 
     Each entry is replaced by the simplest rational within +-window (capped
     at the denominator bound); the linear system is then re-closed exactly,
     correcting the b-variables first and falling back to a minimum-norm
-    correction over all variables, and re-checked.  Failures report which
-    step broke.  The PSD check of the combination is left to the caller's
-    exact check of the finished certificate (certificates.verify).
+    correction over all variables; min_norm_correction returns only a
+    correction it has checked exactly.  Failures report which step broke.
+    The PSD check of the combination is left to the caller's exact check
+    of the finished certificate (certificates.verify).
     """
-    if len(solution.values) != system.variables:
-        raise DimensionMismatch("solution length != system variables")
+    if len(values) != system.variables:
+        raise DimensionMismatch("point length != system variables")
     if window <= 0:
         raise ValueError("window must be positive")
     y: list[Fraction] = []
-    for v in solution.values:
+    for v in values:
         exact = Fraction(v)
         cand = simplest_in_interval(exact - window, exact + window)
         if cand.denominator > DENOMINATOR_BOUND:
@@ -438,9 +442,6 @@ def rationalize(solution: NumericSolution, system: FeasibilitySystem, *,
                                       "near the rounded point")
         for i, dv in delta.items():
             y[i] += dv
-    if any(sum(c * y[i] for i, c in row.items()) != value
-           for row, value in zip(rows, system.rhs)):
-        return RationalizeOutcome(ok=False, failure="exact linear re-check failed")
     return RationalizeOutcome(ok=True, values=y)
 
 
@@ -448,15 +449,11 @@ def combination(system: FeasibilitySystem, a_values: Sequence[Fraction],
                 basis: MonomialBasis) -> GramMatrix:
     """S(a) as an exact GramMatrix over basis, which holds system.basis:
     zero on every row and column of a monomial that system.basis leaves out.
-    The grid is symmetric, so the upper triangle is computed and mirrored."""
+    Each form is evaluated once and the grid indexes the values."""
+    values = [sum(c * a_values[r] for r, c in form.items()) for form in system.forms]
     entries = [[Fraction(0)] * len(basis) for _ in basis]
     at = [basis.index(m) for m in system.basis]
-    for s, (i, row) in enumerate(zip(at, system.gram)):
-        for j, form in zip(at[s:], row[s:]):
-            if len(form) == 1:
-                (r, c), = form.items()
-                value = a_values[r] if c == 1 else c * a_values[r]
-            else:
-                value = sum(c * a_values[r] for r, c in form.items())
-            entries[i][j] = entries[j][i] = value
+    for i, row in zip(at, system.grid):
+        for j, k in zip(at, row):
+            entries[i][j] = values[k]
     return GramMatrix(basis, entries)

@@ -20,8 +20,7 @@ from symsos.pipeline import (RATIONALIZE_WINDOWS, ProblemInstance,
                              refute_invariant_system, variable_count_report)
 from symsos.poly import (MonomialBasis, Polynomial, accumulate_term, grlex_key,
                          monomials_up_to)
-from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, NumericSolution, SolveOutcome,
-                        solve_feasibility)
+from symsos.sdp import MAX_VARIABLES, FeasibilitySystem, SolveOutcome, solve_feasibility
 from symsos.symmetry import (GramMatrix, GroupSpec, canonical_monomial,
                              enumerate_monomial_orbits, is_invariant)
 
@@ -73,6 +72,11 @@ def test_refute_half_integral_knapsack():
         assert is_invariant(GroupSpec.symmetric(n), cert.sigma.to_polynomial())
 
 
+def entries(system):
+    """The system's grid with each index replaced by the form it names."""
+    return [[system.forms[k] for k in row] for row in system.grid]
+
+
 def captured_system(monkeypatch, inst, search=refute_invariant_system):
     """The search's result and the FeasibilitySystem it hands to the solver
     (which is stubbed to give up at once)."""
@@ -80,7 +84,7 @@ def captured_system(monkeypatch, inst, search=refute_invariant_system):
 
     def capture(system):
         seen.append(system)
-        return SolveOutcome(False, None, 1.0, 1.0, 0)
+        return SolveOutcome("solver-stopped", None, -1.0, 1.0, 0)
 
     monkeypatch.setattr(pipeline, "solve_feasibility", capture)
     result = search(inst)
@@ -223,10 +227,11 @@ def planted_solution(monkeypatch, a1, a2):
     """Make the solver answer sigma = [[1, a1], [a1, a2]] for
     ladder_instance(); returns the windows rationalize is then called with."""
     def planted(system):
-        (one,), (lin,), (sq,) = system.gram[0][0], system.gram[0][1], system.gram[1][1]
+        grid = entries(system)
+        (one,), (lin,), (sq,) = grid[0][0], grid[0][1], grid[1][1]
         values = [0.0] * system.variables
         values[one], values[lin], values[sq] = 1.0, a1, a2
-        return SolveOutcome(True, NumericSolution(values, 0.0, 0.0, 1), 0.0, 0.0, 1)
+        return SolveOutcome("margin", values, 0.0, 0.0, 1)
 
     windows = []
     original = pipeline.rationalize
@@ -364,7 +369,7 @@ def test_conflicting_rows_survive_matching():
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     rows, rhs = _match_columns([(x1 + x2).terms], (x1 - x2).terms)
     assert rows == [{0: frac(1)}, {0: frac(1)}] and sorted(rhs) == [-1, 1]
-    system = FeasibilitySystem(basis=MonomialBasis(2, 0), gram=[[{0: frac(1)}]],
+    system = FeasibilitySystem(basis=MonomialBasis(2, 0), forms=[{0: frac(1)}], grid=[[0]],
                                linear_map=rows, rhs=rhs, k3=0)
     assert not solve_feasibility(system).feasible
 
@@ -448,8 +453,7 @@ def test_refute_requires_closed_system():
 
 
 def test_refute_rejects_prove_style_instance():
-    inst = half_integral_knapsack(2)
-    inst.target = Polynomial.constant(2, 1)
+    inst = replace(half_integral_knapsack(2), target=Polynomial.constant(2, 1))
     with pytest.raises(InvalidInstance):
         refute_invariant_system(inst)
 
@@ -618,7 +622,7 @@ def test_moment_matrix_entries_with_several_representatives():
     inst = two_plus_one()
     reps, system = pipeline._moment_system(inst, 6)
     assert system.gram_dim == 10 and system.k2 == len(reps)
-    assert sum(len(form) > 1 for row in system.gram for form in row) == 30
+    assert sum(len(form) > 1 for row in entries(system) for form in row) == 30
     point = point_pseudoexpectation(inst, [[2, 1]])
     assert check_pseudoexpectation(inst, point)
     raised = replace(point, moments={m: v + frac(1, 3) if sum(m) == 6 else v
@@ -997,7 +1001,7 @@ def test_search_reduces_each_column_once(monkeypatch, search, inst):
     # id r's unreduced column sums x^(a + b) over the grid entries holding r
     n, gb = inst.n, inst.groebner
     columns = [Polynomial.zero(n) for _ in range(system.k2)]
-    for a, row in zip(system.basis, system.gram):
+    for a, row in zip(system.basis, entries(system)):
         for b, form in zip(system.basis, row):
             (r,) = form
             columns[r] = columns[r] + Polynomial.monomial(n, tuple(map(sum, zip(a, b))))
@@ -1008,9 +1012,11 @@ def test_search_reduces_each_column_once(monkeypatch, search, inst):
 
 
 def reference_moment_system(inst, deg, constraints):
-    """The earlier _moment_system: the representatives from a walk over
-    every monomial of degree <= deg, one normal form per monomial, and the
-    rows L(m p) for every shift m of every constraint p."""
+    """The earlier _moment_system, as its representatives, its moment
+    matrix of forms, its rows and their right hand sides: the
+    representatives from a walk over every monomial of degree <= deg, one
+    normal form per monomial, and the rows L(m p) for every shift m of
+    every constraint p."""
     n, gb = inst.n, inst.groebner
     canon = {canonical_monomial(inst.group, m) for m in monomials_up_to(n, deg)}
     reps = sorted((r for r in canon if gb is None or gb.is_standard(r)), key=grlex_key)
@@ -1042,7 +1048,7 @@ def reference_moment_system(inst, deg, constraints):
         rows += [(moment_row(m, p), Fraction(0))
                  for m in monomials_up_to(n, max(deg - p.degree(), 0))]
     rows, rhs = _distinct_rows(rows)
-    return reps, FeasibilitySystem(basis=half, gram=gram, linear_map=rows, rhs=rhs, k3=0)
+    return reps, gram, rows, rhs
 
 
 def differences(n):
@@ -1100,10 +1106,8 @@ def test_rows_of_every_equality_are_the_rows_per_orbit(inst):
     # earlier builder's system over every equality, in the same order
     deg = 2 * inst.degree
     reps, system = pipeline._moment_system(inst, deg)
-    old_reps, old = reference_moment_system(inst, deg, inst.equalities)
-    assert reps == old_reps
-    assert (system.gram, system.linear_map, system.rhs) == \
-        (old.gram, old.linear_map, old.rhs)
+    assert (reps, entries(system), system.linear_map, system.rhs) == \
+        reference_moment_system(inst, deg, inst.equalities)
     pe = find_pseudoexpectation(inst)
     assert pe is not None and check_pseudoexpectation(inst, pe)
 

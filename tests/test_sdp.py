@@ -15,12 +15,12 @@ from symsos.errors import DimensionMismatch, ResourceLimit
 from symsos.pipeline import ProblemInstance, prove_invariant, refute_invariant_system
 from symsos.poly import MonomialBasis, Polynomial
 from symsos.problem import parse_problem
-from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, NumericSolution,
-                        SolveOutcome, combination, rationalize,
-                        simplest_in_interval, solve_feasibility)
+from symsos.sdp import (MAX_VARIABLES, FeasibilitySystem, SolveOutcome, combination,
+                        rationalize, simplest_in_interval, solve_feasibility)
 from symsos.symmetry import GramMatrix, GroupSpec
 
-from .test_pipeline import BOOL, balanced, captured_system, sum_of_vars, two_plus_one
+from .test_pipeline import (BOOL, balanced, captured_system, entries, pinned_proof,
+                            sum_of_vars, two_plus_one)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,15 +33,11 @@ def basis1():
     return MonomialBasis(1, 0)
 
 
-def gram(k2=1):
-    """The 1x1 grid S(a) = [[a_0 + ... + a_(k2-1)]]."""
-    return [[{r: frac(1) for r in range(k2)}]]
-
-
 def scalar_system(linear_map, rhs, k2=1, k3=0):
-    """linear_map holds sparse rows {column: coefficient}."""
-    return FeasibilitySystem(basis=basis1(), gram=gram(k2),
-                             linear_map=linear_map, rhs=rhs, k3=k3)
+    """S(a) = [[a_0 + ... + a_(k2-1)]]; linear_map holds sparse rows
+    {column: coefficient}."""
+    return FeasibilitySystem(basis=basis1(), forms=[{r: frac(1) for r in range(k2)}],
+                             grid=[[0]], linear_map=linear_map, rhs=rhs, k3=k3)
 
 
 def small_system():
@@ -51,13 +47,18 @@ def small_system():
 
 def test_system_validation():
     with pytest.raises(ValueError, match="at least one"):
-        FeasibilitySystem(basis=basis1(), gram=[[{}]], linear_map=[], rhs=[], k3=0)
+        FeasibilitySystem(basis=basis1(), forms=[{}], grid=[[0]], linear_map=[], rhs=[],
+                          k3=0)
     with pytest.raises(DimensionMismatch, match="basis size"):
-        FeasibilitySystem(basis=MonomialBasis(1, 1), gram=gram(),
+        FeasibilitySystem(basis=MonomialBasis(1, 1), forms=[{0: frac(1)}], grid=[[0]],
                           linear_map=[{0: frac(1)}], rhs=[frac(1)], k3=0)
+    for index in (-1, 1):
+        with pytest.raises(DimensionMismatch, match="outside forms"):
+            FeasibilitySystem(basis=basis1(), forms=[{0: frac(1)}], grid=[[index]],
+                              linear_map=[{0: frac(1)}], rhs=[frac(1)], k3=0)
     with pytest.raises(ValueError, match="not symmetric"):
-        FeasibilitySystem(basis=MonomialBasis(1, 1),
-                          gram=[[{0: frac(1)}, {0: frac(1)}], [{}, {0: frac(1)}]],
+        FeasibilitySystem(basis=MonomialBasis(1, 1), forms=[{0: frac(1)}, {}],
+                          grid=[[0, 0], [1, 0]],
                           linear_map=[{0: frac(1)}], rhs=[frac(1)], k3=0)
     with pytest.raises(DimensionMismatch):
         scalar_system([{0: frac(1), 1: frac(2)}], [frac(0), frac(1)], k3=1)
@@ -86,15 +87,15 @@ def test_variable_cap():
 
 def test_solver_trivial_feasible():
     out = solve_feasibility(small_system())
-    assert out.feasible
-    assert abs(out.solution.values[0] - 2.0) < 1e-6
+    assert (out.exit, out.iterations) == ("y0", 0)
+    assert abs(out.values[0] - 2.0) < 1e-6
 
 
 def test_solver_reports_infeasible_linear():
     sys_ = scalar_system([{0: frac(1)}, {0: frac(1)}], [frac(0), frac(1)])
     out = solve_feasibility(sys_)
-    assert not out.feasible
-    assert out.best_linear_residual > 1e-3
+    assert (out.exit, out.values, out.iterations) == ("dual-witness", None, 0)
+    assert out.linear_residual > 1e-3
 
 
 def test_solver_reports_psd_conflict():
@@ -102,14 +103,14 @@ def test_solver_reports_psd_conflict():
     sys_ = scalar_system([{0: frac(1)}], [frac(-1)])
     out = solve_feasibility(sys_)
     assert not out.feasible
-    assert out.best_psd_deficit > 1e-3
+    assert out.min_eigenvalue < -1e-3
 
 
 def psd_conflict_with_free_direction():
     """S(a) = diag(a0, a1) with a1 = -1 forced and a0 free: infeasible, and
     the free direction sends the solver into its interior-point steps."""
     return FeasibilitySystem(basis=MonomialBasis(1, 1),
-                             gram=[[{0: frac(1)}, {}], [{}, {1: frac(1)}]],
+                             forms=[{0: frac(1)}, {}, {1: frac(1)}], grid=[[0, 1], [1, 2]],
                              linear_map=[{1: frac(1)}], rhs=[frac(-1)], k3=0)
 
 
@@ -125,34 +126,75 @@ def test_solver_survives_singular_polish_matrix(monkeypatch):
 
 def test_free_direction_conflict_ends_in_a_dual_witness():
     out = solve_feasibility(psd_conflict_with_free_direction())
-    assert not out.feasible
-    assert out.dual_witness
+    assert (out.exit, out.values) == ("dual-witness", None)
     assert out.iterations <= sdp.MAX_STEPS // 4
+
+
+def test_a_point_that_clears_the_margin_ends_the_steps(monkeypatch):
+    system = captured_system(monkeypatch, pinned_proof(), prove_invariant)[1]
+    out = solve_feasibility(system)
+    assert out.exit == "margin" and 0 < out.iterations
+    assert out.min_eigenvalue >= sdp.MARGIN and len(out.values) == system.variables
+
+
+def square_n3(monkeypatch):
+    """The workload's x-squared proof on S(3): its steps reach a point that
+    passes the tolerance test but never clear MARGIN."""
+    inst = workload_instance(monkeypatch, "square-n3")
+    return captured_system(monkeypatch, inst, prove_invariant)[1]
+
+
+def test_a_failed_factorisation_keeps_a_point_that_passes(monkeypatch):
+    out = solve_feasibility(square_n3(monkeypatch))
+    assert (out.exit, out.iterations) == ("solver-stopped", 16)
+    assert out.values is not None and 0 <= out.min_eigenvalue < sdp.MARGIN
+
+
+def test_the_step_cap_keeps_a_point_that_passes(monkeypatch):
+    system = square_n3(monkeypatch)
+    monkeypatch.setattr(sdp, "MAX_STEPS", 10)
+    out = solve_feasibility(system)
+    assert (out.exit, out.iterations) == ("solver-stopped", 10)
+    assert out.values is not None and 0 <= out.min_eigenvalue < sdp.MARGIN
+    monkeypatch.setattr(sdp, "MAX_STEPS", 4)  # still short of the cone
+    out = solve_feasibility(system)
+    assert (out.exit, out.values, out.iterations) == ("solver-stopped", None, 4)
+    assert out.min_eigenvalue < -sdp.TOLERANCE
+
+
+def test_a_failed_first_factorisation_stops_without_a_point(monkeypatch):
+    def failing(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    system = captured_system(monkeypatch, pinned_proof(), prove_invariant)[1]
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    out = solve_feasibility(system)
+    assert (out.exit, out.values, out.iterations) == ("solver-stopped", None, 0)
 
 
 def test_psd_stack_is_float_of_each_entry():
     rng = random.Random(97)
     k2, dim = 4, 3
-    grid = [[None] * dim for _ in range(dim)]
+    forms, grid = [], [[0] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            grid[i][j] = grid[j][i] = {
-                r: frac(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
-                for r in rng.sample(range(k2), rng.randint(0, k2))}
-    grid[0][0][k2 - 1] = frac(1, 3)  # the last unknown appears
+            grid[i][j] = grid[j][i] = len(forms)
+            forms.append({r: frac(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+                          for r in rng.sample(range(k2), rng.randint(0, k2))})
+    forms[0][k2 - 1] = frac(1, 3)  # the last unknown appears
     k3 = 2
     rows = [{j: frac(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
              for j in rng.sample(range(k2 + k3), rng.randint(1, k2 + k3))}
             for _ in range(3)]
     rhs = [frac(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
            for _ in rows]
-    system = FeasibilitySystem(basis=MonomialBasis(2, 1), gram=grid,
+    system = FeasibilitySystem(basis=MonomialBasis(2, 1), forms=forms, grid=grid,
                                linear_map=rows, rhs=rhs, k3=k3)
     assert system.k2 == k2
-    assert any(len(form) > 1 for row in grid for form in row)
+    assert any(len(form) > 1 for form in forms)
     stack, amat, floats = sdp.float_view(system)
-    assert stack.tolist() == [[float(form.get(r, 0)) for row in grid for form in row]
-                              for r in range(k2)]
+    assert stack.tolist() == [[float(form.get(r, 0)) for row in entries(system)
+                               for form in row] for r in range(k2)]
     assert amat.tolist() == [[float(row.get(j, 0)) for j in range(k2 + k3)]
                              for row in rows]
     assert floats.tolist() == [float(v) for v in rhs]
@@ -161,7 +203,7 @@ def test_psd_stack_is_float_of_each_entry():
 def reference_stack(system):
     """S as float_view lays it out, filled one grid entry at a time."""
     stack = np.zeros((system.k2, system.gram_dim ** 2))
-    for ij, form in enumerate(form for row in system.gram for form in row):
+    for ij, form in enumerate(form for row in entries(system) for form in row):
         for r, c in form.items():
             stack[r, ij] = float(c)
     return stack
@@ -174,7 +216,7 @@ def assert_stack_is_per_entry(system):
 
 
 def test_float_view_of_a_search_system(monkeypatch):
-    # the search shares one {r: 1} among all entries of id r
+    # the search's forms are {r: 1}, one per id, and its grid is the ids
     seen = []
     monkeypatch.setattr(pipeline, "solve_feasibility",
                         lambda system: seen.append(system) or solve_feasibility(system))
@@ -187,25 +229,39 @@ def test_float_view_of_a_search_system(monkeypatch):
 def test_float_view_of_a_moment_system():
     # moment entries share one form per canonical monomial, some of several terms
     system = pipeline._moment_system(two_plus_one(), 6)[1]
-    assert any(len(form) > 1 for row in system.gram for form in row)
+    assert any(len(form) > 1 for form in system.forms)
     assert_stack_is_per_entry(system)
 
 
-def test_float_view_of_equal_but_distinct_forms():
-    shared = {0: frac(1, 3), 2: frac(-5, 7)}
-    grid = [[{0: frac(1, 3), 2: frac(-5, 7)}, shared, {1: frac(2)}],
-            [shared, {0: frac(1, 3), 2: frac(-5, 7)}, {}],
-            [{1: frac(2)}, {}, {0: frac(10 ** 20, 3), 1: frac(-1, 9), 2: frac(0)}]]
-    system = FeasibilitySystem(basis=MonomialBasis(2, 1), gram=grid,
+def test_float_view_of_ids_naming_equal_forms():
+    # forms 0, 1 and 2 are equal: each id still names its own column
+    forms = [{0: frac(1, 3), 2: frac(-5, 7)}, {0: frac(1, 3), 2: frac(-5, 7)},
+             {0: frac(1, 3), 2: frac(-5, 7)}, {1: frac(2)}, {},
+             {0: frac(10 ** 20, 3), 1: frac(-1, 9), 2: frac(0)}]
+    system = FeasibilitySystem(basis=MonomialBasis(2, 1), forms=forms,
+                               grid=[[0, 1, 3], [1, 2, 4], [3, 4, 5]],
                                linear_map=[{1: frac(1)}], rhs=[frac(1)], k3=0)
     assert system.k2 == 3
     assert_stack_is_per_entry(system)
 
 
+def test_combination_is_float_views_matrix_exactly():
+    # on the moment grid, with forms of several terms: integer moments keep
+    # every float exact, so S(y) from the stack equals the exact matrix
+    system = pipeline._moment_system(two_plus_one(), 6)[1]
+    rng = random.Random(101)
+    values = [frac(rng.randint(-9, 9)) for _ in range(system.k2)]
+    combo = combination(system, values, MonomialBasis(2, 3))
+    at = [combo.basis.index(m) for m in system.basis]
+    exact = [[float(combo.entries[i][j]) for j in at] for i in at]
+    floats = np.array([float(v) for v in values]) @ sdp.float_view(system)[0]
+    assert floats.reshape(system.gram_dim, -1).tolist() == exact
+
+
 def test_solver_deterministic():
     a = solve_feasibility(small_system())
     b = solve_feasibility(small_system())
-    assert a.solution.values == b.solution.values
+    assert a.values == b.values
 
 
 def test_simplest_in_interval():
@@ -245,9 +301,7 @@ def test_rationalize_recovers_planted_solution():
                planted[0] + 2 * planted[1] - planted[2]]
         sys_ = scalar_system(rows, rhs, k3=2)
         noisy = [float(v) + rng.uniform(-1e-9, 1e-9) for v in planted]
-        sol = NumericSolution(values=noisy, psd_min_eigenvalue_estimate=0.0,
-                              linear_residual_norm=0.0, iterations=1)
-        out = rationalize(sol, sys_, window=frac(1, 10 ** 6))
+        out = rationalize(noisy, sys_, window=frac(1, 10 ** 6))
         assert out.ok, out.failure
         for row, target in zip(rows, rhs):
             assert sum(c * out.values[j] for j, c in row.items()) == target
@@ -255,9 +309,9 @@ def test_rationalize_recovers_planted_solution():
 
 
 def test_combination_exact():
-    off = {1: frac(1)}
     sys_ = FeasibilitySystem(basis=MonomialBasis(1, 1),
-                             gram=[[{0: frac(1)}, off], [off, {0: frac(2), 1: frac(-1)}]],
+                             forms=[{0: frac(1)}, {1: frac(1)}, {0: frac(2), 1: frac(-1)}],
+                             grid=[[0, 1], [1, 2]],
                              linear_map=[{0: frac(1), 1: frac(1)}], rhs=[frac(1)], k3=0)
     combo = combination(sys_, [frac(1, 3), frac(2, 5)], MonomialBasis(1, 1))
     assert isinstance(combo, GramMatrix) and combo.basis == MonomialBasis(1, 1)
@@ -269,8 +323,8 @@ def test_combination_exact():
 def test_combination_is_zero_off_the_system_basis():
     # S(a) over (1, x^2) inside the basis (1, x, x^2): the x row and column are 0
     sys_ = FeasibilitySystem(basis=[(0,), (2,)],
-                             gram=[[{0: frac(1)}, {1: frac(1)}],
-                                   [{1: frac(1)}, {0: frac(3)}]],
+                             forms=[{0: frac(1)}, {1: frac(1)}, {0: frac(3)}],
+                             grid=[[0, 1], [1, 2]],
                              linear_map=[{0: frac(1), 1: frac(1)}], rhs=[frac(1)], k3=0)
     assert sys_.gram_dim == 2
     combo = combination(sys_, [frac(1, 2), frac(-1)], MonomialBasis(1, 2))
@@ -282,7 +336,7 @@ def test_end_to_end_solve_then_rationalize():
     sys_ = scalar_system([{0: frac(1), 1: frac(-1)}], [frac(1)], k3=1)
     out = solve_feasibility(sys_)
     assert out.feasible
-    rat = rationalize(out.solution, sys_, window=frac(1, 10 ** 6))
+    rat = rationalize(out.values, sys_, window=frac(1, 10 ** 6))
     assert rat.ok
     assert rat.values[0] - rat.values[1] == 1
     assert rat.values[0] >= 0
@@ -349,7 +403,7 @@ def test_phase_one_on_weighted_rows_takes_the_dense_steps():
                            np.ones(3), 1e5)
     blocked = sdp._phase_one(np.diag([-3.0, 2.0]), -3.0, -np.eye(2)[None],
                              np.array([1.0, 2.0]), 1e5)
-    assert dense[0] == "witness" and dense[2] > 0
+    assert dense[0] == "dual-witness" and dense[2] > 0
     assert blocked[0] == dense[0] and blocked[2] == dense[2]
     assert blocked[3] == pytest.approx(dense[3], rel=1e-12)
 
@@ -374,12 +428,11 @@ def test_the_blocks_take_the_dense_steps(monkeypatch, name, search):
                         lambda stack, dim: (np.eye(dim), np.ones(dim)))
     dense = solve_feasibility(system)
     assert dense.iterations > 0
-    assert (blocked.feasible, blocked.dual_witness, blocked.iterations) == \
-        (dense.feasible, dense.dual_witness, dense.iterations)
-    if dense.solution is not None:  # a witness has no point
-        scale = max(map(abs, dense.solution.values))
-        assert np.allclose(blocked.solution.values, dense.solution.values,
-                           rtol=0, atol=1e-8 * scale)
+    assert (blocked.exit, blocked.feasible, blocked.iterations) == \
+        (dense.exit, dense.feasible, dense.iterations)
+    if dense.values is not None:  # a witness has no point
+        scale = max(map(abs, dense.values))
+        assert np.allclose(blocked.values, dense.values, rtol=0, atol=1e-8 * scale)
 
 
 def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path):
